@@ -2045,6 +2045,48 @@ mod tests {
     }
 
     #[test]
+    fn batch_resume_reruns_a_record_torn_inside_a_multibyte_label() {
+        let _guard = SUP_ENV.lock().unwrap();
+        std::env::remove_var("VROUTE_FAULT");
+        let dir = std::env::temp_dir().join("vroute-test-sup-utf8");
+        let _ = std::fs::remove_dir_all(&dir);
+        supervised_fixture(&dir, 2);
+        let accented = dir.join("a\u{e9}.sb");
+        std::fs::rename(dir.join("s1.sb"), &accented).unwrap();
+        let files = format!("{} {}", dir.join("s0.sb").display(), accented.display());
+        let jdir = dir.join("journal");
+        let full = dir.join("full.json");
+        let resumed = dir.join("resumed.json");
+
+        let (out, ok) = run(&format!(
+            "batch {files} --retries 1 --jobs 1 --journal {} --json {}",
+            jdir.display(),
+            full.display()
+        ));
+        assert!(ok.unwrap(), "{out}");
+
+        // Tear the log one byte into its last `é`, as a crash mid-write
+        // would: the tail is no longer valid UTF-8.
+        let log = jdir.join("journal.ldj");
+        let bytes = std::fs::read(&log).unwrap();
+        let at = bytes.windows(2).rposition(|w| w == "\u{e9}".as_bytes()).unwrap();
+        std::fs::write(&log, &bytes[..=at]).unwrap();
+
+        let (out, ok) = run(&format!(
+            "batch {files} --retries 1 --jobs 1 --journal {} --resume --json {}",
+            jdir.display(),
+            resumed.display()
+        ));
+        assert!(ok.unwrap(), "{out}");
+        assert!(out.contains("1 resumed"), "{out}");
+        assert_eq!(
+            std::fs::read_to_string(&full).unwrap(),
+            std::fs::read_to_string(&resumed).unwrap(),
+            "the torn instance re-runs to the identical report"
+        );
+    }
+
+    #[test]
     fn fuzz_rejects_unknown_fault_names() {
         let _guard = FUZZ_ENV.lock().unwrap();
         std::env::set_var("VROUTE_FUZZ_FAULT", "melt-the-grid");

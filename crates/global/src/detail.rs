@@ -34,7 +34,7 @@ use route_geom::{Layer, Point, Rect};
 use route_maze::SearchArena;
 use route_model::{
     Grid, NetId, NopObserver, Occupant, Pin, Problem, ProblemBuilder, RouteDb, RouteError,
-    RouteObserver, RouteResult, SearchKind, SearchProbe, Step, Trace, TraceId,
+    RouteObserver, RouteResult, Routing, SearchKind, SearchProbe, Step, Trace, TraceId,
 };
 
 use crate::plan::plan_with;
@@ -410,11 +410,9 @@ fn route_chip(
 
     // Journal establishment: per-tile fingerprints gate replay, so an
     // edited chip re-routes instead of replaying stale wiring.
-    let mut resumed_tiles = 0usize;
     if let Some(j) = journal {
         let fps: Vec<u64> = subs.iter().zip(&metas).map(|(s, m)| tile_fingerprint(s, m)).collect();
         j.establish(&fps);
-        resumed_tiles = j.resumed_count();
     }
 
     let router = MightyRouter::new(cfg.router);
@@ -435,6 +433,7 @@ fn route_chip(
         let engine = RouteEngine::new(engine_cfg.build().expect("knobs validated above"));
         engine.route_batch(&router, &subs).results.into_iter().map(TileOutcome::Plain).collect()
     };
+    let resumed_tiles = outcomes.iter().filter(|o| matches!(o, TileOutcome::Replayed(_))).count();
 
     let mut chip = ChipStats {
         crossing_pins: edge_cross.len(),
@@ -459,7 +458,7 @@ fn route_chip(
                 chip.tiles_errored += 1;
                 tile_failures.extend(meta.names.iter().map(|(id, _)| *id));
             }
-            TileOutcome::Supervised(out) => {
+            TileOutcome::Supervised(out) | TileOutcome::Replayed(out) => {
                 account_recovery(&mut chip, &out.path);
                 match &out.result {
                     Some(Ok(routing)) => {
@@ -477,28 +476,6 @@ fn route_chip(
                         );
                     }
                     _ => {
-                        chip.tiles_errored += 1;
-                        tile_failures.extend(meta.names.iter().map(|(id, _)| *id));
-                    }
-                }
-            }
-            TileOutcome::Replayed(record) => {
-                account_recovery(&mut chip, &record.path);
-                let routed =
-                    matches!(record.status, InstanceStatus::Complete | InstanceStatus::Salvaged);
-                match routed.then(|| parse_tile_routes(&record.routes)).flatten() {
-                    Some(traces) => {
-                        chip.tiles_routed += 1;
-                        replay_tile(
-                            &mut db,
-                            &mut tile_failures,
-                            meta,
-                            sub,
-                            &traces,
-                            &record.failed,
-                        );
-                    }
-                    None => {
                         chip.tiles_errored += 1;
                         tile_failures.extend(meta.names.iter().map(|(id, _)| *id));
                     }
@@ -717,8 +694,9 @@ enum TileOutcome {
     Plain(RouteResult),
     /// Live supervised outcome.
     Supervised(SupervisedOutcome),
-    /// Journal-replayed record of a previous run's outcome.
-    Replayed(ChipTileRecord),
+    /// A previous run's outcome, replayed from the journal and
+    /// validated against the tile ([`replayed_outcome`]).
+    Replayed(SupervisedOutcome),
 }
 
 /// Bumps the supervised recovery counters for one tile's path.
@@ -733,8 +711,8 @@ fn account_recovery(chip: &mut ChipStats, path: &RecoveryPath) {
 
 /// Pastes one tile's local routing into the global database: failed
 /// locals join the tile-failure set, traces translate by the tile
-/// origin. Shared by the live paths and (via the same ordering) the
-/// journal replay, which is what keeps resumed databases byte-identical.
+/// origin. Live and journal-replayed tiles both paste through here,
+/// which is what keeps resumed databases byte-identical.
 fn paste_tile(
     db: &mut RouteDb,
     tile_failures: &mut BTreeSet<NetId>,
@@ -759,39 +737,6 @@ fn paste_tile(
             db.commit(*global_id, trace)
                 .expect("tiles are disjoint, so pasted traces cannot conflict");
         }
-    }
-}
-
-/// Pastes a journal-replayed tile: the serialized traces were captured
-/// in [`paste_tile`]'s iteration order, so committing them in stored
-/// order reproduces the live paste exactly.
-fn replay_tile(
-    db: &mut RouteDb,
-    tile_failures: &mut BTreeSet<NetId>,
-    meta: &TileMeta,
-    sub: &Problem,
-    traces: &[(u32, Vec<Step>)],
-    failed: &[u32],
-) {
-    let origin = meta.origin;
-    let mut to_global: HashMap<u32, NetId> = HashMap::new();
-    for (global_id, name) in &meta.names {
-        let local = sub.net_by_name(name).expect("declared above");
-        to_global.insert(local.id.0, *global_id);
-    }
-    for &id in failed {
-        if let Some(gid) = to_global.get(&id) {
-            tile_failures.insert(*gid);
-        }
-    }
-    for (local, steps) in traces {
-        let Some(gid) = to_global.get(local) else { continue };
-        let steps: Vec<Step> = steps
-            .iter()
-            .map(|s| Step::new(Point::new(s.at.x + origin.x, s.at.y + origin.y), s.layer))
-            .collect();
-        let trace = Trace::from_steps(steps).expect("journaled traces preserve contiguity");
-        db.commit(*gid, trace).expect("replayed tile wiring pastes like live wiring");
     }
 }
 
@@ -822,48 +767,6 @@ fn tile_fingerprint(sub: &Problem, meta: &TileMeta) -> u64 {
     RunJournal::fingerprint(&text)
 }
 
-/// Serializes a tile's local routing for the chip journal, in
-/// [`paste_tile`] iteration order: `LOCAL:x,y,l;x,y,l|LOCAL:...` — one
-/// part per trace, steps in trace order.
-fn serialize_tile_routes(sub: &Problem, names: &[(NetId, String)], tile_db: &RouteDb) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    for (_, name) in names {
-        let local = sub.net_by_name(name).expect("declared in the sub-problem");
-        for (_, trace) in tile_db.traces(local.id) {
-            let steps: Vec<String> = trace
-                .steps()
-                .iter()
-                .map(|s| format!("{},{},{}", s.at.x, s.at.y, s.layer.index()))
-                .collect();
-            parts.push(format!("{}:{}", local.id.0, steps.join(";")));
-        }
-    }
-    parts.join("|")
-}
-
-/// Parses [`serialize_tile_routes`]'s output. `None` marks a malformed
-/// payload (the tile then re-routes as if it had errored).
-fn parse_tile_routes(routes: &str) -> Option<Vec<(u32, Vec<Step>)>> {
-    let mut out = Vec::new();
-    for part in routes.split('|') {
-        if part.is_empty() {
-            continue;
-        }
-        let (id, steps_text) = part.split_once(':')?;
-        let id: u32 = id.parse().ok()?;
-        let mut steps = Vec::new();
-        for s in steps_text.split(';') {
-            let mut it = s.split(',');
-            let x: i32 = it.next()?.parse().ok()?;
-            let y: i32 = it.next()?.parse().ok()?;
-            let l: usize = it.next()?.parse().ok()?;
-            steps.push(Step::new(Point::new(x, y), *Layer::ALL.get(l)?));
-        }
-        out.push((id, steps));
-    }
-    Some(out)
-}
-
 /// Builds the journal record for one live supervised tile outcome.
 fn tile_record(
     index: usize,
@@ -878,13 +781,24 @@ fn tile_record(
         status: outcome.status(),
         path: outcome.path.clone(),
         attempts: outcome.attempts,
-        routes: String::new(),
+        routes: Vec::new(),
         failed: Vec::new(),
         error: None,
     };
     match &outcome.result {
         Some(Ok(routing)) => {
-            record.routes = serialize_tile_routes(sub, &meta.names, &routing.db);
+            // One flat `[net, x, y, layer, ...]` array per trace, in
+            // `paste_tile` order, so a replay pastes exactly like live.
+            for (_, name) in &meta.names {
+                let local = sub.net_by_name(name).expect("declared in the sub-problem");
+                for (_, trace) in routing.db.traces(local.id) {
+                    let mut flat = vec![i64::from(local.id.0)];
+                    for s in trace.steps() {
+                        flat.extend([i64::from(s.at.x), i64::from(s.at.y), s.layer.index() as i64]);
+                    }
+                    record.routes.push(flat);
+                }
+            }
             record.failed = routing.failed.iter().map(|id| id.0).collect();
         }
         Some(Err(e)) => record.error = Some(e.to_string()),
@@ -894,6 +808,42 @@ fn tile_record(
         record.error = Some(salvage.terminal.clone());
     }
     record
+}
+
+/// Rebuilds a journal-replayed tile as a supervised outcome on its
+/// sub-problem. `None` — the tile then routes live — when the record
+/// does not fit the tile: an undeclared net id, a step outside the tile
+/// or its layers, a broken trace, wiring that collides with an obstacle
+/// or another net, or a failed id out of range.
+fn replayed_outcome(sub: &Problem, record: ChipTileRecord) -> Option<SupervisedOutcome> {
+    let routed = matches!(record.status, InstanceStatus::Complete | InstanceStatus::Salvaged);
+    let result = if routed { Some(Ok(replayed_routing(sub, &record)?)) } else { None };
+    Some(SupervisedOutcome { path: record.path, attempts: record.attempts, result, salvage: None })
+}
+
+/// Commits a record's flat traces into a fresh database for the tile,
+/// checking every value before it is used.
+fn replayed_routing(sub: &Problem, record: &ChipTileRecord) -> Option<Routing> {
+    let net = |id: i64| u32::try_from(id).ok().filter(|&id| (id as usize) < sub.nets().len());
+    let coord = |v: i64, len: u32| i32::try_from(v).ok().filter(|&v| v >= 0 && (v as u32) < len);
+    let layer = |l: i64| usize::try_from(l).ok().filter(|&l| l < usize::from(sub.layers()));
+    let mut db = RouteDb::new(sub);
+    for flat in &record.routes {
+        let (&id, coords) = flat.split_first()?;
+        if coords.len() % 3 != 0 {
+            return None;
+        }
+        let steps = coords
+            .chunks(3)
+            .map(|c| {
+                let at = Point::new(coord(c[0], sub.width())?, coord(c[1], sub.height())?);
+                Some(Step::new(at, *Layer::ALL.get(layer(c[2])?)?))
+            })
+            .collect::<Option<Vec<Step>>>()?;
+        db.commit(NetId(net(id)?), Trace::from_steps(steps).ok()?).ok()?;
+    }
+    let failed = record.failed.iter().map(|&id| net(i64::from(id)).map(NetId));
+    Some(Routing { db, failed: failed.collect::<Option<_>>()? })
 }
 
 /// Routes one tile through the full recovery chain: retry with a
@@ -955,8 +905,9 @@ fn supervised_tile_batch(
                 if i >= n {
                     break;
                 }
-                if let Some(record) = journal.and_then(|j| j.replay(i)) {
-                    if tx.send((i, TileOutcome::Replayed(record))).is_err() {
+                let replayed = journal.and_then(|j| j.replay(i));
+                if let Some(outcome) = replayed.and_then(|r| replayed_outcome(&subs[i], r)) {
+                    if tx.send((i, TileOutcome::Replayed(outcome))).is_err() {
                         break;
                     }
                     continue;
@@ -1597,6 +1548,50 @@ mod tests {
         assert_eq!(plain.db().checksum(), journaled.db().checksum());
         assert_eq!(plain.failed(), journaled.failed());
         assert_eq!(journaled.journal_error(), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_tile_records_route_live_instead_of_replaying() {
+        // A crc-valid tile record whose wiring does not fit its tile
+        // must not replay (nor panic): the tile routes live, and the
+        // run matches the uninterrupted one.
+        let dir = std::env::temp_dir().join("vroute-chip-journal-forged");
+        let _ = std::fs::remove_dir_all(&dir);
+        let p = SwitchboxGen { width: 32, height: 32, nets: 14, seed: 9 }.build();
+        let cfg = GlobalConfig { tile: 16, ..GlobalConfig::default() };
+        let sup = ChipSupervision::default();
+        let journal = ChipJournal::create(&dir).expect("journal dir");
+        let first = route_hierarchical_supervised(&p, &cfg, &sup, Some(&journal));
+        drop(journal);
+
+        let path = dir.join(ChipJournal::FILE_NAME);
+        let text = std::fs::read_to_string(&path).expect("journal written");
+        let tiles = text.lines().filter(|l| l.starts_with("{\"ev\":\"tile\"")).count();
+        let routed = text.lines().find(|l| l.contains("\"routes\":[[")).expect("a routed tile");
+        let (head, rest) = routed.split_at(routed.find("\"routes\":").expect("routes") + 9);
+        let tail = &rest[rest.find("],\"failed\"").expect("failed") + 1..];
+        let tail = &tail[..tail.rfind(",\"crc\"").expect("sealed")];
+        for forged in [
+            "[[0,1,1,0,9,9,0]]",                   // not contiguous
+            "[[0,999999,5,0,1000000,5,0]]",        // off the grid
+            "[[0,2147483646,5,0,2147483647,5,0]]", // i32::MAX
+        ] {
+            // Resealed after the genuine record, so it is the one that
+            // matches on resume.
+            let body = format!("{head}{forged}{tail}");
+            let crc = RunJournal::fingerprint(&body);
+            std::fs::write(&path, format!("{text}{body},\"crc\":\"{crc:016x}\"}}\n"))
+                .expect("forge");
+            let journal = ChipJournal::resume(&dir).expect("journal reopens");
+            let resumed = route_hierarchical_supervised(&p, &cfg, &sup, Some(&journal));
+            assert_eq!(resumed.journal_error(), None, "{forged}");
+            assert_eq!(resumed.resumed_tiles(), tiles - 1, "{forged}: the forged tile routes live");
+            assert_eq!(first.db().checksum(), resumed.db().checksum(), "{forged}");
+            assert_eq!(first.failed(), resumed.failed(), "{forged}");
+            assert_eq!(first.stats(), resumed.stats(), "{forged}");
+            assert_eq!(first.chip_stats(), resumed.chip_stats(), "{forged}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -251,18 +251,12 @@ pub fn find_path_in(arena: &mut SearchArena, query: &Query<'_>) -> Option<FoundP
     Some(FoundPath { trace: found.trace, cost: found.cost, stats: found.stats })
 }
 
-/// Renamed entry point, kept for one release so downstream code compiles.
-#[deprecated(since = "0.2.0", note = "renamed to `find_path_in`")]
-pub fn find_path_with(arena: &mut SearchArena, query: &Query<'_>) -> Option<FoundPath> {
-    find_path_in(arena, query)
-}
-
-/// Like [`find_path_with`], but reports the search to `obs` via
+/// Like [`find_path_in`], but reports the search to `obs` via
 /// [`RouteObserver::on_search_done`] — including the effort spent on
 /// *failed* searches, which the un-observed entry points discard.
 ///
 /// The observer only watches: results are bit-identical to
-/// [`find_path_with`].
+/// [`find_path_in`].
 pub fn find_path_observed(
     arena: &mut SearchArena,
     query: &Query<'_>,
@@ -298,19 +292,9 @@ pub fn find_path_soft_in(
     run(arena, query, Some(soft)).0
 }
 
-/// Renamed entry point, kept for one release so downstream code compiles.
-#[deprecated(since = "0.2.0", note = "renamed to `find_path_soft_in`")]
-pub fn find_path_soft_with(
-    arena: &mut SearchArena,
-    query: &Query<'_>,
-    soft: &dyn Fn(Point, Layer, NetId) -> Option<u64>,
-) -> Option<SoftPath> {
-    find_path_soft_in(arena, query, soft)
-}
-
-/// Like [`find_path_soft_with`], but reports the search (found or not)
+/// Like [`find_path_soft_in`], but reports the search (found or not)
 /// to `obs` via [`RouteObserver::on_search_done`]. Results are
-/// bit-identical to [`find_path_soft_with`].
+/// bit-identical to [`find_path_soft_in`].
 pub fn find_path_soft_observed(
     arena: &mut SearchArena,
     query: &Query<'_>,
@@ -762,7 +746,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the one-release compatibility shim
     fn arena_reuse_is_equivalent_to_fresh_buffers() {
         // One arena across many searches, across two differently-sized
         // grids, with failures interleaved: every result must be
@@ -812,7 +795,7 @@ mod tests {
         for (db, net, from, to) in cases {
             let q = query(db.grid(), net, from, to);
             let fresh = find_path(&q);
-            let reused = find_path_with(&mut arena, &q);
+            let reused = find_path_in(&mut arena, &q);
             match (fresh, reused) {
                 (None, None) => {}
                 (Some(f), Some(r)) => {

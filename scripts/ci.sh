@@ -110,6 +110,15 @@ fi
 # line handling and replay semantics are proven end to end.
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
+# Damages a killed journal the way a crash and a bad disk could: every
+# surviving line twice, a record with no crc seal, and a lone UTF-8
+# lead byte. Resume must skip the damage and still match the reference.
+damage_journal() {
+  mkdir -p "$(dirname "$1")" && touch "$1"
+  cat "$1" "$1" > "$1.damaged"
+  printf '%s\n\303' '{"ev":"done","idx":0}' >> "$1.damaged"
+  mv "$1.damaged" "$1"
+}
 for seed in 0 1 2 3 4 5 6 7; do
   "$VROUTE" gen switchbox --width 16 --height 16 --nets 8 --seed "$seed" \
     > "$SMOKE/s$seed.sb"
@@ -123,6 +132,7 @@ echo "==> $VROUTE batch (killed mid-run)"
 VROUTE_FAULT=delay-40 timeout -s KILL 0.15 \
   "$VROUTE" batch "${FILES[@]}" --retries 1 --jobs 2 \
   --journal "$SMOKE/kill" > /dev/null || true
+damage_journal "$SMOKE/kill/journal.ldj"
 echo "==> $VROUTE batch --resume (after the kill)"
 "$VROUTE" batch "${FILES[@]}" --retries 1 --jobs 2 \
   --journal "$SMOKE/kill" --resume --json "$SMOKE/resumed.json" > /dev/null
@@ -241,6 +251,7 @@ VROUTE_FAULT=delay-60 timeout -s KILL 0.35 \
   "$VROUTE" chip --width 40 --height 40 --nets 70 --macros 2 --seed 3 \
   --tile 10 --jobs 2 --retries 1 --journal "$SMOKE/chipkill" \
   > /dev/null || true
+damage_journal "$SMOKE/chipkill/chip.ldj"
 echo "==> $VROUTE chip --resume (after the kill)"
 "$VROUTE" chip --width 40 --height 40 --nets 70 --macros 2 --seed 3 \
   --tile 10 --jobs 2 --retries 1 --journal "$SMOKE/chipkill" --resume \

@@ -98,32 +98,3 @@ fn lee_baseline_matches_across_frontiers_and_probes() {
         }
     }
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_search_shims_stay_equivalent() {
-    use vlsi_route::maze::search::{find_path_in, find_path_with, Query};
-    use vlsi_route::model::{RouteDb, Step};
-
-    let (_, problem) = corpus_problems().into_iter().next().expect("corpus nonempty");
-    let db = RouteDb::new(&problem);
-    let net = problem.nets().first().expect("net").id;
-    let pins = problem.nets()[net.index()].pins.clone();
-    let step = |p: &vlsi_route::model::Pin| Step { at: p.at, layer: p.layer };
-    let query = Query {
-        grid: db.grid(),
-        net,
-        sources: vec![step(&pins[0])],
-        targets: pins[1..].iter().map(step).collect(),
-        cost: CostModel::default(),
-    };
-    let mut a = SearchArena::new();
-    let mut b = SearchArena::new();
-    let new = find_path_in(&mut a, &query);
-    let old = find_path_with(&mut b, &query);
-    assert_eq!(new.is_some(), old.is_some(), "shim finds iff the new entry point finds");
-    if let (Some(n), Some(o)) = (new, old) {
-        assert_eq!(n.trace, o.trace, "identical path through the deprecated shim");
-        assert_eq!(n.cost, o.cost);
-    }
-}
