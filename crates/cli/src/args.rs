@@ -1,9 +1,51 @@
 //! Argument parsing for `vroute`, hand-rolled and dependency-free.
+//!
+//! Each command runs one parse loop ([`parse_loop`]): every argument is
+//! offered first to the flag groups it shares with other commands
+//! ([`Shared`]), then to the command's own flags. Numbers parse straight
+//! into their target type within an inclusive range, so an argument is
+//! either in range or an error — never narrowed.
+
+#![deny(clippy::as_conversions)]
 
 use std::error::Error;
 use std::fmt;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 
-use mighty::FrontierKind;
+use route_global::PlanOrder;
+
+/// A choice the command line names. One table maps every variant to its
+/// name, and both parsing and printing read it.
+pub(crate) trait Named: Copy + PartialEq + 'static {
+    /// Every variant with its name, in the order usage lists them.
+    const NAMES: &'static [(Self, &'static str)];
+
+    /// The variant's name, as parsed and as printed in reports.
+    fn name(self) -> &'static str {
+        Self::NAMES
+            .iter()
+            .find(|(kind, _)| *kind == self)
+            .map(|(_, name)| *name)
+            .expect("every variant is in its name table")
+    }
+
+    /// The variant called `name`, if any.
+    fn from_name(name: &str) -> Option<Self> {
+        Self::NAMES.iter().find(|(_, n)| *n == name).map(|(kind, _)| *kind)
+    }
+}
+
+/// The message for a name `T`'s table lacks, listing every name it has.
+pub(crate) fn unknown_name<T: Named>(what: &str, name: &str) -> String {
+    let names: Vec<&str> = T::NAMES.iter().map(|(_, n)| *n).collect();
+    format!("unknown {what} `{name}` ({})", names.join("|"))
+}
+
+/// `name` as the `T` it names, as a value of `flag`.
+fn parse_name<T: Named>(flag: &str, name: &str) -> Result<T, ParseArgsError> {
+    T::from_name(name).ok_or_else(|| err(unknown_name::<T>(flag, name)))
+}
 
 /// Router choices for switchbox instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -17,14 +59,9 @@ pub enum SwitchRouterKind {
     Tiled,
 }
 
-/// Net-ordering policy for the `chip` planning phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChipOrder {
-    /// Smallest pin bounding box first (the historical order).
-    #[default]
-    Bbox,
-    /// Static congestion features first (`route_analyze::net_features`).
-    Features,
+impl Named for SwitchRouterKind {
+    const NAMES: &'static [(Self, &'static str)] =
+        &[(Self::Ripup, "ripup"), (Self::Lee, "lee"), (Self::Tiled, "tiled")];
 }
 
 /// Router choices for channel instances.
@@ -41,6 +78,16 @@ pub enum ChannelRouterKind {
     Greedy,
     /// YACR-style track assignment with maze patch-up.
     Yacr,
+}
+
+impl Named for ChannelRouterKind {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (Self::Ripup, "ripup"),
+        (Self::Lea, "lea"),
+        (Self::Dogleg, "dogleg"),
+        (Self::Greedy, "greedy"),
+        (Self::Yacr, "yacr"),
+    ];
 }
 
 /// Router choices for batch runs — the full unified
@@ -64,6 +111,23 @@ pub enum BatchRouterKind {
     Swbox,
 }
 
+impl Named for BatchRouterKind {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (Self::Ripup, "ripup"),
+        (Self::Lee, "lee"),
+        (Self::Lea, "lea"),
+        (Self::Dogleg, "dogleg"),
+        (Self::Greedy, "greedy"),
+        (Self::Yacr, "yacr"),
+        (Self::Swbox, "swbox"),
+    ];
+}
+
+impl Named for PlanOrder {
+    const NAMES: &'static [(Self, &'static str)] =
+        &[(Self::Bbox, "bbox"), (Self::Features, "features")];
+}
+
 /// Instance kinds the generator can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenKind {
@@ -81,7 +145,7 @@ pub enum GenKind {
     /// Random channel.
     Channel {
         /// Column count.
-        width: usize,
+        width: u32,
         /// Net count.
         nets: u32,
         /// Multi-pin pressure, percent.
@@ -102,195 +166,252 @@ pub enum ServeEndpoint {
     Tcp(String),
 }
 
+impl fmt::Display for ServeEndpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeEndpoint::Unix(path) => write!(f, "unix:{path}"),
+            ServeEndpoint::Tcp(addr) => write!(f, "tcp:{addr}"),
+        }
+    }
+}
+
+/// The crash-safe journal flags: `--journal DIR` and `--resume`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Journal {
+    /// Directory holding the journal file.
+    pub dir: Option<String>,
+    /// Resume from the journal in `dir` instead of starting a new one.
+    pub resume: bool,
+}
+
+/// The supervised-recovery flags `batch` and `chip` share.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Recovery {
+    /// Retry budget per instance or tile; any value, 0 included,
+    /// selects supervision.
+    pub retries: Option<u32>,
+    /// Routers tried in order once the retries are spent.
+    pub fallback: Vec<BatchRouterKind>,
+    /// Where completed work is journaled, and whether to resume from it.
+    pub journal: Journal,
+}
+
+impl Recovery {
+    /// Whether `--retries` or `--fallback` asks for supervision.
+    pub(crate) fn supervised(&self) -> bool {
+        self.retries.is_some() || !self.fallback.is_empty()
+    }
+}
+
+/// `vroute route`: route a switchbox file.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RouteArgs {
+    /// Instance path.
+    pub file: String,
+    /// Algorithm.
+    pub router: SwitchRouterKind,
+    /// Print ASCII art of the result.
+    pub ascii: bool,
+    /// Write an SVG of the result to this path.
+    pub svg: Option<String>,
+    /// Write the routed traces (routes format) to this path.
+    pub save: Option<String>,
+    /// Run the cleanup pass after routing.
+    pub optimize: bool,
+    /// Write the observer event stream (line-delimited JSON) here.
+    pub trace: Option<String>,
+    /// Print the observer metrics table after routing.
+    pub metrics: bool,
+    /// Write a machine-readable JSON report (including metrics) here.
+    pub json: Option<String>,
+    /// Gate routing on the static feasibility analysis and lint the
+    /// routed database afterwards.
+    pub analyze: bool,
+}
+
+/// `vroute batch`: route many switchbox files concurrently through the
+/// batch engine.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct BatchArgs {
+    /// Instance paths (in addition to any `--list` contents).
+    pub files: Vec<String>,
+    /// File with one instance path per line (`#` comments allowed).
+    pub list: Option<String>,
+    /// Algorithm.
+    pub router: BatchRouterKind,
+    /// Worker threads (0 = one per hardware thread).
+    pub jobs: usize,
+    /// Write a machine-readable JSON report to this path.
+    pub json: Option<String>,
+    /// Per-instance wall-clock budget in milliseconds.
+    pub deadline_ms: Option<u64>,
+    /// Write every instance's event stream (line-delimited JSON) here.
+    pub trace: Option<String>,
+    /// Print the aggregated observer metrics table after the batch.
+    pub metrics: bool,
+    /// Skip provably infeasible instances via the engine precheck.
+    pub analyze: bool,
+    /// Supervised recovery; any of its flags selects the supervised
+    /// engine, and the journal is `journal.ldj`.
+    pub recovery: Recovery,
+}
+
+impl BatchArgs {
+    /// Whether any recovery flag selects the supervised engine.
+    pub(crate) fn supervised(&self) -> bool {
+        self.recovery.supervised() || self.recovery.journal.dir.is_some()
+    }
+}
+
+/// `vroute channel`: route a channel file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChannelArgs {
+    /// Instance path.
+    pub file: String,
+    /// Algorithm.
+    pub router: ChannelRouterKind,
+    /// Fixed track count (rip-up only; default searches from density).
+    pub tracks: Option<usize>,
+    /// Routing layers (2 or 3; rip-up only; default 2).
+    pub layers: u8,
+}
+
+/// `vroute analyze`: statically analyze an instance (and optionally a
+/// saved routing) without routing anything.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AnalyzeArgs {
+    /// Instance path: sb format or a saved `fuzzcase v1` file.
+    pub instance: String,
+    /// Optional routing path (routes format) to lint as well.
+    pub routes: Option<String>,
+    /// Run the chip-scale analysis (F004–F006 certificates plus the
+    /// congestion map) at this tile size instead of the flat pass.
+    pub chip: Option<u32>,
+    /// Write the diagnostics as a machine-readable JSON report here.
+    pub json: Option<String>,
+}
+
+/// `vroute check`: verify a saved routing against its instance.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckArgs {
+    /// Instance path (sb format).
+    pub instance: String,
+    /// Routing path (routes format).
+    pub routes: String,
+    /// Write an SVG of the loaded routing to this path.
+    pub svg: Option<String>,
+}
+
+/// `vroute chip`: generate a synthetic chip floorplan and route it
+/// hierarchically.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ChipArgs {
+    /// Chip width in cells.
+    pub width: u32,
+    /// Chip height in cells.
+    pub height: u32,
+    /// Net count.
+    pub nets: u32,
+    /// Macro-obstacle count.
+    pub macros: u32,
+    /// Generator seed.
+    pub seed: u64,
+    /// Tile side length in cells.
+    pub tile: u32,
+    /// Worker threads for the tile batch (0 = one per hardware
+    /// thread); any value yields a byte-identical database.
+    pub jobs: usize,
+    /// Run the chip-scale analysis precheck before planning:
+    /// certified-unroutable nets are skipped and counted.
+    pub analyze: bool,
+    /// Net-ordering policy for the planning phase.
+    pub order: PlanOrder,
+    /// Supervised tile recovery: `--retries` or `--fallback` (which
+    /// takes only `lee`) select it; the journal is `chip.ldj`.
+    pub recovery: Recovery,
+    /// Write a machine-readable JSON report to this path.
+    pub json: Option<String>,
+}
+
+/// `vroute serve`: run the persistent routing service, a daemon with
+/// warm router workers speaking the versioned line-delimited JSON
+/// protocol.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ServeArgs {
+    /// Listen endpoint (exactly one of `--socket`/`--tcp`).
+    pub endpoint: ServeEndpoint,
+    /// Warm worker threads (0 = one per hardware thread).
+    pub workers: usize,
+    /// Admission-queue bound (requests beyond it are rejected with an
+    /// `overloaded` error).
+    pub queue: usize,
+    /// Default per-request wall-clock budget in milliseconds, applied
+    /// to requests that do not carry their own.
+    pub deadline_ms: Option<u64>,
+    /// The crash-safe request journal (`serve.ldj`); `--resume` replays
+    /// unanswered requests on startup.
+    pub journal: Journal,
+}
+
+/// `vroute client`: drive a running routing service with one protocol
+/// request per instance file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClientArgs {
+    /// Connect endpoint (exactly one of `--socket`/`--tcp`).
+    pub endpoint: ServeEndpoint,
+    /// Instance paths to route, one request per file.
+    pub files: Vec<String>,
+    /// Algorithm requested for every file.
+    pub router: BatchRouterKind,
+    /// Per-request wall-clock budget in milliseconds.
+    pub deadline_ms: Option<u64>,
+    /// Request priority (0-9, higher first).
+    pub priority: Option<u8>,
+    /// Subscribe to streamed routing events.
+    pub events: bool,
+    /// Ask the daemon to shut down after any file requests.
+    pub shutdown: bool,
+}
+
+/// `vroute fuzz`: differentially fuzz the router roster over seeded
+/// generator sweeps, or replay saved case files.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct FuzzArgs {
+    /// Seed range (half-open) to sweep; `None` replays `cases` only.
+    pub seeds: Option<(u64, u64)>,
+    /// Saved `fuzzcase` files to replay through the oracles.
+    pub cases: Vec<String>,
+    /// Worker threads (0 = one per hardware thread).
+    pub jobs: usize,
+    /// Minimize each finding to a smallest reproducing case.
+    pub shrink: bool,
+    /// Directory where finding case files are written.
+    pub out: Option<String>,
+}
+
 /// A fully parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// Route a switchbox file.
-    Route {
-        /// Instance path.
-        file: String,
-        /// Algorithm.
-        router: SwitchRouterKind,
-        /// Print ASCII art of the result.
-        ascii: bool,
-        /// Write an SVG of the result to this path.
-        svg: Option<String>,
-        /// Write the routed traces (routes format) to this path.
-        save: Option<String>,
-        /// Run the cleanup pass after routing.
-        optimize: bool,
-        /// Write the observer event stream (line-delimited JSON) here.
-        trace: Option<String>,
-        /// Print the observer metrics table after routing.
-        metrics: bool,
-        /// Write a machine-readable JSON report (including metrics) here.
-        json: Option<String>,
-        /// Gate routing on the static feasibility analysis and lint the
-        /// routed database afterwards.
-        analyze: bool,
-        /// Open-list implementation for the rip-up router's searches.
-        frontier: FrontierKind,
-    },
-    /// Route many switchbox files concurrently through the batch engine.
-    Batch {
-        /// Instance paths (in addition to any `--list` contents).
-        files: Vec<String>,
-        /// File with one instance path per line (`#` comments allowed).
-        list: Option<String>,
-        /// Algorithm.
-        router: BatchRouterKind,
-        /// Worker threads (0 = one per hardware thread).
-        jobs: usize,
-        /// Write a machine-readable JSON report to this path.
-        json: Option<String>,
-        /// Per-instance wall-clock budget in milliseconds.
-        deadline_ms: Option<u64>,
-        /// Write every instance's event stream (line-delimited JSON) here.
-        trace: Option<String>,
-        /// Print the aggregated observer metrics table after the batch.
-        metrics: bool,
-        /// Skip provably infeasible instances via the engine precheck.
-        analyze: bool,
-        /// Supervised recovery: retry budget per instance (implies the
-        /// supervised engine even when 0).
-        retries: Option<u32>,
-        /// Supervised recovery: fallback routers tried after the retry
-        /// budget is exhausted, in order.
-        fallback: Vec<BatchRouterKind>,
-        /// Supervised recovery: directory for the crash-safe run
-        /// journal (`journal.ldj`).
-        journal: Option<String>,
-        /// Resume from an existing journal, skipping completed
-        /// instances (requires `journal`).
-        resume: bool,
-        /// Open-list implementation for the rip-up router's searches.
-        frontier: FrontierKind,
-    },
+    Route(RouteArgs),
+    /// Route many switchbox files through the batch engine.
+    Batch(BatchArgs),
     /// Route a channel file.
-    Channel {
-        /// Instance path.
-        file: String,
-        /// Algorithm.
-        router: ChannelRouterKind,
-        /// Fixed track count (rip-up only; default searches from density).
-        tracks: Option<usize>,
-        /// Routing layers (2 or 3; rip-up only; default 2).
-        layers: u8,
-    },
-    /// Statically analyze an instance (and optionally a saved routing)
-    /// without routing anything.
-    Analyze {
-        /// Instance path: sb format or a saved `fuzzcase v1` file.
-        instance: String,
-        /// Optional routing path (routes format) to lint as well.
-        routes: Option<String>,
-        /// Run the chip-scale analysis (F004–F006 certificates plus the
-        /// congestion map) at this tile size instead of the flat pass.
-        chip: Option<u32>,
-        /// Write the diagnostics as a machine-readable JSON report here.
-        json: Option<String>,
-    },
+    Channel(ChannelArgs),
+    /// Statically analyze an instance.
+    Analyze(AnalyzeArgs),
     /// Verify a saved routing against its instance.
-    Check {
-        /// Instance path (sb format).
-        instance: String,
-        /// Routing path (routes format).
-        routes: String,
-        /// Write an SVG of the loaded routing to this path.
-        svg: Option<String>,
-    },
+    Check(CheckArgs),
     /// Generate an instance to stdout.
     Gen(GenKind),
-    /// Generate a synthetic chip floorplan and route it hierarchically:
-    /// tile-graph planning, parallel per-tile detail routing on the
-    /// batch engine, seam stitching, flat fallback.
-    Chip {
-        /// Chip width in cells.
-        width: u32,
-        /// Chip height in cells.
-        height: u32,
-        /// Net count.
-        nets: u32,
-        /// Macro-obstacle count.
-        macros: u32,
-        /// Generator seed.
-        seed: u64,
-        /// Tile side length in cells.
-        tile: u32,
-        /// Worker threads for the tile batch (0 = one per hardware
-        /// thread); any value yields a byte-identical database.
-        jobs: usize,
-        /// Run the chip-scale analysis precheck before planning:
-        /// certified-unroutable nets are skipped and counted.
-        analyze: bool,
-        /// Net-ordering policy for the planning phase.
-        order: ChipOrder,
-        /// Supervised recovery: retry budget per tile (implies the
-        /// supervised tile stage even when 0).
-        retries: Option<u32>,
-        /// Supervised recovery: hand exhausted tiles to the sequential
-        /// Lee baseline before salvaging (implies the supervised tile
-        /// stage).
-        fallback: bool,
-        /// Directory for the crash-safe chip journal (`chip.ldj`).
-        journal: Option<String>,
-        /// Resume from an existing chip journal, replaying completed
-        /// tiles (requires `journal`).
-        resume: bool,
-        /// Write a machine-readable JSON report to this path.
-        json: Option<String>,
-    },
-    /// Run the persistent routing service: a daemon with warm router
-    /// workers speaking the versioned line-delimited JSON protocol.
-    Serve {
-        /// Listen endpoint (exactly one of `--socket`/`--tcp`).
-        endpoint: ServeEndpoint,
-        /// Warm worker threads (0 = one per hardware thread).
-        workers: usize,
-        /// Admission-queue bound (requests beyond it are rejected with
-        /// an `overloaded` error).
-        queue: usize,
-        /// Default per-request wall-clock budget in milliseconds,
-        /// applied to requests that do not carry their own.
-        deadline_ms: Option<u64>,
-        /// Directory for the crash-safe request journal (`serve.ldj`).
-        journal: Option<String>,
-        /// Replay unanswered journaled requests on startup (requires
-        /// `journal`).
-        resume: bool,
-    },
-    /// Drive a running routing service: submit instance files as
-    /// protocol requests and print the responses.
-    Client {
-        /// Connect endpoint (exactly one of `--socket`/`--tcp`).
-        endpoint: ServeEndpoint,
-        /// Instance paths to route, one request per file.
-        files: Vec<String>,
-        /// Algorithm requested for every file.
-        router: BatchRouterKind,
-        /// Per-request wall-clock budget in milliseconds.
-        deadline_ms: Option<u64>,
-        /// Request priority (0-9, higher first).
-        priority: Option<u8>,
-        /// Subscribe to streamed routing events.
-        events: bool,
-        /// Ask the daemon to shut down after any file requests.
-        shutdown: bool,
-    },
-    /// Differentially fuzz the router roster over seeded generator
-    /// sweeps, or replay saved case files.
-    Fuzz {
-        /// Seed range (half-open) to sweep; `None` replays `cases` only.
-        seeds: Option<(u64, u64)>,
-        /// Saved `fuzzcase` files to replay through the oracles.
-        cases: Vec<String>,
-        /// Worker threads (0 = one per hardware thread).
-        jobs: usize,
-        /// Minimize each finding to a smallest reproducing case.
-        shrink: bool,
-        /// Directory where finding case files are written.
-        out: Option<String>,
-    },
+    /// Generate a synthetic chip and route it hierarchically.
+    Chip(ChipArgs),
+    /// Run the persistent routing service.
+    Serve(ServeArgs),
+    /// Drive a running routing service.
+    Client(ClientArgs),
+    /// Differentially fuzz the router roster.
+    Fuzz(FuzzArgs),
     /// Print usage.
     Help,
 }
@@ -326,6 +447,97 @@ impl Cursor {
     fn value_of(&mut self, flag: &str) -> Result<String, ParseArgsError> {
         self.next().map(str::to_owned).ok_or_else(|| err(format!("{flag} needs a value")))
     }
+
+    /// The value of `flag` as a `T` within `range`.
+    fn num<T>(&mut self, flag: &str, range: RangeInclusive<T>) -> Result<T, ParseArgsError>
+    where
+        T: FromStr + PartialOrd + fmt::Display,
+    {
+        let v = self.value_of(flag)?;
+        v.parse().ok().filter(|n| range.contains(n)).ok_or_else(|| {
+            err(format!("{flag} needs a number in {}..={}, got `{v}`", range.start(), range.end()))
+        })
+    }
+
+    /// The value of `flag` as one of `T`'s names.
+    fn named<T: Named>(&mut self, flag: &str) -> Result<T, ParseArgsError> {
+        parse_name(flag, &self.value_of(flag)?)
+    }
+}
+
+/// The flag groups several commands share, each flag parsed by exactly
+/// one arm. A command lends the fields of the groups it takes; a flag of
+/// a group it does not take stays unknown to it.
+#[derive(Default)]
+struct Shared<'a> {
+    jobs: Option<&'a mut usize>,
+    deadline_ms: Option<&'a mut Option<u64>>,
+    retries: Option<&'a mut Option<u32>>,
+    fallback: Option<&'a mut Vec<BatchRouterKind>>,
+    journal: Option<&'a mut Journal>,
+    endpoint: Option<&'a mut Option<ServeEndpoint>>,
+}
+
+impl<'a> Shared<'a> {
+    /// Lends the whole recovery group.
+    fn recovery(recovery: &'a mut Recovery) -> Self {
+        let Recovery { retries, fallback, journal } = recovery;
+        Shared {
+            retries: Some(retries),
+            fallback: Some(fallback),
+            journal: Some(journal),
+            ..Shared::default()
+        }
+    }
+
+    /// Parses `flag` if it belongs to a lent group.
+    fn take(&mut self, flag: &str, cur: &mut Cursor) -> Result<bool, ParseArgsError> {
+        match (flag, self) {
+            ("--jobs", Shared { jobs: Some(jobs), .. }) => **jobs = cur.num(flag, 0..=4096)?,
+            ("--deadline-ms", Shared { deadline_ms: Some(ms), .. }) => {
+                **ms = Some(cur.num(flag, 0..=u64::MAX)?);
+            }
+            ("--retries", Shared { retries: Some(n), .. }) => **n = Some(cur.num(flag, 0..=16)?),
+            ("--fallback", Shared { fallback: Some(chain), .. }) => {
+                for name in cur.value_of(flag)?.split(',') {
+                    chain.push(parse_name(flag, name.trim())?);
+                }
+            }
+            ("--journal", Shared { journal: Some(j), .. }) => j.dir = Some(cur.value_of(flag)?),
+            ("--resume", Shared { journal: Some(j), .. }) => j.resume = true,
+            ("--socket" | "--tcp", Shared { endpoint: Some(endpoint), .. }) => {
+                let value = cur.value_of(flag)?;
+                let value = match flag {
+                    "--socket" => ServeEndpoint::Unix(value),
+                    _ => ServeEndpoint::Tcp(value),
+                };
+                if endpoint.replace(value).is_some() {
+                    return Err(err("give exactly one of --socket PATH or --tcp ADDR"));
+                }
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// One command's parse loop: each argument goes to the shared groups
+/// first, then to `own`; an argument neither takes is an unknown flag.
+fn parse_loop(
+    cur: &mut Cursor,
+    cmd: &str,
+    mut shared: Shared<'_>,
+    mut own: impl FnMut(&str, &mut Cursor) -> Result<bool, ParseArgsError>,
+) -> Result<(), ParseArgsError> {
+    while let Some(arg) = cur.next().map(str::to_owned) {
+        if !shared.take(&arg, cur)? && !own(&arg, cur)? {
+            return Err(err(format!("unknown flag `{arg}` for `{cmd}`")));
+        }
+    }
+    if shared.journal.is_some_and(|j| j.resume && j.dir.is_none()) {
+        return Err(err("--resume requires --journal DIR"));
+    }
+    Ok(())
 }
 
 /// Parses the argument list (without the program name).
@@ -333,7 +545,8 @@ impl Cursor {
 /// # Errors
 ///
 /// Returns [`ParseArgsError`] with a human-readable message for unknown
-/// commands, unknown flags, missing values or unparsable numbers.
+/// commands, unknown flags, missing values, and unparsable or
+/// out-of-range numbers.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseArgsError> {
     let mut cur = Cursor { args: args.into_iter().collect(), pos: 0 };
     let Some(cmd) = cur.next().map(str::to_owned) else {
@@ -356,264 +569,88 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
 }
 
 fn parse_route(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
+    let mut a = RouteArgs::default();
     let mut file = None;
-    let mut router = SwitchRouterKind::default();
-    let mut ascii = false;
-    let mut svg = None;
-    let mut save = None;
-    let mut optimize = false;
-    let mut trace = None;
-    let mut metrics = false;
-    let mut json = None;
-    let mut analyze = false;
-    let mut frontier = FrontierKind::default();
-    while let Some(arg) = cur.next().map(str::to_owned) {
-        match arg.as_str() {
-            "--router" => {
-                router = match cur.value_of("--router")?.as_str() {
-                    "ripup" => SwitchRouterKind::Ripup,
-                    "lee" => SwitchRouterKind::Lee,
-                    "tiled" => SwitchRouterKind::Tiled,
-                    other => return Err(err(format!("unknown switchbox router `{other}`"))),
-                };
-            }
-            "--frontier" => frontier = cur.value_of("--frontier")?.parse().map_err(err)?,
-            "--ascii" => ascii = true,
-            "--svg" => svg = Some(cur.value_of("--svg")?),
-            "--save" => save = Some(cur.value_of("--save")?),
-            "--optimize" => optimize = true,
-            "--trace" => trace = Some(cur.value_of("--trace")?),
-            "--metrics" => metrics = true,
-            "--json" => json = Some(cur.value_of("--json")?),
-            "--analyze" => analyze = true,
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}` for `route`")))
-            }
-            path => {
+    parse_loop(cur, "route", Shared::default(), |arg, cur| {
+        match arg {
+            "--router" => a.router = cur.named(arg)?,
+            "--ascii" => a.ascii = true,
+            "--svg" => a.svg = Some(cur.value_of(arg)?),
+            "--save" => a.save = Some(cur.value_of(arg)?),
+            "--optimize" => a.optimize = true,
+            "--trace" => a.trace = Some(cur.value_of(arg)?),
+            "--metrics" => a.metrics = true,
+            "--json" => a.json = Some(cur.value_of(arg)?),
+            "--analyze" => a.analyze = true,
+            path if !path.starts_with("--") => {
                 if file.replace(path.to_owned()).is_some() {
                     return Err(err("`route` takes exactly one FILE"));
                 }
             }
+            _ => return Ok(false),
         }
-    }
-    let file = file.ok_or_else(|| err("`route` needs a FILE"))?;
-    Ok(Command::Route {
-        file,
-        router,
-        ascii,
-        svg,
-        save,
-        optimize,
-        trace,
-        metrics,
-        json,
-        analyze,
-        frontier,
-    })
-}
-
-/// Parses one batch router name, as used by `--router`, `--fallback`,
-/// and the serve protocol's `router` field.
-pub(crate) fn batch_kind(name: &str) -> Result<BatchRouterKind, ParseArgsError> {
-    match name {
-        "ripup" => Ok(BatchRouterKind::Ripup),
-        "lee" => Ok(BatchRouterKind::Lee),
-        "lea" => Ok(BatchRouterKind::Lea),
-        "dogleg" => Ok(BatchRouterKind::Dogleg),
-        "greedy" => Ok(BatchRouterKind::Greedy),
-        "yacr" => Ok(BatchRouterKind::Yacr),
-        "swbox" => Ok(BatchRouterKind::Swbox),
-        other => Err(err(format!("unknown batch router `{other}`"))),
-    }
+        Ok(true)
+    })?;
+    a.file = file.ok_or_else(|| err("`route` needs a FILE"))?;
+    Ok(Command::Route(a))
 }
 
 fn parse_batch(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
-    let mut files = Vec::new();
-    let mut list = None;
-    let mut router = BatchRouterKind::default();
-    let mut jobs = 0usize;
-    let mut json = None;
-    let mut deadline_ms = None;
-    let mut trace = None;
-    let mut metrics = false;
-    let mut analyze = false;
-    let mut retries = None;
-    let mut fallback = Vec::new();
-    let mut journal = None;
-    let mut resume = false;
-    let mut frontier = FrontierKind::default();
-    while let Some(arg) = cur.next().map(str::to_owned) {
-        match arg.as_str() {
-            "--router" => router = batch_kind(cur.value_of("--router")?.as_str())?,
-            "--frontier" => frontier = cur.value_of("--frontier")?.parse().map_err(err)?,
-            "--jobs" => {
-                jobs = cur.value_of("--jobs")?.parse().map_err(|_| err("--jobs needs a number"))?;
-                if jobs > 4096 {
-                    return Err(err("--jobs must be at most 4096"));
-                }
-            }
-            "--list" => list = Some(cur.value_of("--list")?),
-            "--json" => json = Some(cur.value_of("--json")?),
-            "--trace" => trace = Some(cur.value_of("--trace")?),
-            "--metrics" => metrics = true,
-            "--analyze" => analyze = true,
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    cur.value_of("--deadline-ms")?
-                        .parse()
-                        .map_err(|_| err("--deadline-ms needs a number"))?,
-                );
-            }
-            "--retries" => {
-                let n: u32 = cur
-                    .value_of("--retries")?
-                    .parse()
-                    .map_err(|_| err("--retries needs a number"))?;
-                if n > 16 {
-                    return Err(err("--retries must be at most 16"));
-                }
-                retries = Some(n);
-            }
-            "--fallback" => {
-                for name in cur.value_of("--fallback")?.split(',') {
-                    fallback.push(batch_kind(name.trim())?);
-                }
-            }
-            "--journal" => journal = Some(cur.value_of("--journal")?),
-            "--resume" => resume = true,
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}` for `batch`")))
-            }
-            path => files.push(path.to_owned()),
+    let mut a = BatchArgs::default();
+    let shared = Shared {
+        jobs: Some(&mut a.jobs),
+        deadline_ms: Some(&mut a.deadline_ms),
+        ..Shared::recovery(&mut a.recovery)
+    };
+    parse_loop(cur, "batch", shared, |arg, cur| {
+        match arg {
+            "--router" => a.router = cur.named(arg)?,
+            "--list" => a.list = Some(cur.value_of(arg)?),
+            "--json" => a.json = Some(cur.value_of(arg)?),
+            "--trace" => a.trace = Some(cur.value_of(arg)?),
+            "--metrics" => a.metrics = true,
+            "--analyze" => a.analyze = true,
+            path if !path.starts_with("--") => a.files.push(path.to_owned()),
+            _ => return Ok(false),
         }
-    }
-    if files.is_empty() && list.is_none() {
+        Ok(true)
+    })?;
+    if a.files.is_empty() && a.list.is_none() {
         return Err(err("`batch` needs instance FILEs or --list"));
     }
-    if resume && journal.is_none() {
-        return Err(err("--resume requires --journal DIR"));
-    }
-    let supervised = retries.is_some() || !fallback.is_empty() || journal.is_some();
-    if supervised && (trace.is_some() || metrics) {
+    if a.supervised() && (a.trace.is_some() || a.metrics) {
         return Err(err(
             "--trace/--metrics cannot be combined with the supervised recovery flags \
              (--retries, --fallback, --journal): the supervised engine is unobserved",
         ));
     }
-    Ok(Command::Batch {
-        files,
-        list,
-        router,
-        jobs,
-        json,
-        deadline_ms,
-        trace,
-        metrics,
-        analyze,
-        retries,
-        fallback,
-        journal,
-        resume,
-        frontier,
-    })
+    Ok(Command::Batch(a))
 }
 
 fn parse_chip(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
     // Defaults match `ChipGen::small`: a quick but multi-tile instance.
-    let mut width = 96u32;
-    let mut height = 96u32;
-    let mut nets = 700u32;
-    let mut macros = 6u32;
-    let mut seed = 0u64;
-    let mut tile = 16u32;
-    let mut jobs = 0usize;
-    let mut analyze = false;
-    let mut order = ChipOrder::default();
-    let mut retries = None;
-    let mut fallback = false;
-    let mut journal = None;
-    let mut resume = false;
-    let mut json = None;
-    let num = |flag: &str, v: String| -> Result<u64, ParseArgsError> {
-        v.parse().map_err(|_| err(format!("{flag} needs a number")))
-    };
-    while let Some(arg) = cur.next().map(str::to_owned) {
-        match arg.as_str() {
-            "--width" => width = num("--width", cur.value_of("--width")?)? as u32,
-            "--height" => height = num("--height", cur.value_of("--height")?)? as u32,
-            "--nets" => nets = num("--nets", cur.value_of("--nets")?)? as u32,
-            "--macros" => macros = num("--macros", cur.value_of("--macros")?)? as u32,
-            "--seed" => seed = num("--seed", cur.value_of("--seed")?)?,
-            "--tile" => tile = num("--tile", cur.value_of("--tile")?)? as u32,
-            "--jobs" => {
-                jobs = num("--jobs", cur.value_of("--jobs")?)? as usize;
-                if jobs > 4096 {
-                    return Err(err("--jobs must be at most 4096"));
-                }
-            }
-            "--analyze" => analyze = true,
-            "--order" => {
-                order = match cur.value_of("--order")?.as_str() {
-                    "bbox" => ChipOrder::Bbox,
-                    "features" => ChipOrder::Features,
-                    other => {
-                        return Err(err(format!(
-                            "--order must be `bbox` or `features`, got `{other}`"
-                        )))
-                    }
-                }
-            }
-            "--retries" => {
-                let n: u32 = cur
-                    .value_of("--retries")?
-                    .parse()
-                    .map_err(|_| err("--retries needs a number"))?;
-                if n > 16 {
-                    return Err(err("--retries must be at most 16"));
-                }
-                retries = Some(n);
-            }
-            "--fallback" => {
-                let name = cur.value_of("--fallback")?;
-                if name != "lee" {
-                    return Err(err(format!("--fallback must be `lee` for `chip`, got `{name}`")));
-                }
-                fallback = true;
-            }
-            "--journal" => journal = Some(cur.value_of("--journal")?),
-            "--resume" => resume = true,
-            "--json" => json = Some(cur.value_of("--json")?),
-            flag => return Err(err(format!("unknown flag `{flag}` for `chip`"))),
+    let mut a =
+        ChipArgs { width: 96, height: 96, nets: 700, macros: 6, tile: 16, ..ChipArgs::default() };
+    let shared = Shared { jobs: Some(&mut a.jobs), ..Shared::recovery(&mut a.recovery) };
+    parse_loop(cur, "chip", shared, |arg, cur| {
+        match arg {
+            "--width" => a.width = cur.num(arg, 8..=4096)?,
+            "--height" => a.height = cur.num(arg, 8..=4096)?,
+            "--nets" => a.nets = cur.num(arg, 1..=u32::MAX)?,
+            "--macros" => a.macros = cur.num(arg, 0..=u32::MAX)?,
+            "--seed" => a.seed = cur.num(arg, 0..=u64::MAX)?,
+            "--tile" => a.tile = cur.num(arg, 1..=u32::MAX)?,
+            "--analyze" => a.analyze = true,
+            "--order" => a.order = cur.named(arg)?,
+            "--json" => a.json = Some(cur.value_of(arg)?),
+            _ => return Ok(false),
         }
+        Ok(true)
+    })?;
+    if let Some(other) = a.recovery.fallback.iter().find(|k| **k != BatchRouterKind::Lee) {
+        return Err(err(format!("--fallback must be `lee` for `chip`, got `{}`", other.name())));
     }
-    if !(8..=4096).contains(&width) || !(8..=4096).contains(&height) {
-        return Err(err("chip sides must be in 8..=4096"));
-    }
-    if nets == 0 {
-        return Err(err("--nets must be at least 1"));
-    }
-    if tile == 0 {
-        return Err(err("--tile must be at least 1"));
-    }
-    if resume && journal.is_none() {
-        return Err(err("--resume requires --journal DIR"));
-    }
-    Ok(Command::Chip {
-        width,
-        height,
-        nets,
-        macros,
-        seed,
-        tile,
-        jobs,
-        analyze,
-        order,
-        retries,
-        fallback,
-        journal,
-        resume,
-        json,
-    })
+    Ok(Command::Chip(a))
 }
 
 fn parse_analyze(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
@@ -621,24 +658,16 @@ fn parse_analyze(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
     let mut chip = false;
     let mut tile: Option<u32> = None;
     let mut json = None;
-    while let Some(arg) = cur.next().map(str::to_owned) {
-        match arg.as_str() {
+    parse_loop(cur, "analyze", Shared::default(), |arg, cur| {
+        match arg {
             "--chip" => chip = true,
-            "--tile" => {
-                let v = cur.value_of("--tile")?;
-                let t: u32 = v.parse().map_err(|_| err("--tile needs a number"))?;
-                if t == 0 {
-                    return Err(err("--tile must be at least 1"));
-                }
-                tile = Some(t);
-            }
-            "--json" => json = Some(cur.value_of("--json")?),
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}` for `analyze`")))
-            }
-            path => paths.push(path.to_owned()),
+            "--tile" => tile = Some(cur.num(arg, 1..=u32::MAX)?),
+            "--json" => json = Some(cur.value_of(arg)?),
+            path if !path.starts_with("--") => paths.push(path.to_owned()),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if paths.len() > 2 {
         return Err(err("`analyze` takes INSTANCE and at most one ROUTES file"));
     }
@@ -650,29 +679,28 @@ fn parse_analyze(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
     }
     let mut paths = paths.into_iter();
     let instance = paths.next().ok_or_else(|| err("`analyze` needs an INSTANCE"))?;
-    Ok(Command::Analyze {
+    Ok(Command::Analyze(AnalyzeArgs {
         instance,
         routes: paths.next(),
         chip: chip.then(|| tile.unwrap_or(16)),
         json,
-    })
+    }))
 }
 
 fn parse_check(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
     let mut paths: Vec<String> = Vec::new();
     let mut svg = None;
-    while let Some(arg) = cur.next().map(str::to_owned) {
-        match arg.as_str() {
-            "--svg" => svg = Some(cur.value_of("--svg")?),
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}` for `check`")))
-            }
-            path => paths.push(path.to_owned()),
+    parse_loop(cur, "check", Shared::default(), |arg, cur| {
+        match arg {
+            "--svg" => svg = Some(cur.value_of(arg)?),
+            path if !path.starts_with("--") => paths.push(path.to_owned()),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let [instance, routes] =
         <[String; 2]>::try_from(paths).map_err(|_| err("`check` takes exactly INSTANCE ROUTES"))?;
-    Ok(Command::Check { instance, routes, svg })
+    Ok(Command::Check(CheckArgs { instance, routes, svg }))
 }
 
 fn parse_channel(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
@@ -680,251 +708,148 @@ fn parse_channel(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
     let mut router = ChannelRouterKind::default();
     let mut tracks = None;
     let mut layers = 2u8;
-    while let Some(arg) = cur.next().map(str::to_owned) {
-        match arg.as_str() {
-            "--router" => {
-                router = match cur.value_of("--router")?.as_str() {
-                    "ripup" => ChannelRouterKind::Ripup,
-                    "lea" => ChannelRouterKind::Lea,
-                    "dogleg" => ChannelRouterKind::Dogleg,
-                    "greedy" => ChannelRouterKind::Greedy,
-                    "yacr" => ChannelRouterKind::Yacr,
-                    other => return Err(err(format!("unknown channel router `{other}`"))),
-                };
-            }
-            "--tracks" => {
-                tracks = Some(
-                    cur.value_of("--tracks")?
-                        .parse()
-                        .map_err(|_| err("--tracks needs a number"))?,
-                );
-            }
-            "--layers" => {
-                layers = cur
-                    .value_of("--layers")?
-                    .parse()
-                    .map_err(|_| err("--layers needs a number"))?;
-                if !(2..=3).contains(&layers) {
-                    return Err(err("--layers must be 2 or 3"));
-                }
-            }
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}` for `channel`")))
-            }
-            path => {
+    parse_loop(cur, "channel", Shared::default(), |arg, cur| {
+        match arg {
+            "--router" => router = cur.named(arg)?,
+            "--tracks" => tracks = Some(cur.num(arg, 1..=4096)?),
+            "--layers" => layers = cur.num(arg, 2..=3)?,
+            path if !path.starts_with("--") => {
                 if file.replace(path.to_owned()).is_some() {
                     return Err(err("`channel` takes exactly one FILE"));
                 }
             }
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let file = file.ok_or_else(|| err("`channel` needs a FILE"))?;
-    Ok(Command::Channel { file, router, tracks, layers })
+    Ok(Command::Channel(ChannelArgs { file, router, tracks, layers }))
 }
 
 fn parse_gen(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
     let kind = cur.next().map(str::to_owned).ok_or_else(|| err("`gen` needs a kind"))?;
-    let mut width = None;
-    let mut height = None;
-    let mut nets = None;
-    let mut seed = 0u64;
-    let mut extra_pin_pct = 30u32;
-    let mut window = 0usize;
-    while let Some(arg) = cur.next().map(str::to_owned) {
-        let num = |flag: &str, cur: &mut Cursor| -> Result<u64, ParseArgsError> {
-            cur.value_of(flag)?.parse().map_err(|_| err(format!("{flag} needs a number")))
-        };
-        let narrow = |flag: &str, v: u64| -> Result<u32, ParseArgsError> {
-            u32::try_from(v).map_err(|_| err(format!("{flag} value {v} is too large")))
-        };
-        match arg.as_str() {
-            "--width" => width = Some(num("--width", cur)?),
-            "--height" => height = Some(num("--height", cur)?),
-            "--nets" => {
-                let v = num("--nets", cur)?;
-                nets = Some(narrow("--nets", v)?);
-            }
-            "--seed" => seed = num("--seed", cur)?,
-            "--extra-pin-pct" => {
-                let v = num("--extra-pin-pct", cur)?;
-                extra_pin_pct = narrow("--extra-pin-pct", v)?;
-            }
-            "--window" => window = num("--window", cur)? as usize,
-            flag => return Err(err(format!("unknown flag `{flag}` for `gen`"))),
+    let max_width = match kind.as_str() {
+        "switchbox" => 4096,
+        "channel" => 65536,
+        other => return Err(err(format!("unknown gen kind `{other}`"))),
+    };
+    let (mut width, mut height, mut nets) = (None, None, None);
+    let (mut seed, mut extra_pin_pct, mut window) = (0, 30, 0);
+    parse_loop(cur, "gen", Shared::default(), |arg, cur| {
+        match arg {
+            "--width" => width = Some(cur.num(arg, 1..=max_width)?),
+            "--height" => height = Some(cur.num(arg, 1..=4096)?),
+            "--nets" => nets = Some(cur.num(arg, 0..=u32::MAX)?),
+            "--seed" => seed = cur.num(arg, 0..=u64::MAX)?,
+            "--extra-pin-pct" => extra_pin_pct = cur.num(arg, 0..=u32::MAX)?,
+            "--window" => window = cur.num(arg, 0..=usize::MAX)?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let width = width.ok_or_else(|| err("gen needs --width"))?;
     let nets = nets.ok_or_else(|| err("gen needs --nets"))?;
-    let narrow = |flag: &str, v: u64| -> Result<u32, ParseArgsError> {
-        u32::try_from(v).map_err(|_| err(format!("{flag} value {v} is too large")))
-    };
-    match kind.as_str() {
-        "switchbox" => {
-            let height = height.ok_or_else(|| err("gen switchbox needs --height"))?;
-            Ok(Command::Gen(GenKind::Switchbox {
-                width: narrow("--width", width)?,
-                height: narrow("--height", height)?,
-                nets,
-                seed,
-            }))
-        }
-        "channel" => Ok(Command::Gen(GenKind::Channel {
-            width: width as usize,
-            nets,
-            extra_pin_pct,
-            window,
-            seed,
-        })),
-        other => Err(err(format!("unknown gen kind `{other}`"))),
-    }
-}
-
-/// Shared `--socket`/`--tcp` handling for `serve` and `client`.
-fn endpoint_flag(
-    endpoint: &mut Option<ServeEndpoint>,
-    value: ServeEndpoint,
-) -> Result<(), ParseArgsError> {
-    if endpoint.replace(value).is_some() {
-        return Err(err("give exactly one of --socket PATH or --tcp ADDR"));
-    }
-    Ok(())
+    Ok(Command::Gen(if kind == "switchbox" {
+        let height = height.ok_or_else(|| err("gen switchbox needs --height"))?;
+        GenKind::Switchbox { width, height, nets, seed }
+    } else {
+        GenKind::Channel { width, nets, extra_pin_pct, window, seed }
+    }))
 }
 
 fn parse_serve(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
     let mut endpoint = None;
-    let mut workers = 0usize;
-    let mut queue = 64usize;
     let mut deadline_ms = None;
-    let mut journal = None;
-    let mut resume = false;
-    while let Some(arg) = cur.next().map(str::to_owned) {
-        match arg.as_str() {
-            "--socket" => {
-                endpoint_flag(&mut endpoint, ServeEndpoint::Unix(cur.value_of("--socket")?))?;
-            }
-            "--tcp" => endpoint_flag(&mut endpoint, ServeEndpoint::Tcp(cur.value_of("--tcp")?))?,
-            "--workers" => {
-                workers = cur
-                    .value_of("--workers")?
-                    .parse()
-                    .map_err(|_| err("--workers needs a number"))?;
-                if workers > 1024 {
-                    return Err(err("--workers must be at most 1024"));
-                }
-            }
-            "--queue" => {
-                queue =
-                    cur.value_of("--queue")?.parse().map_err(|_| err("--queue needs a number"))?;
-                if queue == 0 {
-                    return Err(err("--queue must be at least 1"));
-                }
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    cur.value_of("--deadline-ms")?
-                        .parse()
-                        .map_err(|_| err("--deadline-ms needs a number"))?,
-                );
-            }
-            "--journal" => journal = Some(cur.value_of("--journal")?),
-            "--resume" => resume = true,
-            flag => return Err(err(format!("unknown flag `{flag}` for `serve`"))),
+    let mut journal = Journal::default();
+    let mut workers = 0;
+    let mut queue = 64;
+    let shared = Shared {
+        deadline_ms: Some(&mut deadline_ms),
+        journal: Some(&mut journal),
+        endpoint: Some(&mut endpoint),
+        ..Shared::default()
+    };
+    parse_loop(cur, "serve", shared, |arg, cur| {
+        match arg {
+            "--workers" => workers = cur.num(arg, 0..=1024)?,
+            "--queue" => queue = cur.num(arg, 1..=usize::MAX)?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let endpoint = endpoint.ok_or_else(|| err("`serve` needs --socket PATH or --tcp ADDR"))?;
-    if resume && journal.is_none() {
-        return Err(err("--resume requires --journal DIR (there is no log to replay without one)"));
-    }
-    Ok(Command::Serve { endpoint, workers, queue, deadline_ms, journal, resume })
+    Ok(Command::Serve(ServeArgs { endpoint, workers, queue, deadline_ms, journal }))
 }
 
 fn parse_client(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
     let mut endpoint = None;
+    let mut deadline_ms = None;
     let mut files = Vec::new();
     let mut router = BatchRouterKind::default();
-    let mut deadline_ms = None;
     let mut priority = None;
-    let mut events = false;
-    let mut shutdown = false;
-    while let Some(arg) = cur.next().map(str::to_owned) {
-        match arg.as_str() {
-            "--socket" => {
-                endpoint_flag(&mut endpoint, ServeEndpoint::Unix(cur.value_of("--socket")?))?;
-            }
-            "--tcp" => endpoint_flag(&mut endpoint, ServeEndpoint::Tcp(cur.value_of("--tcp")?))?,
-            "--router" => router = batch_kind(cur.value_of("--router")?.as_str())?,
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    cur.value_of("--deadline-ms")?
-                        .parse()
-                        .map_err(|_| err("--deadline-ms needs a number"))?,
-                );
-            }
-            "--priority" => {
-                let p: u8 = cur
-                    .value_of("--priority")?
-                    .parse()
-                    .map_err(|_| err("--priority needs a number"))?;
-                if p > 9 {
-                    return Err(err("--priority must be 0-9"));
-                }
-                priority = Some(p);
-            }
+    let (mut events, mut shutdown) = (false, false);
+    let shared = Shared {
+        deadline_ms: Some(&mut deadline_ms),
+        endpoint: Some(&mut endpoint),
+        ..Shared::default()
+    };
+    parse_loop(cur, "client", shared, |arg, cur| {
+        match arg {
+            "--router" => router = cur.named(arg)?,
+            "--priority" => priority = Some(cur.num(arg, 0..=9)?),
             "--events" => events = true,
             "--shutdown" => shutdown = true,
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}` for `client`")))
-            }
-            path => files.push(path.to_owned()),
+            path if !path.starts_with("--") => files.push(path.to_owned()),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let endpoint = endpoint.ok_or_else(|| err("`client` needs --socket PATH or --tcp ADDR"))?;
     if files.is_empty() && !shutdown {
         return Err(err("`client` needs instance FILEs or --shutdown"));
     }
-    Ok(Command::Client { endpoint, files, router, deadline_ms, priority, events, shutdown })
+    Ok(Command::Client(ClientArgs {
+        endpoint,
+        files,
+        router,
+        deadline_ms,
+        priority,
+        events,
+        shutdown,
+    }))
 }
 
 fn parse_fuzz(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
-    let mut seeds = None;
-    let mut cases = Vec::new();
-    let mut jobs = 0usize;
-    let mut shrink = false;
-    let mut out = None;
-    while let Some(arg) = cur.next().map(str::to_owned) {
-        match arg.as_str() {
+    let mut a = FuzzArgs::default();
+    let shared = Shared { jobs: Some(&mut a.jobs), ..Shared::default() };
+    parse_loop(cur, "fuzz", shared, |arg, cur| {
+        match arg {
             "--seeds" => {
-                let spec = cur.value_of("--seeds")?;
-                let (a, b) = spec
+                let spec = cur.value_of(arg)?;
+                let (lo, hi) = spec
                     .split_once("..")
                     .ok_or_else(|| err("--seeds takes a range like 0..100"))?;
-                let lo: u64 =
-                    a.trim().parse().map_err(|_| err(format!("bad seed `{}`", a.trim())))?;
-                let hi: u64 =
-                    b.trim().parse().map_err(|_| err(format!("bad seed `{}`", b.trim())))?;
+                let seed = |s: &str| {
+                    let s = s.trim();
+                    s.parse::<u64>().map_err(|_| err(format!("--seeds: bad seed `{s}`")))
+                };
+                let (lo, hi) = (seed(lo)?, seed(hi)?);
                 if hi <= lo {
                     return Err(err(format!("--seeds range {lo}..{hi} is empty")));
                 }
-                seeds = Some((lo, hi));
+                a.seeds = Some((lo, hi));
             }
-            "--jobs" => {
-                jobs = cur.value_of("--jobs")?.parse().map_err(|_| err("--jobs needs a number"))?;
-                if jobs > 4096 {
-                    return Err(err("--jobs must be at most 4096"));
-                }
-            }
-            "--shrink" => shrink = true,
-            "--out" => out = Some(cur.value_of("--out")?),
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}` for `fuzz`")))
-            }
-            path => cases.push(path.to_owned()),
+            "--shrink" => a.shrink = true,
+            "--out" => a.out = Some(cur.value_of(arg)?),
+            path if !path.starts_with("--") => a.cases.push(path.to_owned()),
+            _ => return Ok(false),
         }
-    }
-    if seeds.is_none() && cases.is_empty() {
+        Ok(true)
+    })?;
+    if a.seeds.is_none() && a.cases.is_empty() {
         return Err(err("`fuzz` needs --seeds A..B or case FILEs to replay"));
     }
-    Ok(Command::Fuzz { seeds, cases, jobs, shrink, out })
+    Ok(Command::Fuzz(a))
 }
 
 #[cfg(test)]
@@ -939,7 +864,7 @@ mod tests {
     fn route_defaults() {
         assert_eq!(
             parse("route box.sb").unwrap(),
-            Command::Route {
+            Command::Route(RouteArgs {
                 file: "box.sb".into(),
                 router: SwitchRouterKind::Ripup,
                 ascii: false,
@@ -950,8 +875,7 @@ mod tests {
                 metrics: false,
                 json: None,
                 analyze: false,
-                frontier: FrontierKind::Buckets,
-            }
+            })
         );
     }
 
@@ -963,7 +887,7 @@ mod tests {
                  --trace ev.ldj --metrics --json rep.json --analyze"
             )
             .unwrap(),
-            Command::Route {
+            Command::Route(RouteArgs {
                 file: "box.sb".into(),
                 router: SwitchRouterKind::Lee,
                 ascii: true,
@@ -974,8 +898,7 @@ mod tests {
                 metrics: true,
                 json: Some("rep.json".into()),
                 analyze: true,
-                frontier: FrontierKind::Buckets,
-            }
+            })
         );
     }
 
@@ -983,7 +906,7 @@ mod tests {
     fn batch_flags() {
         assert_eq!(
             parse("batch a.sb b.sb --jobs 8 --json out.json --metrics --analyze").unwrap(),
-            Command::Batch {
+            Command::Batch(BatchArgs {
                 files: vec!["a.sb".into(), "b.sb".into()],
                 list: None,
                 router: BatchRouterKind::Ripup,
@@ -993,16 +916,16 @@ mod tests {
                 trace: None,
                 metrics: true,
                 analyze: true,
-                retries: None,
-                fallback: vec![],
-                journal: None,
-                resume: false,
-                frontier: FrontierKind::Buckets,
-            }
+                recovery: Recovery {
+                    retries: None,
+                    fallback: vec![],
+                    journal: Journal { dir: None, resume: false },
+                },
+            })
         );
         assert_eq!(
             parse("batch --list all.txt --router lee --deadline-ms 500 --trace ev.ldj").unwrap(),
-            Command::Batch {
+            Command::Batch(BatchArgs {
                 files: vec![],
                 list: Some("all.txt".into()),
                 router: BatchRouterKind::Lee,
@@ -1012,12 +935,12 @@ mod tests {
                 trace: Some("ev.ldj".into()),
                 metrics: false,
                 analyze: false,
-                retries: None,
-                fallback: vec![],
-                journal: None,
-                resume: false,
-                frontier: FrontierKind::Buckets,
-            }
+                recovery: Recovery {
+                    retries: None,
+                    fallback: vec![],
+                    journal: Journal { dir: None, resume: false },
+                },
+            })
         );
         assert!(parse("batch").unwrap_err().to_string().contains("--list"));
         assert!(parse("batch a.sb --router bogus").unwrap_err().to_string().contains("bogus"));
@@ -1028,7 +951,7 @@ mod tests {
     fn batch_supervised_flags() {
         assert_eq!(
             parse("batch a.sb --retries 2 --fallback lee,swbox --journal runs/j --resume").unwrap(),
-            Command::Batch {
+            Command::Batch(BatchArgs {
                 files: vec!["a.sb".into()],
                 list: None,
                 router: BatchRouterKind::Ripup,
@@ -1038,20 +961,19 @@ mod tests {
                 trace: None,
                 metrics: false,
                 analyze: false,
-                retries: Some(2),
-                fallback: vec![BatchRouterKind::Lee, BatchRouterKind::Swbox],
-                journal: Some("runs/j".into()),
-                resume: true,
-                frontier: FrontierKind::Buckets,
-            }
+                recovery: Recovery {
+                    retries: Some(2),
+                    fallback: vec![BatchRouterKind::Lee, BatchRouterKind::Swbox],
+                    journal: Journal { dir: Some("runs/j".into()), resume: true },
+                },
+            })
         );
         // --retries 0 still selects the supervised engine.
-        assert!(matches!(
-            parse("batch a.sb --retries 0").unwrap(),
-            Command::Batch { retries: Some(0), .. }
-        ));
+        let Command::Batch(a) = parse("batch a.sb --retries 0").unwrap() else { panic!() };
+        assert_eq!(a.recovery.retries, Some(0));
+        assert!(a.supervised());
         assert!(parse("batch a.sb --retries x").unwrap_err().to_string().contains("number"));
-        assert!(parse("batch a.sb --retries 17").unwrap_err().to_string().contains("at most 16"));
+        assert!(parse("batch a.sb --retries 17").unwrap_err().to_string().contains("0..=16"));
         assert!(parse("batch a.sb --fallback bogus").unwrap_err().to_string().contains("bogus"));
         assert!(parse("batch a.sb --resume").unwrap_err().to_string().contains("--journal"));
         let msg = parse("batch a.sb --retries 1 --metrics").unwrap_err().to_string();
@@ -1064,7 +986,7 @@ mod tests {
     fn chip_flags() {
         assert_eq!(
             parse("chip").unwrap(),
-            Command::Chip {
+            Command::Chip(ChipArgs {
                 width: 96,
                 height: 96,
                 nets: 700,
@@ -1073,13 +995,14 @@ mod tests {
                 tile: 16,
                 jobs: 0,
                 analyze: false,
-                order: ChipOrder::Bbox,
-                retries: None,
-                fallback: false,
-                journal: None,
-                resume: false,
+                order: PlanOrder::Bbox,
+                recovery: Recovery {
+                    retries: None,
+                    fallback: vec![],
+                    journal: Journal { dir: None, resume: false },
+                },
                 json: None,
-            }
+            })
         );
         assert_eq!(
             parse(
@@ -1088,7 +1011,7 @@ mod tests {
                    --journal chipdir --resume --json chip.json"
             )
             .unwrap(),
-            Command::Chip {
+            Command::Chip(ChipArgs {
                 width: 352,
                 height: 352,
                 nets: 10560,
@@ -1097,13 +1020,14 @@ mod tests {
                 tile: 32,
                 jobs: 4,
                 analyze: true,
-                order: ChipOrder::Features,
-                retries: Some(2),
-                fallback: true,
-                journal: Some("chipdir".into()),
-                resume: true,
+                order: PlanOrder::Features,
+                recovery: Recovery {
+                    retries: Some(2),
+                    fallback: vec![BatchRouterKind::Lee],
+                    journal: Journal { dir: Some("chipdir".into()), resume: true },
+                },
                 json: Some("chip.json".into()),
-            }
+            })
         );
         assert!(parse("chip --width 4").unwrap_err().to_string().contains("8..=4096"));
         assert!(parse("chip --tile 0").unwrap_err().to_string().contains("--tile"));
@@ -1116,65 +1040,45 @@ mod tests {
     #[test]
     fn chip_supervision_flags() {
         // --retries 0 still selects the supervised tile stage.
-        assert!(matches!(
-            parse("chip --retries 0").unwrap(),
-            Command::Chip { retries: Some(0), .. }
-        ));
-        assert!(parse("chip --retries 17").unwrap_err().to_string().contains("at most 16"));
+        let Command::Chip(a) = parse("chip --retries 0").unwrap() else { panic!() };
+        assert_eq!(a.recovery.retries, Some(0));
+        assert!(a.recovery.supervised());
+        assert!(parse("chip --retries 17").unwrap_err().to_string().contains("0..=16"));
         assert!(parse("chip --fallback maze").unwrap_err().to_string().contains("lee"));
+        // The batch list syntax parses, but chip falls back to Lee only.
+        let msg = parse("chip --fallback lee,swbox").unwrap_err().to_string();
+        assert!(msg.contains("--fallback must be `lee` for `chip`, got `swbox`"), "{msg}");
         // Resuming needs somewhere to resume *from*.
         let msg = parse("chip --resume").unwrap_err().to_string();
         assert!(msg.contains("--resume requires --journal DIR"), "{msg}");
         let msg = parse("chip --resume --retries 2").unwrap_err().to_string();
         assert!(msg.contains("--resume requires --journal DIR"), "{msg}");
-        assert!(matches!(
-            parse("chip --journal d --resume").unwrap(),
-            Command::Chip { journal: Some(_), resume: true, .. }
-        ));
-    }
-
-    #[test]
-    fn frontier_flag() {
-        assert!(matches!(
-            parse("route box.sb --frontier heap").unwrap(),
-            Command::Route { frontier: FrontierKind::Heap, .. }
-        ));
-        assert!(matches!(
-            parse("batch a.sb --frontier buckets").unwrap(),
-            Command::Batch { frontier: FrontierKind::Buckets, .. }
-        ));
-        // The default is the bucket queue.
-        assert!(matches!(
-            parse("route box.sb").unwrap(),
-            Command::Route { frontier: FrontierKind::Buckets, .. }
-        ));
-        let msg = parse("route box.sb --frontier fibonacci").unwrap_err().to_string();
-        assert!(msg.contains("fibonacci"), "{msg}");
+        let Command::Chip(a) = parse("chip --journal d --resume").unwrap() else { panic!() };
+        assert_eq!(a.recovery.journal, Journal { dir: Some("d".into()), resume: true });
     }
 
     #[test]
     fn channel_routers() {
-        for (name, kind) in [
-            ("ripup", ChannelRouterKind::Ripup),
-            ("lea", ChannelRouterKind::Lea),
-            ("dogleg", ChannelRouterKind::Dogleg),
-            ("greedy", ChannelRouterKind::Greedy),
-            ("yacr", ChannelRouterKind::Yacr),
-        ] {
+        for (kind, name) in ChannelRouterKind::NAMES {
             let cmd = parse(&format!("channel c.ch --router {name}")).unwrap();
             assert_eq!(
                 cmd,
-                Command::Channel { file: "c.ch".into(), router: kind, tracks: None, layers: 2 }
+                Command::Channel(ChannelArgs {
+                    file: "c.ch".into(),
+                    router: *kind,
+                    tracks: None,
+                    layers: 2
+                })
             );
         }
         assert_eq!(
             parse("channel c.ch --tracks 12").unwrap(),
-            Command::Channel {
+            Command::Channel(ChannelArgs {
                 file: "c.ch".into(),
                 router: ChannelRouterKind::Ripup,
                 tracks: Some(12),
                 layers: 2
-            }
+            })
         );
     }
 
@@ -1200,23 +1104,23 @@ mod tests {
     fn fuzz_flags() {
         assert_eq!(
             parse("fuzz --seeds 0..100 --shrink --out findings --jobs 2").unwrap(),
-            Command::Fuzz {
+            Command::Fuzz(FuzzArgs {
                 seeds: Some((0, 100)),
                 cases: vec![],
                 jobs: 2,
                 shrink: true,
                 out: Some("findings".into()),
-            }
+            })
         );
         assert_eq!(
             parse("fuzz corpus/a.case corpus/b.case").unwrap(),
-            Command::Fuzz {
+            Command::Fuzz(FuzzArgs {
                 seeds: None,
                 cases: vec!["corpus/a.case".into(), "corpus/b.case".into()],
                 jobs: 0,
                 shrink: false,
                 out: None,
-            }
+            })
         );
         assert!(parse("fuzz").unwrap_err().to_string().contains("--seeds"));
         assert!(parse("fuzz --seeds 7").unwrap_err().to_string().contains("range"));
@@ -1228,14 +1132,13 @@ mod tests {
     fn serve_flags() {
         assert_eq!(
             parse("serve --socket /tmp/v.sock").unwrap(),
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 endpoint: ServeEndpoint::Unix("/tmp/v.sock".into()),
                 workers: 0,
                 queue: 64,
                 deadline_ms: None,
-                journal: None,
-                resume: false,
-            }
+                journal: Journal { dir: None, resume: false },
+            })
         );
         assert_eq!(
             parse(
@@ -1243,22 +1146,24 @@ mod tests {
                  --journal runs/j --resume"
             )
             .unwrap(),
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 endpoint: ServeEndpoint::Tcp("127.0.0.1:7777".into()),
                 workers: 2,
                 queue: 8,
                 deadline_ms: Some(500),
-                journal: Some("runs/j".into()),
-                resume: true,
-            }
+                journal: Journal { dir: Some("runs/j".into()), resume: true },
+            })
         );
         assert!(parse("serve").unwrap_err().to_string().contains("--socket"));
         let msg = parse("serve --socket a --tcp b").unwrap_err().to_string();
         assert!(msg.contains("exactly one"), "{msg}");
-        assert!(parse("serve --socket s --queue 0").unwrap_err().to_string().contains("at least"));
+        assert!(parse("serve --socket s --queue 0").unwrap_err().to_string().contains("1..="));
         // --resume without --journal must fail loudly, not be ignored.
         let msg = parse("serve --socket s --resume").unwrap_err().to_string();
         assert!(msg.contains("--journal"), "{msg}");
+        // Serve journals but does not supervise.
+        let msg = parse("serve --socket s --retries 1").unwrap_err().to_string();
+        assert!(msg.contains("unknown flag `--retries` for `serve`"), "{msg}");
     }
 
     #[test]
@@ -1266,7 +1171,7 @@ mod tests {
         assert_eq!(
             parse("client --socket /tmp/v.sock a.sb b.sb --router lee --priority 7 --events")
                 .unwrap(),
-            Command::Client {
+            Command::Client(ClientArgs {
                 endpoint: ServeEndpoint::Unix("/tmp/v.sock".into()),
                 files: vec!["a.sb".into(), "b.sb".into()],
                 router: BatchRouterKind::Lee,
@@ -1274,11 +1179,11 @@ mod tests {
                 priority: Some(7),
                 events: true,
                 shutdown: false,
-            }
+            })
         );
         assert_eq!(
             parse("client --tcp 127.0.0.1:7777 --shutdown").unwrap(),
-            Command::Client {
+            Command::Client(ClientArgs {
                 endpoint: ServeEndpoint::Tcp("127.0.0.1:7777".into()),
                 files: vec![],
                 router: BatchRouterKind::Ripup,
@@ -1286,48 +1191,38 @@ mod tests {
                 priority: None,
                 events: false,
                 shutdown: true,
-            }
+            })
         );
         assert!(parse("client --socket s").unwrap_err().to_string().contains("FILE"));
         assert!(parse("client a.sb").unwrap_err().to_string().contains("--socket"));
         assert!(parse("client --socket s a.sb --priority 10")
             .unwrap_err()
             .to_string()
-            .contains("0-9"));
+            .contains("0..=9"));
     }
 
     #[test]
     fn analyze_flags() {
-        assert_eq!(
-            parse("analyze box.sb").unwrap(),
-            Command::Analyze { instance: "box.sb".into(), routes: None, chip: None, json: None }
-        );
+        let analyze = |instance: &str, routes: Option<&str>, chip, json: Option<&str>| {
+            Command::Analyze(AnalyzeArgs {
+                instance: instance.into(),
+                routes: routes.map(Into::into),
+                chip,
+                json: json.map(Into::into),
+            })
+        };
+        assert_eq!(parse("analyze box.sb").unwrap(), analyze("box.sb", None, None, None));
         assert_eq!(
             parse("analyze box.sb box.routes --json rep.json").unwrap(),
-            Command::Analyze {
-                instance: "box.sb".into(),
-                routes: Some("box.routes".into()),
-                chip: None,
-                json: Some("rep.json".into()),
-            }
+            analyze("box.sb", Some("box.routes"), None, Some("rep.json"))
         );
         assert_eq!(
             parse("analyze box.sb --chip").unwrap(),
-            Command::Analyze {
-                instance: "box.sb".into(),
-                routes: None,
-                chip: Some(16),
-                json: None
-            }
+            analyze("box.sb", None, Some(16), None)
         );
         assert_eq!(
             parse("analyze box.sb --chip --tile 8 --json rep.json").unwrap(),
-            Command::Analyze {
-                instance: "box.sb".into(),
-                routes: None,
-                chip: Some(8),
-                json: Some("rep.json".into()),
-            }
+            analyze("box.sb", None, Some(8), Some("rep.json"))
         );
         assert!(parse("analyze").unwrap_err().to_string().contains("INSTANCE"));
         assert!(parse("analyze a b c").unwrap_err().to_string().contains("at most one"));
@@ -1355,5 +1250,79 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("--height"));
+    }
+
+    /// Every numeric flag of every command, after the arguments its
+    /// command needs, with the values just past each end of its range.
+    const NUMERIC_FLAGS: &[(&str, &str, &[&str])] = &[
+        ("batch a.sb", "--jobs", &["4097"]),
+        ("batch a.sb", "--deadline-ms", &[]),
+        ("batch a.sb", "--retries", &["17"]),
+        ("chip", "--width", &["7", "4097"]),
+        ("chip", "--height", &["7", "4097"]),
+        ("chip", "--nets", &["0", "4294967296"]),
+        ("chip", "--macros", &["4294967296"]),
+        ("chip", "--seed", &[]),
+        ("chip", "--tile", &["0", "4294967296"]),
+        ("chip", "--jobs", &["4097"]),
+        ("chip", "--retries", &["17"]),
+        ("analyze a.sb --chip", "--tile", &["0", "4294967296"]),
+        ("channel c.ch", "--tracks", &["0", "4097"]),
+        ("channel c.ch", "--layers", &["1", "4"]),
+        ("gen switchbox --width 8 --height 8 --nets 2", "--width", &["0", "4097"]),
+        ("gen switchbox --width 8 --height 8 --nets 2", "--height", &["0", "4097"]),
+        ("gen switchbox --width 8 --height 8 --nets 2", "--nets", &["4294967296"]),
+        ("gen switchbox --width 8 --height 8 --nets 2", "--seed", &[]),
+        ("gen channel --width 8 --nets 2", "--width", &["0", "65537"]),
+        ("gen channel --width 8 --nets 2", "--extra-pin-pct", &["4294967296"]),
+        ("gen channel --width 8 --nets 2", "--window", &[]),
+        ("serve --socket s", "--workers", &["1025"]),
+        ("serve --socket s", "--queue", &["0"]),
+        ("serve --socket s", "--deadline-ms", &[]),
+        ("client --socket s a.sb", "--deadline-ms", &[]),
+        ("client --socket s a.sb", "--priority", &["10"]),
+        ("fuzz --seeds 0..1", "--jobs", &["4097"]),
+        ("fuzz", "--seeds", &["0..18446744073709551616"]),
+    ];
+
+    #[test]
+    fn numeric_flags_reject_out_of_range_values_by_name() {
+        for (prefix, flag, past) in NUMERIC_FLAGS {
+            let wide = ["18446744073709551616", "-1"];
+            for value in past.iter().chain(&wide) {
+                let line = format!("{prefix} {flag} {value}");
+                let msg = parse(&line).expect_err(&line).to_string();
+                assert!(msg.contains(flag), "`{line}`: {msg}");
+            }
+            let line = format!("{prefix} {flag}");
+            let msg = parse(&line).expect_err(&line).to_string();
+            assert!(msg.contains(flag), "`{line}`: {msg}");
+        }
+        // The values that used to wrap into a valid chip now fail.
+        for line in [
+            "chip --width 4294967336 --height 40 --nets 20 --tile 10",
+            "chip --tile 4294967306",
+            "chip --nets 4294967297",
+        ] {
+            assert!(parse(line).is_err(), "{line}");
+        }
+    }
+
+    /// Every name in `T`'s table parses to a variant that prints back
+    /// as the same name.
+    fn round_trips<T: Named + fmt::Debug>() {
+        for (kind, name) in T::NAMES {
+            assert_eq!(T::from_name(name), Some(*kind), "{name}");
+            assert_eq!(kind.name(), *name);
+        }
+        assert_eq!(T::from_name("bogus"), None);
+    }
+
+    #[test]
+    fn router_tables_round_trip() {
+        round_trips::<SwitchRouterKind>();
+        round_trips::<ChannelRouterKind>();
+        round_trips::<BatchRouterKind>();
+        round_trips::<PlanOrder>();
     }
 }

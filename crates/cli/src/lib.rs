@@ -3,22 +3,8 @@
 //! The binary front-end in `main.rs` is a thin shell over this library
 //! so argument parsing and command execution are unit-testable.
 //!
-//! ```text
-//! vroute route  FILE [--router ripup|lee|tiled] [--ascii] [--svg OUT] [--save OUT] [--optimize]
-//!               [--metrics] [--trace OUT] [--json OUT] [--analyze]
-//! vroute batch  FILE... [--list LIST] [--router KIND] [--jobs N] [--json OUT] [--deadline-ms MS]
-//!               [--metrics] [--trace OUT] [--analyze]
-//!               [--retries N] [--fallback KIND,...] [--journal DIR] [--resume]
-//! vroute analyze INSTANCE [ROUTES] [--chip [--tile T]] [--json OUT]
-//! vroute check  FILE ROUTES [--svg OUT]
-//! vroute channel FILE [--router ripup|lea|dogleg|greedy|yacr] [--tracks N] [--layers 2|3]
-//! vroute gen switchbox --width W --height H --nets N [--seed S]
-//! vroute gen channel --width W --nets N [--extra-pin-pct P] [--window W] [--seed S]
-//! vroute chip [--width W --height H --nets N --macros M] [--seed S] [--tile T] [--jobs N]
-//!             [--analyze] [--order bbox|features] [--retries N] [--fallback lee]
-//!             [--journal DIR] [--resume] [--json OUT]
-//! vroute fuzz [--seeds A..B] [CASE...] [--jobs N] [--shrink] [--out DIR]
-//! ```
+//! The command-line synopsis is [`USAGE`], the text `vroute --help`
+//! prints.
 //!
 //! Instance files use the text formats of
 //! [`route_benchdata::format`]; see that module for the grammar.
@@ -30,8 +16,9 @@ mod run;
 mod serve;
 
 pub use args::{
-    parse_args, BatchRouterKind, ChannelRouterKind, ChipOrder, Command, GenKind, ParseArgsError,
-    ServeEndpoint, SwitchRouterKind,
+    parse_args, AnalyzeArgs, BatchArgs, BatchRouterKind, ChannelArgs, ChannelRouterKind, CheckArgs,
+    ChipArgs, ClientArgs, Command, FuzzArgs, GenKind, Journal, ParseArgsError, Recovery, RouteArgs,
+    ServeArgs, ServeEndpoint, SwitchRouterKind,
 };
 pub use run::{execute, ExecutionError};
 
@@ -40,11 +27,11 @@ pub const USAGE: &str = "\
 vroute — two-layer detailed router
 
 USAGE:
-  vroute route FILE [--router ripup|lee|tiled] [--frontier heap|buckets] [--ascii] [--svg OUT]
-               [--save OUT] [--optimize] [--metrics] [--trace OUT] [--json OUT] [--analyze]
-  vroute batch FILE... [--list LIST] [--router KIND] [--frontier heap|buckets] [--jobs N]
-               [--json OUT] [--deadline-ms MS] [--metrics] [--trace OUT] [--analyze]
-               [--retries N] [--fallback KIND,...] [--journal DIR] [--resume]
+  vroute route FILE [--router ripup|lee|tiled] [--ascii] [--svg OUT] [--save OUT]
+               [--optimize] [--metrics] [--trace OUT] [--json OUT] [--analyze]
+  vroute batch FILE... [--list LIST] [--router KIND] [--jobs N] [--json OUT]
+               [--deadline-ms MS] [--metrics] [--trace OUT] [--analyze]
+               [--retries N] [--fallback K,..] [--journal DIR] [--resume]
   vroute analyze INSTANCE [ROUTES] [--chip [--tile T]] [--json OUT]
   vroute check FILE ROUTES [--svg OUT]
   vroute channel FILE [--router ripup|lea|dogleg|greedy|yacr] [--tracks N] [--layers 2|3]
@@ -52,7 +39,7 @@ USAGE:
   vroute gen channel --width W --nets N [--extra-pin-pct P] [--window W] [--seed S]
   vroute chip [--width W --height H --nets N --macros M] [--seed S] [--tile T]
               [--jobs N] [--analyze] [--order bbox|features] [--retries N]
-              [--fallback lee] [--journal DIR] [--resume] [--json OUT]
+              [--fallback K,..] [--journal DIR] [--resume] [--json OUT]
   vroute fuzz [--seeds A..B] [CASE...] [--jobs N] [--shrink] [--out DIR]
   vroute serve (--socket PATH | --tcp ADDR) [--workers N] [--queue N]
                [--deadline-ms MS] [--journal DIR] [--resume]
@@ -88,9 +75,8 @@ COMMANDS:
 OPTIONS:
   --router KIND   Routing algorithm (default: ripup; batch also takes
                   lee|lea|dogleg|greedy|yacr|swbox)
-  --frontier KIND Rip-up router open list: buckets (default) or heap; both
-                  produce bit-identical routings
-  --jobs N        Batch worker threads (default 0 = one per hardware thread)
+  --jobs N        batch/chip/fuzz worker threads, at most 4096 (default 0 =
+                  one per hardware thread)
   --list LIST     File with one instance path per line (# comments allowed)
   --json OUT      Write a machine-readable report (including metrics) to OUT
   --deadline-ms MS  Disqualify instances that take longer than MS
@@ -124,35 +110,28 @@ OPTIONS:
   DIR/serve.ldj before routing it) and --resume (replay requests left
   pending by a crash before accepting connections; requires --journal)
 
-SUPERVISED RECOVERY (batch; any of these selects the supervised engine):
-  --retries N     Re-route failed instances up to N times with escalated
-                  budgets and perturbed net order (N <= 16)
-  --fallback K,.. Comma-separated router chain tried after retries fail
-  --journal DIR   Append each outcome to DIR/journal.ldj (crash-safe WAL)
-  --resume        Skip instances already completed in DIR/journal.ldj;
-                  the resumed JSON report is byte-identical to an
-                  uninterrupted run's
-  Terminal failures salvage the best partial routing (most nets routed)
-  and lint it instead of discarding the work; --deadline-ms becomes a
-  per-attempt budget and timed-out attempts feed the salvage snapshot.
-  Not combinable with --metrics/--trace.
-
-SUPERVISED CHIP FLOW (chip; --retries/--fallback select it):
-  --retries N     Re-route failed tiles up to N times with escalated
-                  budgets and a per-tile perturbed net order (N <= 16)
-  --fallback lee  Hand exhausted tiles to the sequential Lee baseline
-                  before salvaging their best partial snapshot
-  --journal DIR   Append each tile's outcome to DIR/chip.ldj (crash-safe
-                  WAL, fsync'd per tile); works with or without the
-                  supervision flags
-  --resume        Replay tiles already completed in DIR/chip.ldj byte
-                  for byte and route only the rest; requires --journal.
-                  The resumed JSON report is byte-identical to an
+SUPERVISED RECOVERY (batch instances, chip tiles):
+  --retries N     Re-route failures up to N times (N <= 16) with escalated
+                  budgets and a perturbed net order
+  --fallback K,.. Comma-separated router chain tried after the retries
+                  fail; chip takes only `lee`
+  --journal DIR   Append each outcome to a crash-safe WAL: batch
+                  DIR/journal.ldj, chip DIR/chip.ldj (fsync'd per tile)
+  --resume        Skip work the journal already completed (chip replays
+                  its tiles byte for byte); requires --journal. The
+                  resumed JSON report is byte-identical to an
                   uninterrupted run's (supervised chip reports omit the
                   wall-clock field for exactly this reason).
-  Seam repair always escalates on its own: widened band, re-anchored
-  fresh band, then a per-net flat reroute. VROUTE_FAULT targets tiles
-  (`panic@tile:3`) or seam rungs (`fail@seam`).
+  batch: any of these selects the supervised engine. Terminal failures
+  salvage the best partial routing (most nets routed) and lint it
+  instead of discarding the work; --deadline-ms becomes a per-attempt
+  budget and timed-out attempts feed the salvage snapshot. Not
+  combinable with --metrics/--trace.
+  chip: --retries/--fallback select supervision; --journal works with
+  or without them. Seam repair always escalates on its own: widened
+  band, re-anchored fresh band, then a per-net flat reroute.
+  VROUTE_FAULT targets tiles (`panic@tile:3`) or seam rungs
+  (`fail@seam`).
 
 ENVIRONMENT:
   VROUTE_FUZZ_FAULT  Inject a deliberate router bug into `fuzz` runs for
@@ -164,4 +143,5 @@ ENVIRONMENT:
                      rungs (`fail@seam`)
   VROUTE_SERVE_FAULT Delay every `serve` job by a fixed amount for crash
                      testing: delay-MS (e.g. `delay-800`)
+  An empty value counts as unset for each of these.
 ";

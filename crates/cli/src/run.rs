@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::path::Path;
 
 use mighty::engine::{EngineConfig, ObserveMode, RouteEngine};
 use mighty::{
@@ -13,17 +14,23 @@ use route_analyze::{
 };
 use route_bench::trace::trace_lines;
 use route_benchdata::format::{self, ParseError};
-use route_benchdata::gen::{ChannelGen, SwitchboxGen};
+use route_benchdata::gen::{ChannelGen, ChipGen, SwitchboxGen};
 use route_channel::{dogleg, greedy, lea, yacr, RouteError};
+use route_global::{ChipSupervision, GlobalConfig};
 use route_maze::{sequential, CostModel, LeeRouter};
 use route_model::{
-    render_layers, render_svg, DetailedRouter, EventLog, MetricsRecorder, RouteDb, RouteObserver,
+    render_layers, render_svg, DetailedRouter, EventLog, MetricsRecorder, Problem, RouteDb,
+    RouteObserver,
 };
 use route_opt::{cleanup, OptimizeConfig};
 use route_proto::{metrics_json, versioned_doc, Json, RouteOutcomeReport};
-use route_verify::verify;
+use route_verify::{verify, Report};
 
-use crate::{BatchRouterKind, ChannelRouterKind, Command, GenKind, SwitchRouterKind, USAGE};
+use crate::args::{
+    AnalyzeArgs, BatchArgs, BatchRouterKind, ChannelArgs, ChannelRouterKind, CheckArgs, ChipArgs,
+    Command, FuzzArgs, GenKind, Journal, Named, RouteArgs, SwitchRouterKind,
+};
+use crate::USAGE;
 
 /// Error produced when executing a command.
 #[derive(Debug)]
@@ -77,772 +84,673 @@ pub fn execute(cmd: &Command, out: &mut dyn fmt::Write) -> Result<bool, Executio
             write!(out, "{USAGE}").expect("writing usage");
             Ok(true)
         }
-        Command::Gen(kind) => {
-            // Pre-validate dimensions and capacity so user errors produce
-            // a message, not a library panic.
-            let bad_dims = match *kind {
-                GenKind::Switchbox { width, height, .. } => {
-                    width == 0 || height == 0 || width > 4096 || height > 4096
-                }
-                GenKind::Channel { width, .. } => width == 0 || width > 65536,
-            };
-            if bad_dims {
-                return Err(ExecutionError::Unroutable(
-                    "instance dimensions out of supported range (switchbox sides 1..=4096, \
-                     channel width 1..=65536)"
-                        .to_string(),
-                ));
+        Command::Gen(kind) => execute_gen(kind, out),
+        Command::Route(a) => execute_route(a, out),
+        Command::Batch(a) => execute_batch(a, out),
+        Command::Channel(a) => execute_channel(a, out),
+        Command::Analyze(a) => execute_analyze(a, out),
+        Command::Check(a) => execute_check(a, out),
+        Command::Chip(a) => execute_chip(a, out),
+        Command::Fuzz(a) => execute_fuzz(a, out),
+        Command::Serve(a) => crate::serve::execute_serve(a, out),
+        Command::Client(a) => crate::serve::execute_client(a, out),
+    }
+}
+
+/// Reads a whole file, naming it in the error.
+pub(crate) fn read_file(path: &str) -> Result<String, ExecutionError> {
+    std::fs::read_to_string(path).map_err(|e| ExecutionError::Io(path.to_owned(), e))
+}
+
+/// Writes a whole file, naming it in the error.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), ExecutionError> {
+    std::fs::write(path, contents).map_err(|e| ExecutionError::Io(path.to_owned(), e))
+}
+
+/// Writes `command`'s versioned JSON report to `path` and says so.
+fn write_json<K: Into<String>>(
+    path: &str,
+    command: &str,
+    pairs: impl IntoIterator<Item = (K, Json)>,
+    out: &mut dyn fmt::Write,
+) -> Result<(), ExecutionError> {
+    let doc = versioned_doc(command, pairs.into_iter().map(|(k, v)| (k.into(), v)));
+    write_file(path, doc.render())?;
+    writeln!(out, "json written to {path}").expect("writing");
+    Ok(())
+}
+
+/// Whether a verifier report admits the routing: clean, or legal with
+/// some nets left unrouted.
+fn is_legal(report: &Report) -> bool {
+    report.is_clean() || report.is_legal_but_incomplete()
+}
+
+/// Verifies a routed database and summarizes it in the outcome
+/// vocabulary every report shares.
+pub(crate) fn routed(
+    problem: &Problem,
+    db: &RouteDb,
+    complete: bool,
+) -> (Report, RouteOutcomeReport) {
+    let report = verify(problem, db);
+    let stats = db.stats();
+    let outcome = RouteOutcomeReport::Routed {
+        legal: is_legal(&report),
+        complete,
+        wire: stats.wirelength,
+        vias: stats.vias,
+        checksum: db.checksum(),
+    };
+    (report, outcome)
+}
+
+/// The value of a fault-injection variable; an empty value counts as
+/// unset.
+pub(crate) fn fault_env(name: &str) -> Option<String> {
+    std::env::var(name).ok().filter(|spec| !spec.is_empty())
+}
+
+/// The engine fault plan in `VROUTE_FAULT`, announced in `out` when
+/// set.
+fn fault_plan(out: &mut dyn fmt::Write) -> Result<Option<FaultPlan>, ExecutionError> {
+    let Some(spec) = fault_env("VROUTE_FAULT") else { return Ok(None) };
+    let plan = FaultPlan::parse(&spec)
+        .map_err(|e| ExecutionError::Unroutable(format!("VROUTE_FAULT: {e}")))?;
+    writeln!(out, "fault injection active: {spec}").expect("writing");
+    Ok(Some(plan))
+}
+
+impl Journal {
+    /// Opens the journal in `--journal DIR` with `create`, or with
+    /// `resume` under `--resume`; `None` without a directory.
+    pub(crate) fn open<J>(
+        &self,
+        create: impl FnOnce(&Path) -> std::io::Result<J>,
+        resume: impl FnOnce(&Path) -> std::io::Result<J>,
+    ) -> Result<Option<J>, ExecutionError> {
+        let Some(dir) = self.dir.as_deref().map(Path::new) else { return Ok(None) };
+        let journal = if self.resume { resume(dir) } else { create(dir) };
+        journal.map(Some).map_err(|e| ExecutionError::Io(dir.display().to_string(), e))
+    }
+}
+
+/// The unified trait object for a batch router: the plain batch, the
+/// supervised primary and fallback chain, and serve all build from it.
+pub(crate) fn batch_router(kind: BatchRouterKind) -> Box<dyn DetailedRouter + Send + Sync> {
+    match kind {
+        BatchRouterKind::Ripup => Box::new(MightyRouter::new(RouterConfig::default())),
+        BatchRouterKind::Lee => Box::new(LeeRouter::default()),
+        BatchRouterKind::Lea => Box::new(route_channel::LeaRouter),
+        BatchRouterKind::Dogleg => Box::new(route_channel::DoglegRouter),
+        BatchRouterKind::Greedy => Box::new(route_channel::GreedyRouter),
+        BatchRouterKind::Yacr => Box::new(route_channel::YacrRouter::default()),
+        BatchRouterKind::Swbox => Box::new(route_channel::SwboxRouter),
+    }
+}
+
+/// Executes `vroute gen`. The parser bounds the dimensions; capacity is
+/// checked here so an overfull request gets a message, not a library
+/// panic.
+fn execute_gen(kind: &GenKind, out: &mut dyn fmt::Write) -> Result<bool, ExecutionError> {
+    let text = match *kind {
+        GenKind::Switchbox { width, height, nets, seed } => {
+            let slots = 2 * u64::from(height) + 2 * u64::from(width.saturating_sub(2));
+            if u64::from(nets) * 2 > slots {
+                return Err(ExecutionError::Unroutable(format!(
+                    "a {width}x{height} boundary holds at most {slots} pins; \
+                     {nets} nets need {}",
+                    u64::from(nets) * 2
+                )));
             }
-            let text = match *kind {
-                GenKind::Switchbox { width, height, nets, seed } => {
-                    let slots = 2 * height as u64 + 2 * width.saturating_sub(2) as u64;
-                    if u64::from(nets) * 2 > slots {
-                        return Err(ExecutionError::Unroutable(format!(
-                            "a {width}x{height} boundary holds at most {} pins; \
-                             {nets} nets need {}",
-                            slots,
-                            nets * 2
-                        )));
-                    }
-                    format::write_problem(&SwitchboxGen { width, height, nets, seed }.build())
-                }
-                GenKind::Channel { width, nets, extra_pin_pct, window, seed } => {
-                    // Worst case every net takes 3 pins.
-                    if u64::from(nets) * 3 > 2 * width as u64 {
-                        return Err(ExecutionError::Unroutable(format!(
-                            "a {width}-column channel holds at most {} pins; \
-                             {nets} nets may need up to {}",
-                            2 * width,
-                            nets * 3
-                        )));
-                    }
-                    format::write_channel(
-                        &ChannelGen { width, nets, extra_pin_pct, span_window: window, seed }
-                            .build(),
-                    )
-                }
-            };
-            write!(out, "{text}").expect("writing instance");
-            Ok(true)
+            format::write_problem(&SwitchboxGen { width, height, nets, seed }.build())
         }
-        Command::Fuzz { seeds, cases, jobs, shrink, out: out_dir } => {
-            execute_fuzz(seeds, cases, *jobs, *shrink, out_dir.as_deref(), out)
+        GenKind::Channel { width, nets, extra_pin_pct, window, seed } => {
+            // Worst case every net takes 3 pins.
+            if u64::from(nets) * 3 > 2 * u64::from(width) {
+                return Err(ExecutionError::Unroutable(format!(
+                    "a {width}-column channel holds at most {} pins; \
+                     {nets} nets may need up to {}",
+                    2 * width,
+                    u64::from(nets) * 3
+                )));
+            }
+            let width = usize::try_from(width).expect("a u32 fits in usize");
+            format::write_channel(
+                &ChannelGen { width, nets, extra_pin_pct, span_window: window, seed }.build(),
+            )
         }
-        Command::Chip {
-            width,
-            height,
-            nets,
-            macros,
-            seed,
-            tile,
-            jobs,
-            analyze,
-            order,
-            retries,
-            fallback,
-            journal,
-            resume,
-            json,
-        } => {
-            let gen = route_benchdata::gen::ChipGen {
-                width: *width,
-                height: *height,
-                nets: *nets,
-                macros: *macros,
-                ..route_benchdata::gen::ChipGen::small(*seed)
-            };
-            let problem = gen.build();
-            writeln!(out, "chip: {width}x{height}, {nets} nets, {macros} macros, seed {seed}")
-                .expect("writing");
-            let plan_order = match order {
-                crate::ChipOrder::Bbox => route_global::PlanOrder::Bbox,
-                crate::ChipOrder::Features => route_global::PlanOrder::Features,
-            };
-            let cfg = route_global::GlobalConfig {
-                tile: *tile,
-                jobs: *jobs,
-                analyze: *analyze,
-                precheck: *analyze,
-                order: plan_order,
-                ..route_global::GlobalConfig::default()
-            };
-            // A fault plan or any supervision flag selects the
-            // supervised tile stage; a journal alone runs it with
-            // supervision off (`ChipSupervision::none()`), which routes
-            // each tile exactly once like the plain flow.
-            let fault = match std::env::var("VROUTE_FAULT") {
-                Ok(spec) if !spec.is_empty() => {
-                    let plan = FaultPlan::parse(&spec)
-                        .map_err(|e| ExecutionError::Unroutable(format!("VROUTE_FAULT: {e}")))?;
-                    writeln!(out, "fault injection active: {spec}").expect("writing");
-                    Some(plan)
-                }
-                _ => None,
-            };
-            let supervised = retries.is_some() || *fallback || fault.is_some();
-            let chip_journal = match journal {
-                Some(dir) => {
-                    let d = std::path::Path::new(dir);
-                    let j = if *resume { ChipJournal::resume(d) } else { ChipJournal::create(d) }
-                        .map_err(|e| ExecutionError::Io(d.display().to_string(), e))?;
-                    Some(j)
-                }
-                None => None,
-            };
-            let started = std::time::Instant::now();
-            let outcome = if supervised || chip_journal.is_some() {
-                let sup = if supervised {
-                    route_global::ChipSupervision {
-                        retries: retries.unwrap_or(1),
-                        fallback: *fallback,
-                        seed: *seed,
-                        fault,
-                    }
-                } else {
-                    route_global::ChipSupervision::none()
-                };
-                route_global::route_hierarchical_supervised(
-                    &problem,
-                    &cfg,
-                    &sup,
-                    chip_journal.as_ref(),
-                )
+    };
+    write!(out, "{text}").expect("writing instance");
+    Ok(true)
+}
+
+/// Executes `vroute chip`: generates the chip and routes it through the
+/// hierarchical flow, supervised when asked.
+fn execute_chip(a: &ChipArgs, out: &mut dyn fmt::Write) -> Result<bool, ExecutionError> {
+    let ChipArgs { width, height, nets, macros, seed, tile, jobs, analyze, order, recovery, json } =
+        a;
+    let gen = ChipGen {
+        width: *width,
+        height: *height,
+        nets: *nets,
+        macros: *macros,
+        ..ChipGen::small(*seed)
+    };
+    let problem = gen.build();
+    writeln!(out, "chip: {width}x{height}, {nets} nets, {macros} macros, seed {seed}")
+        .expect("writing");
+    let cfg = GlobalConfig {
+        tile: *tile,
+        jobs: *jobs,
+        analyze: *analyze,
+        precheck: *analyze,
+        order: *order,
+        ..GlobalConfig::default()
+    };
+    // A fault plan or any supervision flag selects the supervised tile
+    // stage; a journal alone runs it with supervision off
+    // (`ChipSupervision::none()`), which routes each tile exactly once
+    // like the plain flow.
+    let fault = fault_plan(out)?;
+    let supervised = recovery.supervised() || fault.is_some();
+    let journal = recovery.journal.open(ChipJournal::create, ChipJournal::resume)?;
+    let recovering = supervised || journal.is_some();
+    let started = std::time::Instant::now();
+    let outcome = if recovering {
+        let sup = if supervised {
+            ChipSupervision {
+                retries: recovery.retries.unwrap_or(1),
+                fallback: !recovery.fallback.is_empty(),
+                seed: *seed,
+                fault,
+            }
+        } else {
+            ChipSupervision::none()
+        };
+        route_global::route_hierarchical_supervised(&problem, &cfg, &sup, journal.as_ref())
+    } else {
+        route_global::route_hierarchical(&problem, &cfg)
+    };
+    let ms = started.elapsed().as_millis() as u64;
+    let complete = outcome.is_complete();
+    let (report, summary) = routed(&problem, outcome.db(), complete);
+    let stats = outcome.stats();
+    let chip = outcome.chip_stats();
+    writeln!(
+        out,
+        "tiles: {}x{} (tile {tile}), {} crossings, {} dropped at planning",
+        stats.tiles.0, stats.tiles.1, stats.crossings, stats.dropped
+    )
+    .expect("writing");
+    writeln!(
+        out,
+        "detail: {} tiles routed, {} errored, {} tile failures",
+        chip.tiles_routed, chip.tiles_errored, stats.tile_failures
+    )
+    .expect("writing");
+    if recovering {
+        writeln!(
+            out,
+            "recovery: {} tile(s) retried, {} fell back, {} salvaged, \
+             {} seam escalation(s)",
+            chip.tiles_retried, chip.tiles_fell_back, chip.tiles_salvaged, chip.seam_escalations
+        )
+        .expect("writing");
+    }
+    if let Some(dir) = &recovery.journal.dir {
+        writeln!(
+            out,
+            "journal: {dir}, {} tile(s) replayed from a previous run",
+            outcome.resumed_tiles()
+        )
+        .expect("writing");
+    }
+    if let Some(e) = outcome.journal_error() {
+        writeln!(out, "journal error: {e}").expect("writing");
+    }
+    writeln!(
+        out,
+        "stitch: {}/{} seams repaired, {} rip-ups, {} nets completed; \
+         fallback completed {}, pruned {} dead steps",
+        chip.seams_repaired,
+        chip.seams,
+        chip.seam_ripups,
+        chip.seam_completed,
+        stats.fallback_completed,
+        chip.pruned_steps
+    )
+    .expect("writing");
+    if *analyze {
+        writeln!(
+            out,
+            "analyze: {} chip certificate(s), {} net(s) certified unroutable",
+            chip.analyze_certificates, chip.certified_nets
+        )
+        .expect("writing");
+    }
+    let legal = is_legal(&report);
+    writeln!(
+        out,
+        "result: {}/{} nets routed, legal: {legal}, checksum {:016x}, {ms} ms",
+        problem.nets().len() - outcome.failed().len(),
+        problem.nets().len(),
+        outcome.db().checksum()
+    )
+    .expect("writing");
+    if let Some(path) = json {
+        let mut pairs = vec![
+            ("width".to_string(), Json::from(u64::from(*width))),
+            ("height".to_string(), Json::from(u64::from(*height))),
+            ("nets".to_string(), Json::from(u64::from(*nets))),
+            ("seed".to_string(), Json::from(*seed)),
+            ("tile".to_string(), Json::from(u64::from(*tile))),
+            ("jobs".to_string(), Json::from(*jobs)),
+        ];
+        pairs.extend(summary.pairs());
+        let fields = [
+            ("legal", Json::from(legal)),
+            ("complete", Json::from(complete)),
+            ("failed", Json::from(outcome.failed().len())),
+            ("crossings", Json::from(stats.crossings)),
+            ("dropped", Json::from(stats.dropped)),
+            ("tiles_routed", Json::from(chip.tiles_routed)),
+            ("tiles_errored", Json::from(chip.tiles_errored)),
+            ("seams", Json::from(chip.seams)),
+            ("seams_repaired", Json::from(chip.seams_repaired)),
+            ("seam_ripups", Json::from(chip.seam_ripups)),
+            ("seam_completed", Json::from(chip.seam_completed)),
+            ("fallback_completed", Json::from(stats.fallback_completed)),
+            ("pruned_steps", Json::from(chip.pruned_steps)),
+            ("infeasible", Json::from(chip.analyze_certificates)),
+            ("certified_nets", Json::from(chip.certified_nets)),
+            ("features", Json::str(order.name())),
+        ];
+        pairs.extend(fields.map(|(k, v)| (k.to_string(), v)));
+        if recovering {
+            // The supervised report adds the recovery counters and
+            // deliberately omits the wall-clock field, so a killed-and-
+            // resumed run reproduces the uninterrupted run's JSON byte
+            // for byte (the resumed-tile count stays in the human text
+            // only).
+            let fields = [
+                ("tiles_retried", Json::from(chip.tiles_retried)),
+                ("tiles_fell_back", Json::from(chip.tiles_fell_back)),
+                ("tiles_salvaged", Json::from(chip.tiles_salvaged)),
+                ("seam_escalations", Json::from(chip.seam_escalations)),
+            ];
+            pairs.extend(fields.map(|(k, v)| (k.to_string(), v)));
+        } else {
+            pairs.push(("ms".to_string(), Json::from(ms)));
+        }
+        write_json(path, "chip", pairs, out)?;
+    }
+    Ok(complete && outcome.journal_error().is_none())
+}
+
+/// Executes `vroute route`: one switchbox through the chosen router,
+/// then the optional cleanup, lint, renderings and reports.
+fn execute_route(a: &RouteArgs, out: &mut dyn fmt::Write) -> Result<bool, ExecutionError> {
+    let problem = format::parse_problem(&read_file(&a.file)?)?;
+    if a.analyze {
+        // Gate on the static feasibility analysis: a certificate means
+        // no router can succeed, so don't bother trying.
+        let feasibility = analyze_problem(&problem);
+        if let Some(cert) = feasibility.certificates().first() {
+            write!(out, "{}", render_text(feasibility.diagnostics())).expect("writing");
+            return Err(ExecutionError::Unroutable(format!(
+                "provably infeasible: {}",
+                cert.summary()
+            )));
+        }
+        writeln!(out, "analyze: feasible").expect("writing");
+    }
+    // Observation is strictly additive: routed databases are
+    // bit-identical with and without a log attached, so the unobserved
+    // fast path stays untouched unless asked for.
+    let observing = a.metrics || a.trace.is_some() || a.json.is_some();
+    let mut log = EventLog::new();
+    let mut db: RouteDb;
+    let complete = match a.router {
+        SwitchRouterKind::Ripup => {
+            let router = MightyRouter::new(RouterConfig::default());
+            let outcome = if observing {
+                router.route_observed(&problem, &mut log)
             } else {
-                route_global::route_hierarchical(&problem, &cfg)
+                router.route(&problem)
             };
-            let recovering = supervised || chip_journal.is_some();
-            let ms = started.elapsed().as_millis() as u64;
-            let report = verify(&problem, outcome.db());
-            let stats = outcome.stats();
-            let chip = outcome.chip_stats();
-            writeln!(
-                out,
-                "tiles: {}x{} (tile {tile}), {} crossings, {} dropped at planning",
-                stats.tiles.0, stats.tiles.1, stats.crossings, stats.dropped
-            )
-            .expect("writing");
-            writeln!(
-                out,
-                "detail: {} tiles routed, {} errored, {} tile failures",
-                chip.tiles_routed, chip.tiles_errored, stats.tile_failures
-            )
-            .expect("writing");
-            if recovering {
-                writeln!(
-                    out,
-                    "recovery: {} tile(s) retried, {} fell back, {} salvaged, \
-                     {} seam escalation(s)",
-                    chip.tiles_retried,
-                    chip.tiles_fell_back,
-                    chip.tiles_salvaged,
-                    chip.seam_escalations
-                )
-                .expect("writing");
-            }
-            if let Some(dir) = journal {
-                writeln!(
-                    out,
-                    "journal: {dir}, {} tile(s) replayed from a previous run",
-                    outcome.resumed_tiles()
-                )
-                .expect("writing");
-            }
-            if let Some(e) = outcome.journal_error() {
-                writeln!(out, "journal error: {e}").expect("writing");
-            }
-            writeln!(
-                out,
-                "stitch: {}/{} seams repaired, {} rip-ups, {} nets completed; \
-                 fallback completed {}, pruned {} dead steps",
-                chip.seams_repaired,
-                chip.seams,
-                chip.seam_ripups,
-                chip.seam_completed,
-                stats.fallback_completed,
-                chip.pruned_steps
-            )
-            .expect("writing");
-            if *analyze {
-                writeln!(
-                    out,
-                    "analyze: {} chip certificate(s), {} net(s) certified unroutable",
-                    chip.analyze_certificates, chip.certified_nets
-                )
-                .expect("writing");
+            let complete = outcome.is_complete();
+            writeln!(out, "router: rip-up/reroute ({})", outcome.stats()).expect("writing");
+            db = outcome.into_db();
+            complete
+        }
+        SwitchRouterKind::Lee => {
+            let outcome = if observing {
+                sequential::route_all_observed(&problem, CostModel::default(), &mut log)
+            } else {
+                sequential::route_all(&problem, CostModel::default())
+            };
+            let complete = outcome.is_complete();
+            writeln!(out, "router: sequential lee").expect("writing");
+            db = outcome.db;
+            complete
+        }
+        SwitchRouterKind::Tiled => {
+            let outcome = route_global::route_hierarchical(&problem, &GlobalConfig::default());
+            if observing {
+                // The hierarchical pipeline is not observed internally;
+                // synthesize the per-net summary events so traces stay
+                // schema-uniform.
+                for net in problem.nets() {
+                    log.on_net_scheduled(net.id);
+                }
+                for net in problem.nets() {
+                    if outcome.failed().contains(&net.id) {
+                        log.on_net_failed(net.id);
+                    } else {
+                        log.on_net_committed(net.id);
+                    }
+                }
             }
             let complete = outcome.is_complete();
-            let legal = report.is_clean() || report.is_legal_but_incomplete();
-            let db_stats = outcome.db().stats();
-            writeln!(
-                out,
-                "result: {}/{} nets routed, legal: {legal}, checksum {:016x}, {ms} ms",
-                problem.nets().len() - outcome.failed().len(),
-                problem.nets().len(),
-                outcome.db().checksum()
-            )
-            .expect("writing");
-            if let Some(path) = json {
-                let report_outcome = RouteOutcomeReport::Routed {
-                    legal,
-                    complete,
-                    wire: db_stats.wirelength,
-                    vias: db_stats.vias,
-                    checksum: outcome.db().checksum(),
-                };
-                let mut pairs = vec![
-                    ("width".to_string(), Json::from(u64::from(*width))),
-                    ("height".to_string(), Json::from(u64::from(*height))),
-                    ("nets".to_string(), Json::from(u64::from(*nets))),
-                    ("seed".to_string(), Json::from(*seed)),
-                    ("tile".to_string(), Json::from(u64::from(*tile))),
-                    ("jobs".to_string(), Json::from(*jobs as u64)),
-                ];
-                pairs.extend(report_outcome.pairs());
-                pairs.extend([
-                    ("legal".to_string(), Json::from(legal)),
-                    ("complete".to_string(), Json::from(complete)),
-                    ("failed".to_string(), Json::from(outcome.failed().len() as u64)),
-                    ("crossings".to_string(), Json::from(stats.crossings as u64)),
-                    ("dropped".to_string(), Json::from(stats.dropped as u64)),
-                    ("tiles_routed".to_string(), Json::from(chip.tiles_routed as u64)),
-                    ("tiles_errored".to_string(), Json::from(chip.tiles_errored as u64)),
-                    ("seams".to_string(), Json::from(chip.seams as u64)),
-                    ("seams_repaired".to_string(), Json::from(chip.seams_repaired as u64)),
-                    ("seam_ripups".to_string(), Json::from(chip.seam_ripups as u64)),
-                    ("seam_completed".to_string(), Json::from(chip.seam_completed as u64)),
-                    ("fallback_completed".to_string(), Json::from(stats.fallback_completed as u64)),
-                    ("pruned_steps".to_string(), Json::from(chip.pruned_steps as u64)),
-                    ("infeasible".to_string(), Json::from(chip.analyze_certificates as u64)),
-                    ("certified_nets".to_string(), Json::from(chip.certified_nets as u64)),
-                    (
-                        "features".to_string(),
-                        Json::str(match order {
-                            crate::ChipOrder::Bbox => "bbox",
-                            crate::ChipOrder::Features => "features",
-                        }),
-                    ),
-                ]);
-                if recovering {
-                    // The supervised report adds the recovery counters
-                    // and deliberately omits the wall-clock field, so a
-                    // killed-and-resumed run reproduces the
-                    // uninterrupted run's JSON byte for byte (the
-                    // resumed-tile count stays in the human text only).
-                    pairs.extend([
-                        ("tiles_retried".to_string(), Json::from(chip.tiles_retried as u64)),
-                        ("tiles_fell_back".to_string(), Json::from(chip.tiles_fell_back as u64)),
-                        ("tiles_salvaged".to_string(), Json::from(chip.tiles_salvaged as u64)),
-                        ("seam_escalations".to_string(), Json::from(chip.seam_escalations as u64)),
-                    ]);
-                } else {
-                    pairs.push(("ms".to_string(), Json::from(ms)));
-                }
-                let doc = versioned_doc("chip", pairs);
-                std::fs::write(path, doc.render())
-                    .map_err(|e| ExecutionError::Io(path.clone(), e))?;
-                writeln!(out, "json written to {path}").expect("writing");
+            writeln!(out, "router: hierarchical ({:?})", outcome.stats()).expect("writing");
+            db = outcome.into_db();
+            complete
+        }
+    };
+    if a.optimize {
+        let stats = cleanup(&problem, &mut db, &OptimizeConfig::default());
+        writeln!(
+            out,
+            "cleanup: {} nets improved, saved {} cost units",
+            stats.improved,
+            stats.saved(3)
+        )
+        .expect("writing");
+    }
+    let (report, outcome) = routed(&problem, &db, complete);
+    let stats = db.stats();
+    writeln!(
+        out,
+        "nets: {} total, complete: {complete}, wire: {}, vias: {}",
+        problem.nets().len(),
+        stats.wirelength,
+        stats.vias
+    )
+    .expect("writing");
+    writeln!(out, "verify: {report}").expect("writing");
+    if a.analyze {
+        let lint = lint_db(&problem, &db);
+        write!(out, "{}", render_text(lint.diagnostics())).expect("writing");
+        writeln!(out, "lint: {} finding(s)", lint.findings().len()).expect("writing");
+    }
+    if a.ascii {
+        writeln!(out, "\n{}", render_layers(&db)).expect("writing");
+    }
+    if let Some(path) = &a.svg {
+        write_file(path, render_svg(&db))?;
+        writeln!(out, "svg written to {path}").expect("writing");
+    }
+    if let Some(path) = &a.save {
+        write_file(path, format::write_routes(&problem, &db))?;
+        writeln!(out, "routes written to {path}").expect("writing");
+    }
+    let mut rec = MetricsRecorder::new();
+    log.replay(&mut rec);
+    if a.metrics {
+        writeln!(out, "metrics:").expect("writing");
+        write!(out, "{}", rec.table()).expect("writing");
+    }
+    if let Some(path) = &a.trace {
+        write_file(path, trace_lines(&a.file, log.events()))?;
+        writeln!(out, "trace written to {path} ({} events)", log.events().len()).expect("writing");
+    }
+    if let Some(path) = &a.json {
+        let mut pairs = vec![
+            ("file".to_string(), Json::str(a.file.as_str())),
+            ("router".to_string(), Json::str(a.router.name())),
+        ];
+        pairs.extend(outcome.pairs());
+        pairs.push(("complete".to_string(), Json::from(complete)));
+        pairs.push(("clean".to_string(), Json::from(report.is_clean())));
+        pairs.push(("metrics".to_string(), metrics_json(&rec)));
+        write_json(path, "route", pairs, out)?;
+    }
+    Ok(complete)
+}
+
+/// Executes `vroute batch`: loads every instance, then routes them on
+/// the plain engine or, when a recovery flag asks, the supervised one.
+fn execute_batch(a: &BatchArgs, out: &mut dyn fmt::Write) -> Result<bool, ExecutionError> {
+    let mut paths: Vec<String> = a.files.clone();
+    if let Some(listfile) = &a.list {
+        for line in read_file(listfile)?.lines() {
+            let line = line.trim();
+            if !line.is_empty() && !line.starts_with('#') {
+                paths.push(line.to_owned());
             }
-            Ok(complete && outcome.journal_error().is_none())
         }
-        Command::Serve { endpoint, workers, queue, deadline_ms, journal, resume } => {
-            crate::serve::execute_serve(
-                &crate::serve::ServeSpec {
-                    endpoint,
-                    workers: *workers,
-                    queue: *queue,
-                    deadline_ms: *deadline_ms,
-                    journal: journal.as_deref(),
-                    resume: *resume,
-                },
-                out,
-            )
-        }
-        Command::Client { endpoint, files, router, deadline_ms, priority, events, shutdown } => {
-            crate::serve::execute_client(
-                &crate::serve::ClientSpec {
-                    endpoint,
-                    files,
-                    router: *router,
-                    deadline_ms: *deadline_ms,
-                    priority: *priority,
-                    events: *events,
-                    shutdown: *shutdown,
-                },
-                out,
-            )
-        }
-        Command::Analyze { instance, routes, chip, json } => {
-            execute_analyze(instance, routes.as_deref(), *chip, json.as_deref(), out)
-        }
-        Command::Route {
-            file,
-            router,
-            ascii,
-            svg,
-            save,
-            optimize,
-            trace,
-            metrics,
-            json,
-            analyze,
-            frontier,
-        } => {
-            let text =
-                std::fs::read_to_string(file).map_err(|e| ExecutionError::Io(file.clone(), e))?;
-            let problem = format::parse_problem(&text)?;
-            if *analyze {
-                // Gate on the static feasibility analysis: a certificate
-                // means no router can succeed, so don't bother trying.
-                let feasibility = analyze_problem(&problem);
-                if let Some(cert) = feasibility.certificates().first() {
-                    write!(out, "{}", render_text(feasibility.diagnostics())).expect("writing");
-                    return Err(ExecutionError::Unroutable(format!(
-                        "provably infeasible: {}",
-                        cert.summary()
-                    )));
-                }
-                writeln!(out, "analyze: feasible").expect("writing");
-            }
-            // Observation is strictly additive: routed databases are
-            // bit-identical with and without a log attached, so the
-            // unobserved fast path stays untouched unless asked for.
-            let observing = *metrics || trace.is_some() || json.is_some();
-            let mut log = EventLog::new();
-            let mut db: RouteDb;
-            let complete = match router {
-                SwitchRouterKind::Ripup => {
-                    let router = MightyRouter::new(RouterConfig {
-                        frontier: *frontier,
-                        ..RouterConfig::default()
-                    });
-                    let outcome = if observing {
-                        router.route_observed(&problem, &mut log)
-                    } else {
-                        router.route(&problem)
-                    };
-                    let complete = outcome.is_complete();
-                    writeln!(out, "router: rip-up/reroute ({})", outcome.stats()).expect("writing");
-                    db = outcome.into_db();
-                    complete
-                }
-                SwitchRouterKind::Lee => {
-                    let outcome = if observing {
-                        sequential::route_all_observed(&problem, CostModel::default(), &mut log)
-                    } else {
-                        sequential::route_all(&problem, CostModel::default())
-                    };
-                    let complete = outcome.is_complete();
-                    writeln!(out, "router: sequential lee").expect("writing");
-                    db = outcome.db;
-                    complete
-                }
-                SwitchRouterKind::Tiled => {
-                    let outcome = route_global::route_hierarchical(
-                        &problem,
-                        &route_global::GlobalConfig::default(),
-                    );
-                    if observing {
-                        // The hierarchical pipeline is not observed
-                        // internally; synthesize the per-net summary
-                        // events so traces stay schema-uniform.
-                        for net in problem.nets() {
-                            log.on_net_scheduled(net.id);
-                        }
-                        for net in problem.nets() {
-                            if outcome.failed().contains(&net.id) {
-                                log.on_net_failed(net.id);
-                            } else {
-                                log.on_net_committed(net.id);
-                            }
-                        }
-                    }
-                    let complete = outcome.is_complete();
-                    writeln!(out, "router: hierarchical ({:?})", outcome.stats()).expect("writing");
-                    db = outcome.into_db();
-                    complete
-                }
-            };
-            if *optimize {
-                let stats = cleanup(&problem, &mut db, &OptimizeConfig::default());
+    }
+    let mut problems = Vec::with_capacity(paths.len());
+    let mut fingerprints = Vec::with_capacity(paths.len());
+    for path in &paths {
+        let text = read_file(path)?;
+        fingerprints.push(RunJournal::fingerprint(&text));
+        problems.push(format::parse_problem(&text)?);
+    }
+    if a.supervised() {
+        return execute_batch_supervised(a, &paths, &problems, &fingerprints, out);
+    }
+    let algorithm = batch_router(a.router);
+    let observe = if a.trace.is_some() {
+        ObserveMode::Trace
+    } else if a.metrics {
+        ObserveMode::Metrics
+    } else {
+        ObserveMode::Off
+    };
+    let engine = RouteEngine::new(EngineConfig {
+        jobs: a.jobs,
+        deadline: a.deadline_ms.map(std::time::Duration::from_millis),
+        observe,
+        precheck: a.analyze,
+    });
+    let batch = engine.route_batch(algorithm.as_ref(), &problems);
+    writeln!(
+        out,
+        "router: {}, jobs: {}, instances: {}",
+        algorithm.name(),
+        batch.stats.jobs,
+        batch.stats.instances
+    )
+    .expect("writing");
+    // An order-sensitive FNV-1a fold of per-instance outcomes: identical
+    // digests mean bit-identical batch results.
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut all_good = true;
+    let mut records = Vec::with_capacity(paths.len());
+    for (i, (path, result)) in paths.iter().zip(&batch.results).enumerate() {
+        let ms = batch.timings[i].as_millis() as u64;
+        let outcome = match result {
+            Ok(routing) => {
+                let (report, outcome) = routed(&problems[i], &routing.db, routing.is_complete());
+                let s = routing.db.stats();
+                let sum = routing.db.checksum();
+                all_good &= report.is_clean();
+                digest = fnv_fold(digest, sum);
                 writeln!(
                     out,
-                    "cleanup: {} nets improved, saved {} cost units",
-                    stats.improved,
-                    stats.saved(3)
+                    "  {path}: {}, wire {}, vias {}, {ms} ms, checksum {sum:016x}",
+                    outcome.status(),
+                    s.wirelength,
+                    s.vias
                 )
                 .expect("writing");
+                outcome
             }
-            let report = verify(&problem, &db);
-            let stats = db.stats();
-            writeln!(
-                out,
-                "nets: {} total, complete: {complete}, wire: {}, vias: {}",
-                problem.nets().len(),
-                stats.wirelength,
-                stats.vias
-            )
-            .expect("writing");
-            writeln!(out, "verify: {report}").expect("writing");
-            if *analyze {
-                let lint = lint_db(&problem, &db);
-                write!(out, "{}", render_text(lint.diagnostics())).expect("writing");
-                writeln!(out, "lint: {} finding(s)", lint.findings().len()).expect("writing");
+            Err(route_model::RouteError::Infeasible { reason }) => {
+                // A precheck skip is a proof, not a failure: the
+                // instance was never routable in the first place.
+                digest = fnv_str(digest, reason);
+                writeln!(out, "  {path}: infeasible: {reason}").expect("writing");
+                RouteOutcomeReport::Infeasible { reason: reason.clone() }
             }
-            if *ascii {
-                writeln!(out, "\n{}", render_layers(&db)).expect("writing");
+            Err(e) => {
+                all_good = false;
+                digest = fnv_str(digest, &e.to_string());
+                writeln!(out, "  {path}: error: {e}").expect("writing");
+                RouteOutcomeReport::Failed { error: e.to_string() }
             }
-            if let Some(path) = svg {
-                std::fs::write(path, render_svg(&db))
-                    .map_err(|e| ExecutionError::Io(path.clone(), e))?;
-                writeln!(out, "svg written to {path}").expect("writing");
-            }
-            if let Some(path) = save {
-                std::fs::write(path, format::write_routes(&problem, &db))
-                    .map_err(|e| ExecutionError::Io(path.clone(), e))?;
-                writeln!(out, "routes written to {path}").expect("writing");
-            }
-            let mut rec = MetricsRecorder::new();
-            log.replay(&mut rec);
-            if *metrics {
-                writeln!(out, "metrics:").expect("writing");
-                write!(out, "{}", rec.table()).expect("writing");
-            }
-            if let Some(path) = trace {
-                std::fs::write(path, trace_lines(file, log.events()))
-                    .map_err(|e| ExecutionError::Io(path.clone(), e))?;
-                writeln!(out, "trace written to {path} ({} events)", log.events().len())
-                    .expect("writing");
-            }
-            if let Some(path) = json {
-                let stats = db.stats();
-                let outcome = RouteOutcomeReport::Routed {
-                    legal: report.is_clean() || report.is_legal_but_incomplete(),
-                    complete,
-                    wire: stats.wirelength,
-                    vias: stats.vias,
-                    checksum: db.checksum(),
-                };
-                let mut pairs = vec![
-                    ("file".to_string(), Json::str(file.as_str())),
-                    ("router".to_string(), Json::str(switch_router_name(*router))),
-                ];
-                pairs.extend(outcome.pairs());
-                pairs.push(("complete".to_string(), Json::from(complete)));
-                pairs.push(("clean".to_string(), Json::from(report.is_clean())));
-                pairs.push(("metrics".to_string(), metrics_json(&rec)));
-                let doc = versioned_doc("route", pairs);
-                std::fs::write(path, doc.render())
-                    .map_err(|e| ExecutionError::Io(path.clone(), e))?;
-                writeln!(out, "json written to {path}").expect("writing");
-            }
-            Ok(complete)
+        };
+        // One record per instance: `file`, the shared outcome fields,
+        // then the elapsed time — the shape a serve response carries.
+        let mut pairs = vec![("file".to_string(), Json::str(path.as_str()))];
+        pairs.extend(outcome.pairs());
+        pairs.push(("ms".to_string(), Json::from(ms)));
+        records.push(Json::Obj(pairs));
+    }
+    let s = batch.stats;
+    let throughput = s.instances as f64 / (s.batch_ms.max(1) as f64 / 1000.0);
+    writeln!(
+        out,
+        "batch: {} complete, {} incomplete, {} infeasible, {} errored, {} panicked, \
+         {} timed out; wall {} ms, {throughput:.1} inst/sec",
+        s.complete, s.incomplete, s.infeasible, s.errored, s.panicked, s.timed_out, s.batch_ms
+    )
+    .expect("writing");
+    writeln!(out, "digest: {digest:016x}").expect("writing");
+    if let Some(obs) = &batch.observation {
+        if a.metrics {
+            writeln!(out, "metrics:").expect("writing");
+            write!(out, "{}", obs.metrics.table()).expect("writing");
+            writeln!(out, "  {:<22} {}", "latency/ms", obs.latency).expect("writing");
         }
-        Command::Batch {
-            files,
-            list,
-            router,
-            jobs,
-            json,
-            deadline_ms,
-            trace,
-            metrics,
-            analyze,
-            retries,
-            fallback,
-            journal,
-            resume,
-            frontier,
-        } => {
-            let mut paths: Vec<String> = files.clone();
-            if let Some(listfile) = list {
-                let text = std::fs::read_to_string(listfile)
-                    .map_err(|e| ExecutionError::Io(listfile.clone(), e))?;
-                for line in text.lines() {
-                    let line = line.trim();
-                    if !line.is_empty() && !line.starts_with('#') {
-                        paths.push(line.to_owned());
-                    }
-                }
+        if let Some(path) = &a.trace {
+            let mut text = String::new();
+            for (instance, events) in paths.iter().zip(&obs.events) {
+                text.push_str(&trace_lines(instance, events));
             }
-            let mut problems = Vec::with_capacity(paths.len());
-            let mut fingerprints = Vec::with_capacity(paths.len());
-            for path in &paths {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| ExecutionError::Io(path.clone(), e))?;
-                fingerprints.push(RunJournal::fingerprint(&text));
-                problems.push(format::parse_problem(&text)?);
-            }
-            if retries.is_some() || !fallback.is_empty() || journal.is_some() {
-                let spec = SupervisedSpec {
-                    router: *router,
-                    jobs: *jobs,
-                    deadline_ms: *deadline_ms,
-                    analyze: *analyze,
-                    retries: retries.unwrap_or(0),
-                    fallback,
-                    journal: journal.as_deref(),
-                    resume: *resume,
-                    json: json.as_deref(),
-                    frontier: *frontier,
-                };
-                return execute_batch_supervised(&paths, &problems, &fingerprints, &spec, out);
-            }
-            let algorithm = batch_router(*router, *frontier);
-            let observe = if trace.is_some() {
-                ObserveMode::Trace
-            } else if *metrics {
-                ObserveMode::Metrics
-            } else {
-                ObserveMode::Off
+            write_file(path, text)?;
+            let total: usize = obs.events.iter().map(Vec::len).sum();
+            writeln!(out, "trace written to {path} ({total} events)").expect("writing");
+        }
+    }
+    if let Some(path) = &a.json {
+        let mut pairs = vec![
+            ("router", Json::str(algorithm.name())),
+            ("jobs", Json::from(s.jobs)),
+            ("digest", Json::str(format!("{digest:016x}"))),
+            ("instances", Json::arr(records)),
+            (
+                "stats",
+                Json::obj([
+                    ("complete", Json::from(s.complete)),
+                    ("incomplete", Json::from(s.incomplete)),
+                    ("infeasible", Json::from(s.infeasible)),
+                    ("errored", Json::from(s.errored)),
+                    ("panicked", Json::from(s.panicked)),
+                    ("timed_out", Json::from(s.timed_out)),
+                    ("failed_nets", Json::from(s.failed_nets)),
+                    ("wirelength", Json::from(s.wirelength)),
+                    ("vias", Json::from(s.vias)),
+                    ("batch_ms", Json::from(s.batch_ms)),
+                    ("busy_ms", Json::from(s.busy_ms)),
+                    ("throughput_per_sec", Json::from(throughput)),
+                ]),
+            ),
+        ];
+        if let Some(obs) = &batch.observation {
+            pairs.push(("metrics", metrics_json(&obs.metrics)));
+        }
+        write_json(path, "batch", pairs, out)?;
+    }
+    Ok(all_good && s.complete == s.instances)
+}
+
+/// Executes `vroute check`: verifies a saved routing against its
+/// instance.
+fn execute_check(a: &CheckArgs, out: &mut dyn fmt::Write) -> Result<bool, ExecutionError> {
+    let problem = format::parse_problem(&read_file(&a.instance)?)?;
+    let db = format::parse_routes(&problem, &read_file(&a.routes)?)?;
+    let report = verify(&problem, &db);
+    let stats = db.stats();
+    writeln!(
+        out,
+        "nets: {}, wire: {}, vias: {}",
+        problem.nets().len(),
+        stats.wirelength,
+        stats.vias
+    )
+    .expect("writing");
+    writeln!(out, "verify: {report}").expect("writing");
+    if let Some(path) = &a.svg {
+        write_file(path, render_svg(&db))?;
+        writeln!(out, "svg written to {path}").expect("writing");
+    }
+    Ok(report.is_clean())
+}
+
+/// Executes `vroute channel`: one channel through the chosen router;
+/// rip-up searches upward from the density unless `--tracks` fixes the
+/// count.
+fn execute_channel(a: &ChannelArgs, out: &mut dyn fmt::Write) -> Result<bool, ExecutionError> {
+    let spec = format::parse_channel(&read_file(&a.file)?)?;
+    writeln!(out, "{spec}").expect("writing");
+    let fail = |e: RouteError| ExecutionError::Unroutable(e.to_string());
+    if a.layers == 3 && a.router != ChannelRouterKind::Ripup {
+        return Err(ExecutionError::Unroutable(
+            "only the rip-up router supports three-layer channels".to_string(),
+        ));
+    }
+    match a.router {
+        ChannelRouterKind::Lea => {
+            let sol = lea::route(&spec).map_err(fail)?;
+            writeln!(out, "left-edge: {} tracks", sol.tracks).expect("writing");
+        }
+        ChannelRouterKind::Dogleg => {
+            let sol = dogleg::route(&spec).map_err(fail)?;
+            writeln!(out, "dogleg: {} tracks", sol.tracks).expect("writing");
+        }
+        ChannelRouterKind::Greedy => {
+            let sol = greedy::route(&spec).map_err(fail)?;
+            writeln!(out, "greedy: {} tracks, {} extension columns", sol.tracks, sol.extra_columns)
+                .expect("writing");
+        }
+        ChannelRouterKind::Yacr => {
+            let sol = yacr::route(&spec, 8).map_err(fail)?;
+            writeln!(out, "yacr-style: {} tracks", sol.tracks).expect("writing");
+        }
+        ChannelRouterKind::Ripup => {
+            let density = spec.density().max(1) as usize;
+            let candidates: Vec<usize> = match a.tracks {
+                Some(t) => vec![t],
+                None => (density..density + 9).collect(),
             };
-            let engine = RouteEngine::new(EngineConfig {
-                jobs: *jobs,
-                deadline: deadline_ms.map(std::time::Duration::from_millis),
-                observe,
-                precheck: *analyze,
-            });
-            let batch = engine.route_batch(algorithm.as_ref(), &problems);
-            writeln!(
-                out,
-                "router: {}, jobs: {}, instances: {}",
-                algorithm.name(),
-                batch.stats.jobs,
-                batch.stats.instances
-            )
-            .expect("writing");
-            // An order-sensitive FNV-1a fold of per-instance outcomes:
-            // identical digests mean bit-identical batch results.
-            let mut digest = 0xcbf2_9ce4_8422_2325u64;
-            let mut all_good = true;
-            let mut records = Vec::with_capacity(paths.len());
-            for (i, (path, result)) in paths.iter().zip(&batch.results).enumerate() {
-                let ms = batch.timings[i].as_millis() as u64;
-                match result {
-                    Ok(routing) => {
-                        let report = verify(&problems[i], &routing.db);
-                        let s = routing.db.stats();
-                        let sum = routing.db.checksum();
-                        let outcome = RouteOutcomeReport::Routed {
-                            legal: report.is_clean() || report.is_legal_but_incomplete(),
-                            complete: routing.is_complete(),
-                            wire: s.wirelength,
-                            vias: s.vias,
-                            checksum: sum,
-                        };
-                        all_good &= report.is_clean();
-                        digest = fnv_fold(digest, sum);
-                        writeln!(
-                            out,
-                            "  {path}: {}, wire {}, vias {}, {ms} ms, checksum {sum:016x}",
-                            outcome.status(),
-                            s.wirelength,
-                            s.vias
-                        )
-                        .expect("writing");
-                        records.push(record_json(path, &outcome, ms));
-                    }
-                    Err(route_model::RouteError::Infeasible { reason }) => {
-                        // A precheck skip is a proof, not a failure: the
-                        // instance was never routable in the first place.
-                        digest = fnv_str(digest, reason);
-                        writeln!(out, "  {path}: infeasible: {reason}").expect("writing");
-                        let outcome = RouteOutcomeReport::Infeasible { reason: reason.clone() };
-                        records.push(record_json(path, &outcome, ms));
-                    }
-                    Err(e) => {
-                        all_good = false;
-                        digest = fnv_str(digest, &e.to_string());
-                        writeln!(out, "  {path}: error: {e}").expect("writing");
-                        let outcome = RouteOutcomeReport::Failed { error: e.to_string() };
-                        records.push(record_json(path, &outcome, ms));
-                    }
+            let router = MightyRouter::new(RouterConfig::default());
+            let mut done = false;
+            for t in candidates {
+                let problem = spec.to_problem_with_layers(t, a.layers);
+                let outcome = router.route(&problem);
+                if outcome.is_complete() {
+                    writeln!(out, "rip-up: {t} tracks").expect("writing");
+                    done = true;
+                    break;
                 }
             }
-            let s = batch.stats;
-            let throughput = s.instances as f64 / (s.batch_ms.max(1) as f64 / 1000.0);
-            writeln!(
-                out,
-                "batch: {} complete, {} incomplete, {} infeasible, {} errored, {} panicked, \
-                 {} timed out; wall {} ms, {throughput:.1} inst/sec",
-                s.complete,
-                s.incomplete,
-                s.infeasible,
-                s.errored,
-                s.panicked,
-                s.timed_out,
-                s.batch_ms
-            )
-            .expect("writing");
-            writeln!(out, "digest: {digest:016x}").expect("writing");
-            if let Some(obs) = &batch.observation {
-                if *metrics {
-                    writeln!(out, "metrics:").expect("writing");
-                    write!(out, "{}", obs.metrics.table()).expect("writing");
-                    writeln!(out, "  {:<22} {}", "latency/ms", obs.latency).expect("writing");
-                }
-                if let Some(path) = trace {
-                    let mut text = String::new();
-                    for (instance, events) in paths.iter().zip(&obs.events) {
-                        text.push_str(&trace_lines(instance, events));
-                    }
-                    std::fs::write(path, text).map_err(|e| ExecutionError::Io(path.clone(), e))?;
-                    let total: usize = obs.events.iter().map(Vec::len).sum();
-                    writeln!(out, "trace written to {path} ({total} events)").expect("writing");
-                }
-            }
-            if let Some(path) = json {
-                let mut pairs = vec![
-                    ("router", Json::str(algorithm.name())),
-                    ("jobs", Json::from(s.jobs)),
-                    ("digest", Json::str(format!("{digest:016x}"))),
-                    ("instances", Json::arr(records)),
-                    (
-                        "stats",
-                        Json::obj([
-                            ("complete", Json::from(s.complete)),
-                            ("incomplete", Json::from(s.incomplete)),
-                            ("infeasible", Json::from(s.infeasible)),
-                            ("errored", Json::from(s.errored)),
-                            ("panicked", Json::from(s.panicked)),
-                            ("timed_out", Json::from(s.timed_out)),
-                            ("failed_nets", Json::from(s.failed_nets)),
-                            ("wirelength", Json::from(s.wirelength)),
-                            ("vias", Json::from(s.vias)),
-                            ("batch_ms", Json::from(s.batch_ms)),
-                            ("busy_ms", Json::from(s.busy_ms)),
-                            ("throughput_per_sec", Json::from(throughput)),
-                        ]),
-                    ),
-                ];
-                if let Some(obs) = &batch.observation {
-                    pairs.push(("metrics", metrics_json(&obs.metrics)));
-                }
-                let doc =
-                    versioned_doc("batch", pairs.into_iter().map(|(k, v)| (k.to_string(), v)));
-                std::fs::write(path, doc.render())
-                    .map_err(|e| ExecutionError::Io(path.clone(), e))?;
-                writeln!(out, "json written to {path}").expect("writing");
-            }
-            Ok(all_good && s.complete == s.instances)
-        }
-        Command::Check { instance, routes, svg } => {
-            let text = std::fs::read_to_string(instance)
-                .map_err(|e| ExecutionError::Io(instance.clone(), e))?;
-            let problem = format::parse_problem(&text)?;
-            let routes_text = std::fs::read_to_string(routes)
-                .map_err(|e| ExecutionError::Io(routes.clone(), e))?;
-            let db = format::parse_routes(&problem, &routes_text)?;
-            let report = verify(&problem, &db);
-            let stats = db.stats();
-            writeln!(
-                out,
-                "nets: {}, wire: {}, vias: {}",
-                problem.nets().len(),
-                stats.wirelength,
-                stats.vias
-            )
-            .expect("writing");
-            writeln!(out, "verify: {report}").expect("writing");
-            if let Some(path) = svg {
-                std::fs::write(path, render_svg(&db))
-                    .map_err(|e| ExecutionError::Io(path.clone(), e))?;
-                writeln!(out, "svg written to {path}").expect("writing");
-            }
-            Ok(report.is_clean())
-        }
-        Command::Channel { file, router, tracks, layers } => {
-            if let Some(t) = tracks {
-                if *t == 0 || *t > 4096 {
-                    return Err(ExecutionError::Unroutable(format!(
-                        "--tracks must be between 1 and 4096, got {t}"
-                    )));
-                }
-            }
-            let text =
-                std::fs::read_to_string(file).map_err(|e| ExecutionError::Io(file.clone(), e))?;
-            let spec = format::parse_channel(&text)?;
-            writeln!(out, "{spec}").expect("writing");
-            let fail = |e: RouteError| ExecutionError::Unroutable(e.to_string());
-            if *layers == 3 && *router != ChannelRouterKind::Ripup {
+            if !done {
                 return Err(ExecutionError::Unroutable(
-                    "only the rip-up router supports three-layer channels".to_string(),
+                    "rip-up could not route the channel within its track budget".to_string(),
                 ));
             }
-            match router {
-                ChannelRouterKind::Lea => {
-                    let sol = lea::route(&spec).map_err(fail)?;
-                    writeln!(out, "left-edge: {} tracks", sol.tracks).expect("writing");
-                }
-                ChannelRouterKind::Dogleg => {
-                    let sol = dogleg::route(&spec).map_err(fail)?;
-                    writeln!(out, "dogleg: {} tracks", sol.tracks).expect("writing");
-                }
-                ChannelRouterKind::Greedy => {
-                    let sol = greedy::route(&spec).map_err(fail)?;
-                    writeln!(
-                        out,
-                        "greedy: {} tracks, {} extension columns",
-                        sol.tracks, sol.extra_columns
-                    )
-                    .expect("writing");
-                }
-                ChannelRouterKind::Yacr => {
-                    let sol = yacr::route(&spec, 8).map_err(fail)?;
-                    writeln!(out, "yacr-style: {} tracks", sol.tracks).expect("writing");
-                }
-                ChannelRouterKind::Ripup => {
-                    let density = spec.density().max(1) as usize;
-                    let candidates: Vec<usize> = match tracks {
-                        Some(t) => vec![*t],
-                        None => (density..density + 9).collect(),
-                    };
-                    let router = MightyRouter::new(RouterConfig::default());
-                    let mut done = false;
-                    for t in candidates {
-                        let problem = spec.to_problem_with_layers(t, *layers);
-                        let outcome = router.route(&problem);
-                        if outcome.is_complete() {
-                            writeln!(out, "rip-up: {t} tracks").expect("writing");
-                            done = true;
-                            break;
-                        }
-                    }
-                    if !done {
-                        return Err(ExecutionError::Unroutable(
-                            "rip-up could not route the channel within its track budget"
-                                .to_string(),
-                        ));
-                    }
-                }
-            }
-            Ok(true)
         }
     }
-}
-
-/// The name used for a switchbox router choice in reports.
-fn switch_router_name(kind: SwitchRouterKind) -> &'static str {
-    match kind {
-        SwitchRouterKind::Ripup => "ripup",
-        SwitchRouterKind::Lee => "lee",
-        SwitchRouterKind::Tiled => "tiled",
-    }
-}
-
-/// One per-instance batch record: `file`, then the shared
-/// [`RouteOutcomeReport`] fields, then the elapsed time — the same
-/// shape a serve route response carries.
-fn record_json(path: &str, outcome: &RouteOutcomeReport, ms: u64) -> Json {
-    let mut pairs = vec![("file".to_string(), Json::str(path))];
-    pairs.extend(outcome.pairs());
-    pairs.push(("ms".to_string(), Json::from(ms)));
-    Json::Obj(pairs)
+    Ok(true)
 }
 
 /// Loads an instance for analysis: sb format, or a saved `fuzzcase v1`
 /// file (as written by `vroute fuzz --out`), sniffed by header.
-fn load_instance(path: &str) -> Result<route_model::Problem, ExecutionError> {
-    let text = std::fs::read_to_string(path).map_err(|e| ExecutionError::Io(path.to_owned(), e))?;
+fn load_instance(path: &str) -> Result<Problem, ExecutionError> {
+    let text = read_file(path)?;
     let first = text
         .lines()
         .map(str::trim)
@@ -858,7 +766,6 @@ fn load_instance(path: &str) -> Result<route_model::Problem, ExecutionError> {
         Ok(format::parse_problem(&text)?)
     }
 }
-
 /// The JSON object for one diagnostic, mirroring
 /// [`route_analyze::render_json`]'s per-diagnostic schema.
 fn diagnostic_json(d: &Diagnostic) -> Json {
@@ -897,24 +804,16 @@ fn diagnostic_json(d: &Diagnostic) -> Json {
 /// whole-database lint registry on top. With `--chip` the chip-scale
 /// pass (F004–F006 plus the congestion map) runs instead of the flat
 /// one. Exit is clean only when no error-severity diagnostic fired.
-fn execute_analyze(
-    instance: &str,
-    routes: Option<&str>,
-    chip_tile: Option<u32>,
-    json: Option<&str>,
-    out: &mut dyn fmt::Write,
-) -> Result<bool, ExecutionError> {
-    let problem = load_instance(instance)?;
-    if let Some(tile) = chip_tile {
-        return execute_analyze_chip(instance, &problem, tile, json, out);
+fn execute_analyze(a: &AnalyzeArgs, out: &mut dyn fmt::Write) -> Result<bool, ExecutionError> {
+    let problem = load_instance(&a.instance)?;
+    if let Some(tile) = a.chip {
+        return execute_analyze_chip(a, &problem, tile, out);
     }
     let feasibility = analyze_problem(&problem);
     let mut diags: Vec<Diagnostic> = feasibility.diagnostics().to_vec();
     let mut linted = 0usize;
-    if let Some(rpath) = routes {
-        let text =
-            std::fs::read_to_string(rpath).map_err(|e| ExecutionError::Io(rpath.to_owned(), e))?;
-        let db = format::parse_routes(&problem, &text)?;
+    if let Some(rpath) = &a.routes {
+        let db = format::parse_routes(&problem, &read_file(rpath)?)?;
         let lint = lint_db(&problem, &db);
         linted = lint.findings().len();
         diags.extend_from_slice(lint.diagnostics());
@@ -930,18 +829,16 @@ fn execute_analyze(
     )
     .expect("writing");
     let clean = diags.iter().all(|d| d.severity != Severity::Error);
-    if let Some(path) = json {
+    if let Some(path) = &a.json {
         let pairs = [
-            ("file", Json::str(instance)),
+            ("file", Json::str(a.instance.as_str())),
             ("feasible", Json::from(feasibility.is_feasible())),
             ("clean", Json::from(clean)),
             ("certificates", Json::from(feasibility.certificates().len())),
             ("lint_findings", Json::from(linted)),
             ("diagnostics", Json::arr(diags.iter().map(diagnostic_json))),
         ];
-        let doc = versioned_doc("analyze", pairs.into_iter().map(|(k, v)| (k.to_string(), v)));
-        std::fs::write(path, doc.render()).map_err(|e| ExecutionError::Io(path.to_owned(), e))?;
-        writeln!(out, "json written to {path}").expect("writing");
+        write_json(path, "analyze", pairs, out)?;
     }
     Ok(clean)
 }
@@ -950,10 +847,9 @@ fn execute_analyze(
 /// plus the static congestion map, reported as diagnostics, a heatmap
 /// and per-net feature vectors.
 fn execute_analyze_chip(
-    instance: &str,
-    problem: &route_model::Problem,
+    a: &AnalyzeArgs,
+    problem: &Problem,
     tile: u32,
-    json: Option<&str>,
     out: &mut dyn fmt::Write,
 ) -> Result<bool, ExecutionError> {
     let report = route_analyze::analyze_chip(problem, tile);
@@ -977,7 +873,7 @@ fn execute_analyze_chip(
     )
     .expect("writing");
     let clean = report.is_feasible();
-    if let Some(path) = json {
+    if let Some(path) = &a.json {
         // The heatmap saturates at 9999% so fully blocked tiles stay
         // finite in the report.
         let heatmap = Json::arr((0..map.rows()).map(|r| {
@@ -993,7 +889,7 @@ fn execute_analyze_chip(
             ])
         }));
         let pairs = [
-            ("file", Json::str(instance)),
+            ("file", Json::str(a.instance.as_str())),
             ("tile", Json::from(u64::from(tile))),
             ("feasible", Json::from(report.is_feasible())),
             ("clean", Json::from(clean)),
@@ -1018,9 +914,7 @@ fn execute_analyze_chip(
             ("features", features),
             ("diagnostics", Json::arr(report.diagnostics().iter().map(diagnostic_json))),
         ];
-        let doc = versioned_doc("analyze-chip", pairs.into_iter().map(|(k, v)| (k.to_string(), v)));
-        std::fs::write(path, doc.render()).map_err(|e| ExecutionError::Io(path.to_owned(), e))?;
-        writeln!(out, "json written to {path}").expect("writing");
+        write_json(path, "analyze-chip", pairs, out)?;
     }
     Ok(clean)
 }
@@ -1030,24 +924,17 @@ fn execute_analyze_chip(
 /// minimized finding case files to a directory. Fault injection for
 /// mutation testing is enabled through the `VROUTE_FUZZ_FAULT`
 /// environment variable (`hide-failures` or `drop-trace`).
-fn execute_fuzz(
-    seeds: &Option<(u64, u64)>,
-    cases: &[String],
-    jobs: usize,
-    shrink: bool,
-    out_dir: Option<&str>,
-    out: &mut dyn fmt::Write,
-) -> Result<bool, ExecutionError> {
+fn execute_fuzz(a: &FuzzArgs, out: &mut dyn fmt::Write) -> Result<bool, ExecutionError> {
     use route_fuzz::{evaluate_case, run_fuzz, Fault, FuzzCase, FuzzConfig, RouterSet};
 
-    let fault = match std::env::var("VROUTE_FUZZ_FAULT") {
-        Ok(name) if !name.is_empty() => Some(Fault::from_name(&name).ok_or_else(|| {
+    let fault = match fault_env("VROUTE_FUZZ_FAULT") {
+        Some(name) => Some(Fault::from_name(&name).ok_or_else(|| {
             ExecutionError::Unroutable(format!(
                 "VROUTE_FUZZ_FAULT: unknown fault `{name}` \
                  (known: hide-failures, drop-trace)"
             ))
         })?),
-        _ => None,
+        None => None,
     };
     if let Some(fault) = fault {
         writeln!(out, "fault injection active: {}", fault.name()).expect("writing report");
@@ -1055,14 +942,12 @@ fn execute_fuzz(
     let mut clean = true;
 
     // Replay saved case files: every one must pass every oracle.
-    if !cases.is_empty() {
+    if !a.cases.is_empty() {
         let routers = RouterSet::standard(fault);
-        for path in cases {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| ExecutionError::Io(path.clone(), e))?;
-            let case = FuzzCase::parse(&text)
+        for path in &a.cases {
+            let case = FuzzCase::parse(&read_file(path)?)
                 .map_err(|e| ExecutionError::Unroutable(format!("{path}: {e}")))?;
-            let violations = evaluate_case(&case, &routers, jobs);
+            let violations = evaluate_case(&case, &routers, a.jobs);
             if violations.is_empty() {
                 writeln!(out, "{path}: {case}: ok").expect("writing report");
             } else {
@@ -1076,8 +961,15 @@ fn execute_fuzz(
         }
     }
 
-    if let Some((start, end)) = *seeds {
-        let config = FuzzConfig { start, end, jobs, shrink, fault, ..FuzzConfig::default() };
+    if let Some((start, end)) = a.seeds {
+        let config = FuzzConfig {
+            start,
+            end,
+            jobs: a.jobs,
+            shrink: a.shrink,
+            fault,
+            ..FuzzConfig::default()
+        };
         let outcome = run_fuzz(&config, &mut |line| {
             writeln!(out, "{line}").expect("writing report");
         });
@@ -1089,23 +981,21 @@ fn execute_fuzz(
             outcome.findings.len()
         )
         .expect("writing report");
-        if !outcome.findings.is_empty() {
-            if let Some(dir) = out_dir {
-                std::fs::create_dir_all(dir).map_err(|e| ExecutionError::Io(dir.to_string(), e))?;
-                for finding in &outcome.findings {
-                    let (case, violations) = match &finding.shrunk {
-                        Some(s) => (&s.case, &s.violations),
-                        None => (&finding.case, &finding.violations),
-                    };
-                    let mut text = format!("# vroute fuzz finding, seed {}\n", finding.seed);
-                    for v in violations {
-                        text.push_str(&format!("# {v}\n"));
-                    }
-                    text.push_str(&case.write());
-                    let path = format!("{dir}/seed-{}.case", finding.seed);
-                    std::fs::write(&path, text).map_err(|e| ExecutionError::Io(path.clone(), e))?;
-                    writeln!(out, "wrote {path}").expect("writing report");
+        if let (false, Some(dir)) = (outcome.findings.is_empty(), &a.out) {
+            std::fs::create_dir_all(dir).map_err(|e| ExecutionError::Io(dir.to_string(), e))?;
+            for finding in &outcome.findings {
+                let (case, violations) = match &finding.shrunk {
+                    Some(s) => (&s.case, &s.violations),
+                    None => (&finding.case, &finding.violations),
+                };
+                let mut text = format!("# vroute fuzz finding, seed {}\n", finding.seed);
+                for v in violations {
+                    text.push_str(&format!("# {v}\n"));
                 }
+                text.push_str(&case.write());
+                let path = format!("{dir}/seed-{}.case", finding.seed);
+                write_file(&path, text)?;
+                writeln!(out, "wrote {path}").expect("writing report");
             }
         }
         clean &= outcome.is_clean();
@@ -1114,20 +1004,6 @@ fn execute_fuzz(
     writeln!(out, "{}", if clean { "all oracles passed" } else { "ORACLE VIOLATIONS FOUND" })
         .expect("writing report");
     Ok(clean)
-}
-
-/// The supervised-recovery configuration of one `vroute batch` run.
-struct SupervisedSpec<'a> {
-    router: BatchRouterKind,
-    jobs: usize,
-    deadline_ms: Option<u64>,
-    analyze: bool,
-    retries: u32,
-    fallback: &'a [BatchRouterKind],
-    journal: Option<&'a str>,
-    resume: bool,
-    json: Option<&'a str>,
-    frontier: mighty::FrontierKind,
 }
 
 /// Executes `vroute batch` through the supervised recovery engine:
@@ -1141,62 +1017,48 @@ struct SupervisedSpec<'a> {
 /// resumed-skip counter, so a killed-and-resumed run reproduces the
 /// uninterrupted run's report byte for byte.
 fn execute_batch_supervised(
+    a: &BatchArgs,
     paths: &[String],
-    problems: &[route_model::Problem],
+    problems: &[Problem],
     fingerprints: &[u64],
-    spec: &SupervisedSpec<'_>,
     out: &mut dyn fmt::Write,
 ) -> Result<bool, ExecutionError> {
-    let policy = RetryPolicy::with_retries(spec.retries);
-    let ripup_cfg = RouterConfig { frontier: spec.frontier, ..RouterConfig::default() };
-    let mut sup = match spec.router {
-        BatchRouterKind::Ripup => Supervisor::new(ripup_cfg, policy),
-        kind => Supervisor::with_primary(batch_router(kind, spec.frontier), policy),
+    let recovery = &a.recovery;
+    let retries = recovery.retries.unwrap_or(0);
+    let policy = RetryPolicy::with_retries(retries);
+    let mut sup = match a.router {
+        BatchRouterKind::Ripup => Supervisor::new(RouterConfig::default(), policy),
+        kind => Supervisor::with_primary(batch_router(kind), policy),
     };
     let mut chain = FallbackChain::none();
-    for kind in spec.fallback {
-        chain.push(batch_router(*kind, spec.frontier));
+    for kind in &recovery.fallback {
+        chain.push(batch_router(*kind));
     }
     if !chain.is_empty() {
         sup = sup.with_fallbacks(chain);
     }
-    if let Ok(fault) = std::env::var("VROUTE_FAULT") {
-        if !fault.is_empty() {
-            let plan = FaultPlan::parse(&fault)
-                .map_err(|e| ExecutionError::Unroutable(format!("VROUTE_FAULT: {e}")))?;
-            writeln!(out, "fault injection active: {fault}").expect("writing");
-            sup = sup.with_fault(plan);
-        }
+    if let Some(plan) = fault_plan(out)? {
+        sup = sup.with_fault(plan);
     }
     let instances: Vec<(String, u64)> =
         paths.iter().cloned().zip(fingerprints.iter().copied()).collect();
-    let journal = match spec.journal {
-        Some(dir) => {
-            let dir = std::path::Path::new(dir);
-            let j = if spec.resume {
-                RunJournal::resume(dir, &instances)
-            } else {
-                RunJournal::create(dir, &instances)
-            }
-            .map_err(|e| ExecutionError::Io(dir.display().to_string(), e))?;
-            Some(j)
-        }
-        None => None,
-    };
+    let journal = recovery.journal.open(
+        |dir| RunJournal::create(dir, &instances),
+        |dir| RunJournal::resume(dir, &instances),
+    )?;
     let engine = RouteEngine::new(EngineConfig {
-        jobs: spec.jobs,
-        deadline: spec.deadline_ms.map(std::time::Duration::from_millis),
+        jobs: a.jobs,
+        deadline: a.deadline_ms.map(std::time::Duration::from_millis),
         observe: ObserveMode::Off,
-        precheck: spec.analyze,
+        precheck: a.analyze,
     });
     let batch = engine.route_batch_supervised(&sup, problems, journal.as_ref());
     let s = &batch.stats;
     writeln!(
         out,
-        "router: {} (supervised, retries {}, fallbacks {}), jobs: {}, instances: {}",
+        "router: {} (supervised, retries {retries}, fallbacks {}), jobs: {}, instances: {}",
         sup.primary_name(),
-        spec.retries,
-        spec.fallback.len(),
+        recovery.fallback.len(),
         s.jobs,
         s.instances
     )
@@ -1293,15 +1155,12 @@ fn execute_batch_supervised(
         }
         writeln!(out, "journal: {}", j.path().display()).expect("writing");
     }
-    if let Some(path) = spec.json {
+    if let Some(path) = &a.json {
         let pairs = [
-            ("router", Json::str(batch_router_name(spec.router))),
+            ("router", Json::str(a.router.name())),
             ("jobs", Json::from(s.jobs)),
-            ("retries", Json::from(u64::from(spec.retries))),
-            (
-                "fallbacks",
-                Json::arr(spec.fallback.iter().map(|k| Json::str(batch_router_name(*k)))),
-            ),
+            ("retries", Json::from(u64::from(retries))),
+            ("fallbacks", Json::arr(recovery.fallback.iter().map(|k| Json::str(k.name())))),
             ("digest", Json::str(format!("{digest:016x}"))),
             ("instances", Json::arr(records)),
             (
@@ -1321,42 +1180,9 @@ fn execute_batch_supervised(
                 ]),
             ),
         ];
-        let doc = versioned_doc("batch", pairs.into_iter().map(|(k, v)| (k.to_string(), v)));
-        std::fs::write(path, doc.render()).map_err(|e| ExecutionError::Io(path.to_owned(), e))?;
-        writeln!(out, "json written to {path}").expect("writing");
+        write_json(path, "batch", pairs, out)?;
     }
     Ok(s.complete == s.instances)
-}
-
-/// The name used for a batch router choice in reports.
-pub(crate) fn batch_router_name(kind: BatchRouterKind) -> &'static str {
-    match kind {
-        BatchRouterKind::Ripup => "ripup",
-        BatchRouterKind::Lee => "lee",
-        BatchRouterKind::Lea => "lea",
-        BatchRouterKind::Dogleg => "dogleg",
-        BatchRouterKind::Greedy => "greedy",
-        BatchRouterKind::Yacr => "yacr",
-        BatchRouterKind::Swbox => "swbox",
-    }
-}
-
-/// The unified trait object for a batch router choice.
-fn batch_router(
-    kind: BatchRouterKind,
-    frontier: mighty::FrontierKind,
-) -> Box<dyn DetailedRouter + Sync> {
-    match kind {
-        BatchRouterKind::Ripup => {
-            Box::new(MightyRouter::new(RouterConfig { frontier, ..RouterConfig::default() }))
-        }
-        BatchRouterKind::Lee => Box::new(LeeRouter::default()),
-        BatchRouterKind::Lea => Box::new(route_channel::LeaRouter),
-        BatchRouterKind::Dogleg => Box::new(route_channel::DoglegRouter),
-        BatchRouterKind::Greedy => Box::new(route_channel::GreedyRouter),
-        BatchRouterKind::Yacr => Box::new(route_channel::YacrRouter::default()),
-        BatchRouterKind::Swbox => Box::new(route_channel::SwboxRouter),
-    }
 }
 
 /// Folds one value into an FNV-1a digest.

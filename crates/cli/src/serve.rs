@@ -31,51 +31,15 @@ use mighty::{
     SubmitError,
 };
 use route_benchdata::format;
-use route_maze::LeeRouter;
 use route_model::{DetailedRouter, RouteError};
 use route_proto::{
     decode_request, decode_server_msg, encode_request, event_line, response_err, response_ok,
     ErrorCode, Json, Request, RouteOutcomeReport, RouteRequest, ServerMsg, WireError,
     DEFAULT_PRIORITY, MAX_LINE_BYTES,
 };
-use route_verify::verify;
 
-use crate::args::{batch_kind, BatchRouterKind, ServeEndpoint};
-use crate::run::{batch_router_name, ExecutionError};
-
-/// Arguments for [`execute_serve`], mirroring `Command::Serve`.
-pub(crate) struct ServeSpec<'a> {
-    /// Socket endpoint to listen on.
-    pub endpoint: &'a ServeEndpoint,
-    /// Warm worker threads (0 = one per hardware thread).
-    pub workers: usize,
-    /// Admission-queue bound.
-    pub queue: usize,
-    /// Default per-request deadline applied when a request names none.
-    pub deadline_ms: Option<u64>,
-    /// Journal directory for the crash-safe request WAL.
-    pub journal: Option<&'a str>,
-    /// Replay unanswered journaled requests before accepting clients.
-    pub resume: bool,
-}
-
-/// Arguments for [`execute_client`], mirroring `Command::Client`.
-pub(crate) struct ClientSpec<'a> {
-    /// Socket endpoint of the daemon.
-    pub endpoint: &'a ServeEndpoint,
-    /// Instance files, one route request each.
-    pub files: &'a [String],
-    /// Router named in each request.
-    pub router: BatchRouterKind,
-    /// Per-request deadline.
-    pub deadline_ms: Option<u64>,
-    /// Request priority (0-9; default 4).
-    pub priority: Option<u8>,
-    /// Subscribe to streamed per-net events.
-    pub events: bool,
-    /// Send a shutdown request after the files.
-    pub shutdown: bool,
-}
+use crate::args::{unknown_name, BatchRouterKind, ClientArgs, Named, ServeArgs, ServeEndpoint};
+use crate::run::{batch_router, fault_env, read_file, routed, ExecutionError};
 
 /// A listening socket of either flavor.
 enum Listener {
@@ -268,18 +232,21 @@ fn read_line_bounded(
     }
 }
 
-/// The serve-side router table: `None` selects the daemon's warm
-/// arena-reusing path; anything else is routed cold through the named
-/// algorithm, exactly as `vroute batch --router` would.
-fn service_router(kind: BatchRouterKind) -> Option<Arc<dyn DetailedRouter + Send + Sync>> {
-    match kind {
-        BatchRouterKind::Ripup => None,
-        BatchRouterKind::Lee => Some(Arc::new(LeeRouter::default())),
-        BatchRouterKind::Lea => Some(Arc::new(route_channel::LeaRouter)),
-        BatchRouterKind::Dogleg => Some(Arc::new(route_channel::DoglegRouter)),
-        BatchRouterKind::Greedy => Some(Arc::new(route_channel::GreedyRouter)),
-        BatchRouterKind::Yacr => Some(Arc::new(route_channel::YacrRouter::default())),
-        BatchRouterKind::Swbox => Some(Arc::new(route_channel::SwboxRouter)),
+/// The router a request names. `None` (no name, or `ripup`) selects the
+/// daemon's warm arena-reusing path; any other name is routed cold
+/// through the batch router of that name, exactly as `vroute batch
+/// --router` would.
+fn request_router(
+    name: Option<&str>,
+) -> Result<Option<Arc<dyn DetailedRouter + Send + Sync>>, WireError> {
+    let Some(name) = name else { return Ok(None) };
+    match BatchRouterKind::from_name(name) {
+        Some(BatchRouterKind::Ripup) => Ok(None),
+        Some(kind) => Ok(Some(Arc::from(batch_router(kind)))),
+        None => Err(WireError::new(
+            ErrorCode::BadRequest,
+            unknown_name::<BatchRouterKind>("router", name),
+        )),
     }
 }
 
@@ -391,20 +358,9 @@ fn process_route(
             return refuse(sink, WireError::new(ErrorCode::BadRequest, format!("instance: {e}")));
         }
     };
-    let router = match route.router.as_deref() {
-        None => None,
-        Some(name) => match batch_kind(name) {
-            Ok(kind) => service_router(kind),
-            Err(_) => {
-                return refuse(
-                    sink,
-                    WireError::new(
-                        ErrorCode::BadRequest,
-                        format!("unknown router `{name}` (ripup|lee|lea|dogleg|greedy|yacr|swbox)"),
-                    ),
-                );
-            }
-        },
+    let router = match request_router(route.router.as_deref()) {
+        Ok(router) => router,
+        Err(err) => return refuse(sink, err),
     };
     let spec = JobSpec {
         tag: 0,
@@ -433,17 +389,7 @@ fn process_route(
             }
             ServiceReply::Done(done) => {
                 let outcome = match done.result {
-                    Ok(routing) => {
-                        let report = verify(&problem, &routing.db);
-                        let stats = routing.db.stats();
-                        RouteOutcomeReport::Routed {
-                            legal: report.is_clean() || report.is_legal_but_incomplete(),
-                            complete: routing.is_complete(),
-                            wire: stats.wirelength,
-                            vias: stats.vias,
-                            checksum: routing.db.checksum(),
-                        }
-                    }
+                    Ok(routing) => routed(&problem, &routing.db, routing.is_complete()).1,
                     Err(RouteError::Infeasible { reason }) => {
                         RouteOutcomeReport::Infeasible { reason }
                     }
@@ -500,50 +446,40 @@ fn handle_conn(conn: Conn, daemon: &Daemon, endpoint: &ServeEndpoint) {
     }
 }
 
-/// Parses `VROUTE_SERVE_FAULT` (`delay-MS`): an injected per-job stall
-/// used by the crash-replay smoke test to widen the kill window.
-fn fault_delay_from_env() -> Result<Option<Duration>, ExecutionError> {
-    match std::env::var("VROUTE_SERVE_FAULT") {
-        Err(_) => Ok(None),
-        Ok(spec) => match spec.strip_prefix("delay-").and_then(|ms| ms.parse::<u64>().ok()) {
-            Some(ms) => Ok(Some(Duration::from_millis(ms))),
-            None => Err(ExecutionError::Unroutable(format!(
-                "VROUTE_SERVE_FAULT: unknown fault `{spec}` (expected delay-MS)"
-            ))),
-        },
+/// Parses a `VROUTE_SERVE_FAULT` spec (`delay-MS`): an injected per-job
+/// stall used by the crash-replay smoke test to widen the kill window.
+fn serve_fault_delay(spec: &str) -> Result<Duration, ExecutionError> {
+    match spec.strip_prefix("delay-").and_then(|ms| ms.parse::<u64>().ok()) {
+        Some(ms) => Ok(Duration::from_millis(ms)),
+        None => Err(ExecutionError::Unroutable(format!(
+            "VROUTE_SERVE_FAULT: unknown fault `{spec}` (expected delay-MS)"
+        ))),
     }
+}
+
+/// The per-job stall `VROUTE_SERVE_FAULT` asks for, if any.
+fn fault_delay_from_env() -> Result<Option<Duration>, ExecutionError> {
+    fault_env("VROUTE_SERVE_FAULT").map(|spec| serve_fault_delay(&spec)).transpose()
 }
 
 /// Runs the daemon until a client sends `{"op":"shutdown"}`.
 pub(crate) fn execute_serve(
-    spec: &ServeSpec<'_>,
+    a: &ServeArgs,
     out: &mut dyn fmt::Write,
 ) -> Result<bool, ExecutionError> {
     let config = ServiceConfig::builder()
-        .workers(spec.workers)
-        .queue_capacity(spec.queue)
-        .default_deadline(spec.deadline_ms.map(Duration::from_millis))
+        .workers(a.workers)
+        .queue_capacity(a.queue)
+        .default_deadline(a.deadline_ms.map(Duration::from_millis))
         .fault_delay(fault_delay_from_env()?)
         .build()
         .map_err(|e| ExecutionError::Unroutable(format!("serve: {e}")))?;
     let service = RouteService::start(config)
         .map_err(|e| ExecutionError::Unroutable(format!("serve: {e}")))?;
 
-    let (journal, pending) = match spec.journal {
-        None => (None, Vec::new()),
-        Some(dir) => {
-            let dir = Path::new(dir);
-            if spec.resume {
-                let (journal, pending) = ServeJournal::resume(dir)
-                    .map_err(|e| ExecutionError::Io(dir.display().to_string(), e))?;
-                (Some(journal), pending)
-            } else {
-                let journal = ServeJournal::create(dir)
-                    .map_err(|e| ExecutionError::Io(dir.display().to_string(), e))?;
-                (Some(journal), Vec::new())
-            }
-        }
-    };
+    let fresh = |dir: &Path| ServeJournal::create(dir).map(|journal| (journal, Vec::new()));
+    let (journal, pending) = a.journal.open(fresh, ServeJournal::resume)?.unzip();
+    let pending = pending.unwrap_or_default();
 
     let daemon = Arc::new(Daemon { service, journal, stop: AtomicBool::new(false) });
 
@@ -553,17 +489,14 @@ pub(crate) fn execute_serve(
     if !pending.is_empty() {
         writeln!(out, "replaying {} journaled request(s)", pending.len()).expect("writing");
         for PendingRequest { rid, body } in &pending {
-            process_line(&daemon, spec.endpoint, body, Some(*rid), &mut io::sink())
+            process_line(&daemon, &a.endpoint, body, Some(*rid), &mut io::sink())
                 .map_err(|e| ExecutionError::Io("journal replay".to_string(), e))?;
         }
     }
 
-    let endpoint_name = match spec.endpoint {
-        ServeEndpoint::Unix(path) => format!("unix:{path}"),
-        ServeEndpoint::Tcp(addr) => format!("tcp:{addr}"),
-    };
+    let endpoint_name = a.endpoint.to_string();
     let listener =
-        Listener::bind(spec.endpoint).map_err(|e| ExecutionError::Io(endpoint_name.clone(), e))?;
+        Listener::bind(&a.endpoint).map_err(|e| ExecutionError::Io(endpoint_name.clone(), e))?;
 
     let mut handlers = Vec::new();
     while !daemon.stop.load(Ordering::SeqCst) {
@@ -576,7 +509,7 @@ pub(crate) fn execute_serve(
             }
             Ok(conn) => {
                 let daemon = Arc::clone(&daemon);
-                let endpoint = spec.endpoint.clone();
+                let endpoint = a.endpoint.clone();
                 handlers.push(std::thread::spawn(move || {
                     handle_conn(conn, &daemon, &endpoint);
                 }));
@@ -586,7 +519,7 @@ pub(crate) fn execute_serve(
     for handle in handlers {
         let _ = handle.join();
     }
-    if let ServeEndpoint::Unix(path) = spec.endpoint {
+    if let ServeEndpoint::Unix(path) = &a.endpoint {
         let _ = std::fs::remove_file(path);
     }
 
@@ -616,15 +549,12 @@ pub(crate) fn execute_serve(
 /// Returns `true` when every response came back `complete`, so the
 /// binary exit code mirrors `vroute batch` semantics.
 pub(crate) fn execute_client(
-    spec: &ClientSpec<'_>,
+    a: &ClientArgs,
     out: &mut dyn fmt::Write,
 ) -> Result<bool, ExecutionError> {
-    let endpoint_name = match spec.endpoint {
-        ServeEndpoint::Unix(path) => format!("unix:{path}"),
-        ServeEndpoint::Tcp(addr) => format!("tcp:{addr}"),
-    };
+    let endpoint_name = a.endpoint.to_string();
     let conn =
-        Conn::connect(spec.endpoint).map_err(|e| ExecutionError::Io(endpoint_name.clone(), e))?;
+        Conn::connect(&a.endpoint).map_err(|e| ExecutionError::Io(endpoint_name.clone(), e))?;
     let reader = conn.try_clone().map_err(|e| ExecutionError::Io(endpoint_name.clone(), e))?;
     let mut reader = BufReader::new(reader);
     let mut writer = conn;
@@ -638,17 +568,14 @@ pub(crate) fn execute_client(
     };
 
     let mut all_complete = true;
-    for (i, file) in spec.files.iter().enumerate() {
-        let instance =
-            std::fs::read_to_string(file).map_err(|e| ExecutionError::Io(file.clone(), e))?;
-        let id = format!("r{i}");
+    for (i, file) in a.files.iter().enumerate() {
         let request = Request::Route(RouteRequest {
-            id: Some(id.clone()),
-            instance,
-            router: Some(batch_router_name(spec.router).to_string()),
-            deadline_ms: spec.deadline_ms,
-            priority: spec.priority.unwrap_or(DEFAULT_PRIORITY),
-            events: spec.events,
+            id: Some(format!("r{i}")),
+            instance: read_file(file)?,
+            router: Some(a.router.name().to_string()),
+            deadline_ms: a.deadline_ms,
+            priority: a.priority.unwrap_or(DEFAULT_PRIORITY),
+            events: a.events,
         });
         send(&mut writer, &request)?;
         let mut events = 0u64;
@@ -673,7 +600,7 @@ pub(crate) fn execute_client(
                     if let Some(error) = result.get("error").and_then(Json::as_str) {
                         write!(out, ": {error}").expect("writing");
                     }
-                    if spec.events {
+                    if a.events {
                         write!(out, " ({events} events)").expect("writing");
                     }
                     writeln!(out).expect("writing");
@@ -689,7 +616,7 @@ pub(crate) fn execute_client(
         }
     }
 
-    if spec.shutdown {
+    if a.shutdown {
         send(&mut writer, &Request::Shutdown { id: Some("stop".to_string()) })?;
         match read_server_line(&mut reader, &endpoint_name)? {
             ServerMsg::Ok { .. } => writeln!(out, "daemon stopping").expect("writing"),
@@ -789,12 +716,29 @@ mod tests {
 
     #[test]
     fn fault_env_parses_delay_and_rejects_junk() {
-        // Uses the parser directly on strings to avoid mutating the
-        // process environment from a test.
-        assert_eq!(
-            "delay-40".strip_prefix("delay-").and_then(|ms| ms.parse::<u64>().ok()),
-            Some(40)
-        );
-        assert_eq!("panic".strip_prefix("delay-").and_then(|ms| ms.parse::<u64>().ok()), None);
+        assert_eq!(serve_fault_delay("delay-40").ok(), Some(Duration::from_millis(40)));
+        for junk in ["delay-", "delay-x", "panic", ""] {
+            let msg = serve_fault_delay(junk).unwrap_err().to_string();
+            assert!(msg.contains(&format!("unknown fault `{junk}`")), "{msg}");
+        }
+        // An empty variable counts as unset, as for every fault variable;
+        // no other test in this binary reads it.
+        std::env::set_var("VROUTE_SERVE_FAULT", "");
+        let delay = fault_delay_from_env();
+        std::env::remove_var("VROUTE_SERVE_FAULT");
+        assert_eq!(delay.ok(), Some(None));
+    }
+
+    #[test]
+    fn unknown_router_message_lists_the_batch_table() {
+        let Err(err) = request_router(Some("bogus")) else { panic!("bogus routes") };
+        let names: Vec<&str> = BatchRouterKind::NAMES.iter().map(|(_, n)| *n).collect();
+        assert_eq!(err.message, format!("unknown router `bogus` ({})", names.join("|")));
+        // Only rip-up, named or not, takes the warm path.
+        assert!(matches!(request_router(None), Ok(None)));
+        for (kind, name) in BatchRouterKind::NAMES {
+            let warm = matches!(request_router(Some(name)), Ok(None));
+            assert_eq!(warm, *kind == BatchRouterKind::Ripup, "{name}");
+        }
     }
 }

@@ -71,6 +71,9 @@ for case in tests/corpus/chip-*.sb; do
   fi
 done
 
+# Out-of-range numbers are argument errors (exit 2), never wrapped into range.
+rc=0; "$VROUTE" chip --width 4294967336 2>/dev/null || rc=$?; [[ "$rc" == 2 ]] || { echo "ci: chip --width 4294967336 exited $rc, not 2" >&2; exit 1; }
+
 # Concurrency-sanitizer lane: mighty-core hosts the multithreaded
 # engine and service, so its tests get a ThreadSanitizer pass when the
 # nightly toolchain can support one. TSan needs an instrumented std
