@@ -244,34 +244,29 @@ fn execute_chip(a: &ChipArgs, out: &mut dyn fmt::Write) -> Result<bool, Executio
         tile: *tile,
         jobs: *jobs,
         analyze: *analyze,
-        precheck: *analyze,
         order: *order,
         ..GlobalConfig::default()
     };
-    // A fault plan or any supervision flag selects the supervised tile
-    // stage; a journal alone runs it with supervision off
-    // (`ChipSupervision::none()`), which routes each tile exactly once
-    // like the plain flow.
+    // A fault plan or any supervision flag turns the tile stage's
+    // recovery on; without them (`ChipSupervision::none()`) it routes
+    // each tile exactly once. A journal works either way.
     let fault = fault_plan(out)?;
     let supervised = recovery.supervised() || fault.is_some();
     let journal = recovery.journal.open(ChipJournal::create, ChipJournal::resume)?;
     let recovering = supervised || journal.is_some();
-    let started = std::time::Instant::now();
-    let outcome = if recovering {
-        let sup = if supervised {
-            ChipSupervision {
-                retries: recovery.retries.unwrap_or(1),
-                fallback: !recovery.fallback.is_empty(),
-                seed: *seed,
-                fault,
-            }
-        } else {
-            ChipSupervision::none()
-        };
-        route_global::route_hierarchical_supervised(&problem, &cfg, &sup, journal.as_ref())
+    let sup = if supervised {
+        ChipSupervision {
+            retries: recovery.retries.unwrap_or(1),
+            fallback: !recovery.fallback.is_empty(),
+            seed: *seed,
+            fault,
+        }
     } else {
-        route_global::route_hierarchical(&problem, &cfg)
+        ChipSupervision::none()
     };
+    let started = std::time::Instant::now();
+    let outcome =
+        route_global::route_hierarchical_supervised(&problem, &cfg, &sup, journal.as_ref());
     let ms = started.elapsed().as_millis() as u64;
     let complete = outcome.is_complete();
     let (report, summary) = routed(&problem, outcome.db(), complete);
@@ -1242,12 +1237,29 @@ mod tests {
         // The job count never changes the routed database.
         let (one, _) = run(&format!("{line} --jobs 1"));
         let (four, _) = run(&format!("{line} --jobs 4"));
-        let checksum = |s: &str| {
-            let line = s.lines().find(|l| l.contains("checksum")).expect("prints checksum");
-            let word = line.split_whitespace().skip_while(|w| *w != "checksum").nth(1);
-            word.expect("checksum value").trim_end_matches(',').to_owned()
-        };
-        assert_eq!(checksum(&one), checksum(&four));
+        assert_eq!(checksum_of(&one), checksum_of(&four));
+    }
+
+    fn checksum_of(output: &str) -> String {
+        let line = output.lines().find(|l| l.contains("checksum")).expect("prints checksum");
+        let word = line.split_whitespace().skip_while(|w| *w != "checksum").nth(1);
+        word.expect("checksum value").trim_end_matches(',').to_owned()
+    }
+
+    #[test]
+    fn chip_analyze_keeps_every_tile_of_a_feasible_chip() {
+        // The chip analysis certifies nothing here, so `--analyze` must
+        // not change the routing: every tile routes and the checksum
+        // matches the run without it.
+        let line = "chip --width 40 --height 40 --nets 70 --macros 2 --seed 1 --tile 10";
+        let (plain, result) = run(line);
+        result.expect("chip executes");
+        let (analyzed, result) = run(&format!("{line} --analyze"));
+        result.expect("chip --analyze executes");
+        assert!(analyzed.contains("analyze: 0 chip certificate(s)"), "{analyzed}");
+        assert!(analyzed.contains("16 tiles routed, 0 errored"), "{analyzed}");
+        assert_eq!(checksum_of(&plain), "056704cf31c222c1", "{plain}");
+        assert_eq!(checksum_of(&analyzed), checksum_of(&plain), "{analyzed}");
     }
 
     #[test]

@@ -42,9 +42,8 @@
 //! ```
 
 use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -296,19 +295,25 @@ impl RouteEngine {
     }
 
     /// The worker count the engine will use: the configured `jobs`, or
-    /// one per available hardware thread when configured as `0`.
+    /// one per available hardware thread when configured as `0`, capped
+    /// at [`MAX_JOBS`].
     pub fn jobs(&self) -> usize {
-        if self.config.jobs == 0 {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.config.jobs
+        resolve_jobs(self.config.jobs)
+    }
+
+    /// The precheck's verdict on one instance: the first infeasibility
+    /// certificate's summary when [`EngineConfig::precheck`] is on and
+    /// the static analysis proves `problem` unroutable.
+    fn infeasible(&self, problem: &Problem) -> Option<String> {
+        if !self.config.precheck {
+            return None;
         }
+        route_analyze::analyze_problem(problem).certificates().first().map(|c| c.summary())
     }
 
     /// Routes every problem in the batch, fanning instances out over the
-    /// worker pool. Workers claim instances from a shared counter, so a
-    /// slow instance never stalls the others; results are delivered in
-    /// input order regardless.
+    /// worker pool ([`map_ordered`]): a slow instance never stalls the
+    /// others, and results are delivered in input order regardless.
     pub fn route_batch<R: DetailedRouter + Sync + ?Sized>(
         &self,
         router: &R,
@@ -316,86 +321,49 @@ impl RouteEngine {
     ) -> BatchOutcome {
         let started = Instant::now();
         let n = problems.len();
-        let jobs = self.jobs().min(n).max(1);
         let deadline = self.config.deadline;
         let observe = self.config.observe;
-        let precheck = self.config.precheck;
 
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Duration, RouteResult, Observed)>();
-        thread::scope(|s| {
-            for _ in 0..jobs {
-                let tx = tx.clone();
-                let next = &next;
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    if precheck {
-                        let feasibility = route_analyze::analyze_problem(&problems[i]);
-                        if let Some(cert) = feasibility.certificates().first() {
-                            let err = Err(RouteError::Infeasible { reason: cert.summary() });
-                            if tx.send((i, t0.elapsed(), err, Observed::None)).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                    }
-                    let (result, observed) = catch_unwind(AssertUnwindSafe(|| match observe {
-                        ObserveMode::Off => (router.route(&problems[i]), Observed::None),
-                        ObserveMode::Metrics => {
-                            let mut rec = Box::new(MetricsRecorder::new());
-                            let r = router.route_observed(&problems[i], rec.as_mut());
-                            (r, Observed::Metrics(rec))
-                        }
-                        ObserveMode::Trace => {
-                            let mut log = EventLog::new();
-                            let r = router.route_observed(&problems[i], &mut log);
-                            (r, Observed::Events(log.into_events()))
-                        }
-                    }))
-                    .unwrap_or_else(|payload| {
-                        (
-                            Err(RouteError::Panicked { message: panic_text(payload.as_ref()) }),
-                            Observed::None,
-                        )
-                    });
-                    let took = t0.elapsed();
-                    let result = match (deadline, result) {
-                        (Some(budget), Ok(_)) if took > budget => {
-                            Err(RouteError::DeadlineExceeded {
-                                elapsed_ms: took.as_millis() as u64,
-                                budget_ms: budget.as_millis() as u64,
-                            })
-                        }
-                        (_, r) => r,
-                    };
-                    if tx.send((i, took, result, observed)).is_err() {
-                        break;
-                    }
-                });
+        let reports = map_ordered(self.config.jobs, n, |i| {
+            let t0 = Instant::now();
+            if let Some(reason) = self.infeasible(&problems[i]) {
+                return (t0.elapsed(), (Err(RouteError::Infeasible { reason }), Observed::None));
             }
-            drop(tx);
+            let (result, observed) = catch_unwind(AssertUnwindSafe(|| match observe {
+                ObserveMode::Off => (router.route(&problems[i]), Observed::None),
+                ObserveMode::Metrics => {
+                    let mut rec = Box::new(MetricsRecorder::new());
+                    let r = router.route_observed(&problems[i], rec.as_mut());
+                    (r, Observed::Metrics(rec))
+                }
+                ObserveMode::Trace => {
+                    let mut log = EventLog::new();
+                    let r = router.route_observed(&problems[i], &mut log);
+                    (r, Observed::Events(log.into_events()))
+                }
+            }))
+            .unwrap_or_else(|payload| {
+                (
+                    Err(RouteError::Panicked { message: panic_text(payload.as_ref()) }),
+                    Observed::None,
+                )
+            });
+            let took = t0.elapsed();
+            let result = match (deadline, result) {
+                (Some(budget), Ok(_)) if took > budget => Err(RouteError::DeadlineExceeded {
+                    elapsed_ms: took.as_millis() as u64,
+                    budget_ms: budget.as_millis() as u64,
+                }),
+                (_, r) => r,
+            };
+            (took, (result, observed))
         });
-
-        let mut slots: Vec<Option<RouteResult>> = (0..n).map(|_| None).collect();
-        let mut observed_slots: Vec<Observed> = (0..n).map(|_| Observed::None).collect();
-        let mut timings = vec![Duration::ZERO; n];
-        for (i, took, result, observed) in rx {
-            slots[i] = Some(result);
-            observed_slots[i] = observed;
-            timings[i] = took;
-        }
-        let results: Vec<RouteResult> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every claimed instance reports exactly once"))
-            .collect();
+        let (timings, (results, observed_slots)): (Vec<Duration>, (Vec<RouteResult>, Vec<_>)) =
+            reports.into_iter().unzip();
 
         let mut stats = EngineStats {
             instances: n,
-            jobs,
+            jobs: pool_size(self.config.jobs, n),
             batch_ms: started.elapsed().as_millis() as u64,
             ..EngineStats::default()
         };
@@ -505,86 +473,45 @@ impl RouteEngine {
     ) -> SupervisedBatch {
         let started = Instant::now();
         let n = problems.len();
-        let jobs = self.jobs().min(n).max(1);
         let deadline = self.config.deadline;
-        let precheck = self.config.precheck;
 
-        let next = AtomicUsize::new(0);
-        type Report = (usize, Duration, JournalEntry, Option<SupervisedOutcome>);
-        let (tx, rx) = mpsc::channel::<Report>();
-        thread::scope(|s| {
-            for _ in 0..jobs {
-                let tx = tx.clone();
-                let next = &next;
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if let Some(entry) = journal.and_then(|j| j.replay(i)) {
-                        if tx.send((i, Duration::ZERO, entry.clone(), None)).is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                    let (label, fingerprint) = journal
-                        .and_then(|j| j.key(i).cloned())
-                        .unwrap_or_else(|| (format!("instance-{i}"), 0));
-                    let t0 = Instant::now();
-                    let outcome = if precheck {
-                        match route_analyze::analyze_problem(&problems[i]).certificates().first() {
-                            Some(cert) => SupervisedOutcome::infeasible(cert.summary()),
-                            None => {
-                                if let Some(j) = journal {
-                                    j.begin(i);
-                                }
-                                supervisor.route_supervised(&problems[i], i, deadline)
-                            }
-                        }
-                    } else {
-                        if let Some(j) = journal {
-                            j.begin(i);
-                        }
-                        supervisor.route_supervised(&problems[i], i, deadline)
-                    };
-                    let entry = JournalEntry::from_outcome(i, &label, fingerprint, &outcome);
-                    if let Some(j) = journal {
-                        j.finish(&entry);
-                    }
-                    if tx.send((i, t0.elapsed(), entry, Some(outcome))).is_err() {
-                        break;
-                    }
-                });
+        let reports = map_ordered(self.config.jobs, n, |i| {
+            if let Some(entry) = journal.and_then(|j| j.replay(i)) {
+                return (Duration::ZERO, (entry.clone(), None));
             }
-            drop(tx);
+            let (label, fingerprint) = journal
+                .and_then(|j| j.key(i).cloned())
+                .unwrap_or_else(|| (format!("instance-{i}"), 0));
+            let t0 = Instant::now();
+            let outcome = match self.infeasible(&problems[i]) {
+                Some(reason) => SupervisedOutcome::infeasible(reason),
+                None => {
+                    if let Some(j) = journal {
+                        j.begin(i);
+                    }
+                    supervisor.route_supervised(&problems[i], i, deadline)
+                }
+            };
+            let entry = JournalEntry::from_outcome(i, &label, fingerprint, &outcome);
+            if let Some(j) = journal {
+                j.finish(&entry);
+            }
+            (t0.elapsed(), (entry, Some(outcome)))
         });
-
-        let mut entry_slots: Vec<Option<JournalEntry>> = (0..n).map(|_| None).collect();
-        let mut outcomes: Vec<Option<SupervisedOutcome>> = (0..n).map(|_| None).collect();
-        let mut timings = vec![Duration::ZERO; n];
-        let mut resumed_flags = vec![false; n];
-        for (i, took, entry, outcome) in rx {
-            resumed_flags[i] = outcome.is_none();
-            entry_slots[i] = Some(entry);
-            outcomes[i] = outcome;
-            timings[i] = took;
-        }
-        let entries: Vec<JournalEntry> = entry_slots
-            .into_iter()
-            .map(|slot| slot.expect("every claimed instance reports exactly once"))
-            .collect();
+        let (timings, (entries, outcomes)): (Vec<Duration>, (Vec<JournalEntry>, Vec<_>)) =
+            reports.into_iter().unzip();
 
         let mut stats = EngineStats {
             instances: n,
-            jobs,
+            jobs: pool_size(self.config.jobs, n),
             batch_ms: started.elapsed().as_millis() as u64,
             ..EngineStats::default()
         };
-        for ((entry, took), resumed) in entries.iter().zip(&timings).zip(&resumed_flags) {
+        for ((entry, took), outcome) in entries.iter().zip(&timings).zip(&outcomes) {
             let ms = took.as_millis() as u64;
             stats.busy_ms += ms;
             stats.max_instance_ms = stats.max_instance_ms.max(ms);
-            if *resumed {
+            if outcome.is_none() {
                 stats.resumed_skips += 1;
             }
             match entry.status {
@@ -618,6 +545,69 @@ enum Observed {
     Events(Vec<RouteEvent>),
 }
 
+/// Worker threads for a `jobs` setting ([`EngineConfig::jobs`]
+/// semantics: `0` means one per available hardware thread), capped at
+/// [`MAX_JOBS`] however the setting was built.
+fn resolve_jobs(jobs: usize) -> usize {
+    let jobs = if jobs == 0 {
+        thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    } else {
+        jobs
+    };
+    jobs.min(MAX_JOBS)
+}
+
+/// Workers [`map_ordered`] runs for `n` items: [`resolve_jobs`], but
+/// never more than there are items, and never none.
+fn pool_size(jobs: usize, n: usize) -> usize {
+    resolve_jobs(jobs).min(n).max(1)
+}
+
+/// Runs `work(i)` for every `i` in `0..n` on a scoped worker pool and
+/// returns the results in input order: `results[i] == work(i)` no matter
+/// how many workers ran or in which order the items finished.
+///
+/// `jobs` follows [`EngineConfig::jobs`] — `0` means one worker per
+/// available hardware thread — and the pool is clamped to [`MAX_JOBS`]
+/// and to `n`. Workers claim items from a shared counter, so one slow
+/// item never stalls the rest. A panic inside `work` propagates to the
+/// caller once every worker has stopped; callers that must survive one
+/// isolate it inside `work`.
+///
+/// # Examples
+///
+/// ```
+/// let squares = mighty::engine::map_ordered(3, 5, |i| i * i);
+/// assert_eq!(squares, [0, 1, 4, 9, 16]);
+/// ```
+pub fn map_ordered<T: Send>(jobs: usize, n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    thread::scope(|s| {
+        let workers: Vec<_> = (0..pool_size(jobs, n))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break done;
+                        }
+                        done.push((i, work(i)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker.join().unwrap_or_else(|payload| resume_unwind(payload));
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots.into_iter().map(|slot| slot.expect("every claimed item reports exactly once")).collect()
+}
+
 /// Extracts a human-readable message from a panic payload.
 pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -626,5 +616,73 @@ pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::sync::{mpsc, Mutex};
+
+    use crate::recover::RetryPolicy;
+    use crate::{MightyRouter, RouterConfig};
+
+    #[test]
+    fn map_ordered_returns_results_in_input_order() {
+        let n = 12;
+        for jobs in [1, 3, n + 5] {
+            // With more than one worker, item 0 waits until the last
+            // item has finished, so the items finish out of order.
+            let (done_tx, done_rx) = mpsc::channel();
+            let done_rx = Mutex::new(done_rx);
+            let finished = Mutex::new(Vec::new());
+            let out = map_ordered(jobs, n, |i| {
+                if i == 0 && jobs > 1 {
+                    done_rx.lock().expect("unpoisoned").recv().expect("the last item signals");
+                }
+                finished.lock().expect("unpoisoned").push(i);
+                if i == n - 1 {
+                    done_tx.send(()).expect("the receiver outlives the pool");
+                }
+                i * 10
+            });
+            assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>(), "jobs {jobs}");
+            let finished = finished.into_inner().expect("unpoisoned");
+            assert_eq!(jobs > 1, finished.last() == Some(&0), "jobs {jobs}: {finished:?}");
+        }
+    }
+
+    #[test]
+    fn map_ordered_runs_nothing_for_no_items() {
+        assert!(map_ordered(4, 0, |i| i).is_empty());
+        let engine = RouteEngine::with_jobs(4);
+        let batch = engine.route_batch(&MightyRouter::new(RouterConfig::default()), &[]);
+        assert!(batch.results.is_empty() && batch.timings.is_empty());
+        assert_eq!(batch.stats.instances, 0);
+        let supervisor = Supervisor::new(RouterConfig::default(), RetryPolicy::default());
+        let batch = engine.route_batch_supervised(&supervisor, &[], None);
+        assert!(batch.outcomes.is_empty() && batch.entries.is_empty());
+    }
+
+    #[test]
+    fn map_ordered_caps_a_struct_literal_job_count() {
+        // Struct-literal construction skips the builder's cap; the pool
+        // must enforce it anyway.
+        let cfg = EngineConfig { jobs: 5000, ..EngineConfig::default() };
+        assert_eq!(RouteEngine::new(cfg).jobs(), MAX_JOBS);
+        let n = MAX_JOBS + 100;
+        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let threads = Mutex::new(HashSet::new());
+        let out = map_ordered(cfg.jobs, n, |i| {
+            peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            threads.lock().expect("unpoisoned").insert(thread::current().id());
+            thread::sleep(Duration::from_millis(1));
+            live.fetch_sub(1, Ordering::SeqCst);
+            i
+        });
+        assert_eq!(out, (0..n).collect::<Vec<_>>());
+        assert!(peak.into_inner() <= MAX_JOBS);
+        assert!(threads.into_inner().expect("unpoisoned").len() <= MAX_JOBS);
     }
 }

@@ -56,8 +56,8 @@ pub mod serve;
 
 pub use config::{ConfigError, NetOrder, PenaltyGrowth, RouterConfig, RouterConfigBuilder};
 pub use engine::{
-    BatchObservation, BatchOutcome, EngineConfig, EngineConfigBuilder, EngineStats, ObserveMode,
-    RouteEngine, SupervisedBatch, MAX_JOBS,
+    map_ordered, BatchObservation, BatchOutcome, EngineConfig, EngineConfigBuilder, EngineStats,
+    ObserveMode, RouteEngine, SupervisedBatch, MAX_JOBS,
 };
 pub use journal::{
     ChipJournal, ChipTileRecord, JournalEntry, PendingRequest, RunJournal, ServeJournal,

@@ -1,40 +1,36 @@
 //! Crossing assignment, parallel per-tile detailed routing, seam
 //! stitching and trace paste-back.
 //!
-//! Two tile-stage execution paths share one paste loop:
+//! There is one tile stage: every tile routes through a
+//! [`mighty::Supervisor`] built from the caller's [`ChipSupervision`] —
+//! retry with perturbed schedules and escalated budgets (seeded
+//! `seed ^ tile`), per-tile fallback chain, best-snapshot salvage — on
+//! the ordered worker pool ([`mighty::map_ordered`]). The plain entry
+//! points pass [`ChipSupervision::none`], which routes each tile exactly
+//! once. With a crash-safe [`mighty::ChipJournal`], per-tile outcomes
+//! are persisted as they finish, so a killed run resumes without
+//! re-routing finished tiles.
 //!
-//! * The plain path runs every tile once on the batch engine
-//!   ([`mighty::RouteEngine`]), exactly as earlier releases did.
-//! * The supervised path ([`route_hierarchical_supervised`]) runs every
-//!   tile through a [`mighty::Supervisor`] — retry with perturbed
-//!   schedules and escalated budgets (seeded `seed ^ tile`), per-tile
-//!   fallback chain, best-snapshot salvage — and optionally streams
-//!   per-tile outcomes through a crash-safe [`mighty::ChipJournal`] so
-//!   a killed run resumes without re-routing finished tiles.
-//!
-//! Seam repair always runs as an escalation ladder per edge: the
-//! configured band first, then a widened band, then a widened band with
-//! the net's in-band wiring discarded (re-anchor), and finally a
+//! Seam repair always runs as an escalation ladder per edge: a band of
+//! `STITCH_BAND` cells first, then a widened band, then a widened band
+//! with the net's in-band wiring discarded (re-anchor), and finally a
 //! per-net flat rip-and-reroute — so one stubborn seam degrades locally
 //! instead of leaning on the whole-chip fallback.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
 use mighty::{
-    ChipJournal, ChipTileRecord, EngineConfig, EngineFault, FallbackChain, InstanceStatus,
-    MightyRouter, RecoveryPath, RetryPolicy, RouteEngine, RunJournal, SupervisedOutcome,
-    Supervisor,
+    ChipJournal, ChipTileRecord, EngineFault, FallbackChain, InstanceStatus, MightyRouter,
+    RecoveryPath, RetryPolicy, RunJournal, SupervisedOutcome, Supervisor,
 };
 use route_geom::{Layer, Point, Rect};
 use route_maze::SearchArena;
 use route_model::{
-    Grid, NetId, NopObserver, Occupant, Pin, Problem, ProblemBuilder, RouteDb, RouteError,
-    RouteObserver, RouteResult, Routing, SearchKind, SearchProbe, Step, Trace, TraceId,
+    Grid, NetId, NopObserver, Occupant, Pin, Problem, ProblemBuilder, RouteDb, RouteObserver,
+    Routing, SearchKind, SearchProbe, Step, Trace, TraceId,
 };
 
 use crate::plan::plan_with;
@@ -59,23 +55,29 @@ pub struct GlobalStats {
     pub fallback_completed: usize,
 }
 
+/// Half-width of a seam band, in cells on each side of the tile
+/// boundary, at the ladder's first rung.
+const STITCH_BAND: u32 = 3;
+
 /// Chip-flow counters of a hierarchical run: the tile batch, the seam
 /// repairs, and the post-stitch cleanup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChipStats {
-    /// Tile jobs the batch engine routed (complete or not).
+    /// Tiles the tile stage routed (complete or not).
     pub tiles_routed: usize,
-    /// Tile jobs lost wholesale: panicked, past their deadline, or
-    /// skipped by the feasibility precheck.
+    /// Tiles lost wholesale: every attempt panicked or errored without
+    /// leaving a snapshot to salvage.
     pub tiles_errored: usize,
-    /// Tiles completed by a supervised retry (supervised flow only).
+    /// Tiles completed by a retry (only with
+    /// [`ChipSupervision::retries`] above zero).
     pub tiles_retried: usize,
-    /// Tiles completed by a per-tile fallback router (supervised flow
-    /// only).
+    /// Tiles completed by a per-tile fallback router (only with
+    /// [`ChipSupervision::fallback`] on).
     pub tiles_fell_back: usize,
-    /// Tiles whose best partial snapshot was salvaged after every
-    /// attempt fell short (supervised flow only; the snapshot still
-    /// feeds the seam stage, so a salvaged tile is never an empty tile).
+    /// Tiles left incomplete after every attempt, whose best partial
+    /// snapshot was salvaged — in every run, since the plain flow's one
+    /// attempt per tile salvages too. The snapshot feeds the seam stage,
+    /// so a salvaged tile is never an empty tile.
     pub tiles_salvaged: usize,
     /// Seam-repair escalation rungs taken beyond each seam's first
     /// attempt (widened band, re-anchor, per-net flat).
@@ -200,14 +202,13 @@ impl RouteObserver for SeamObserver<'_> {
 }
 
 /// Routes `problem` hierarchically: plan over tiles, assign crossings,
-/// detail-route every tile concurrently on the batch engine, stitch the
-/// seams, and (optionally) repair the leftovers flat. See the
-/// [crate docs](crate) for the pipeline.
+/// detail-route every tile concurrently, stitch the seams, and
+/// (optionally) repair the leftovers flat. See the [crate docs](crate)
+/// for the pipeline.
 ///
 /// The routed database is a pure function of the problem and the
 /// configuration: any [`GlobalConfig::jobs`] value yields byte-identical
-/// checksums, stats and failed sets — unless a per-tile deadline is set,
-/// which trades that contract for bounded latency.
+/// checksums, stats and failed sets.
 ///
 /// # Panics
 ///
@@ -231,7 +232,7 @@ pub fn route_hierarchical_observed(
     cfg: &GlobalConfig,
     observer: &mut dyn RouteObserver,
 ) -> GlobalOutcome {
-    route_chip(problem, cfg, None, None, observer)
+    route_chip(problem, cfg, &ChipSupervision::none(), None, observer)
 }
 
 /// [`route_hierarchical`] with per-tile supervision and an optional
@@ -257,16 +258,15 @@ pub fn route_hierarchical_supervised(
     supervision: &ChipSupervision,
     journal: Option<&ChipJournal>,
 ) -> GlobalOutcome {
-    route_chip(problem, cfg, Some(supervision), journal, &mut NopObserver)
+    route_chip(problem, cfg, supervision, journal, &mut NopObserver)
 }
 
-/// The shared pipeline behind every entry point. `supervision` selects
-/// the tile-stage execution path; the seam escalation ladder and the
-/// paste loop are common.
+/// The shared pipeline behind every entry point: `supervision` drives
+/// the tile stage and arms any seam faults.
 fn route_chip(
     problem: &Problem,
     cfg: &GlobalConfig,
-    supervision: Option<&ChipSupervision>,
+    supervision: &ChipSupervision,
     journal: Option<&ChipJournal>,
     observer: &mut dyn RouteObserver,
 ) -> GlobalOutcome {
@@ -416,23 +416,7 @@ fn route_chip(
     }
 
     let router = MightyRouter::new(cfg.router);
-    let outcomes: Vec<TileOutcome> = if supervision.is_some() || journal.is_some() {
-        // A journal without explicit supervision still routes through
-        // the supervisor (with zero retries the routing is unchanged)
-        // so every tile yields a journal-shaped outcome.
-        let zero = ChipSupervision::none();
-        let sup = supervision.unwrap_or(&zero);
-        supervised_tile_batch(&subs, &metas, cfg, sup, journal)
-    } else {
-        let mut engine_cfg = EngineConfig::builder()
-            .jobs(if cfg.parallel { cfg.jobs.min(mighty::MAX_JOBS) } else { 1 })
-            .precheck(cfg.precheck);
-        if cfg.tile_deadline_ms > 0 {
-            engine_cfg = engine_cfg.deadline_ms(cfg.tile_deadline_ms);
-        }
-        let engine = RouteEngine::new(engine_cfg.build().expect("knobs validated above"));
-        engine.route_batch(&router, &subs).results.into_iter().map(TileOutcome::Plain).collect()
-    };
+    let outcomes = route_tiles(&subs, &metas, cfg, supervision, journal);
     let resumed_tiles = outcomes.iter().filter(|o| matches!(o, TileOutcome::Replayed(_))).count();
 
     let mut chip = ChipStats {
@@ -446,40 +430,22 @@ fn route_chip(
     let mut db = RouteDb::new(problem);
     let mut tile_failures: BTreeSet<NetId> = BTreeSet::new();
     for ((meta, sub), outcome) in metas.iter().zip(&subs).zip(outcomes) {
-        match outcome {
-            TileOutcome::Plain(Ok(routing)) => {
+        let (TileOutcome::Live(out) | TileOutcome::Replayed(out)) = outcome;
+        account_recovery(&mut chip, &out.path);
+        match &out.result {
+            Some(Ok(routing)) => {
+                // Complete or salvaged: both carry real metal — a
+                // salvaged tile feeds the seam stage its best snapshot
+                // instead of an empty tile.
                 chip.tiles_routed += 1;
                 paste_tile(&mut db, &mut tile_failures, meta, sub, &routing.db, &routing.failed);
             }
-            TileOutcome::Plain(Err(_)) => {
-                // Panicked, timed out, or certified infeasible: the tile
-                // contributes no wiring and all its nets ride on the
-                // stitch and fallback passes.
+            _ => {
+                // No attempt left a snapshot: the tile contributes no
+                // wiring and all its nets ride on the stitch and
+                // fallback passes.
                 chip.tiles_errored += 1;
                 tile_failures.extend(meta.names.iter().map(|(id, _)| *id));
-            }
-            TileOutcome::Supervised(out) | TileOutcome::Replayed(out) => {
-                account_recovery(&mut chip, &out.path);
-                match &out.result {
-                    Some(Ok(routing)) => {
-                        // Complete or salvaged: both carry real metal —
-                        // a salvaged tile feeds the seam stage its best
-                        // snapshot instead of an empty tile.
-                        chip.tiles_routed += 1;
-                        paste_tile(
-                            &mut db,
-                            &mut tile_failures,
-                            meta,
-                            sub,
-                            &routing.db,
-                            &routing.failed,
-                        );
-                    }
-                    _ => {
-                        chip.tiles_errored += 1;
-                        tile_failures.extend(meta.names.iter().map(|(id, _)| *id));
-                    }
-                }
             }
         }
     }
@@ -496,7 +462,7 @@ fn route_chip(
     // disconnected, run the rip-up router on a band around the boundary,
     // escalating per edge until its nets connect or the ladder is spent:
     //
-    //   rung 0  configured band, in-band wiring replayed   (historical)
+    //   rung 0  base band, in-band wiring replayed         (historical)
     //   rung 1  band widened 2x, in-band wiring replayed
     //   rung 2  band widened 4x, in-band wiring discarded  (re-anchor)
     //   rung 3  per-net flat rip-and-reroute
@@ -506,7 +472,7 @@ fn route_chip(
     // (`VROUTE_FAULT=...@seam`) fire at rung entry, before any database
     // mutation, so a faulted rung escalates instead of corrupting state.
     if cfg.stitch {
-        let seam_fault = supervision.and_then(|s| s.fault.as_ref());
+        let seam_fault = supervision.fault.as_ref();
         let mut arena = SearchArena::with_frontier(cfg.router.frontier);
         for (&edge, nets) in &edge_nets {
             let repair: Vec<NetId> = nets
@@ -541,41 +507,9 @@ fn route_chip(
                         EngineFault::Delay(ms) => thread::sleep(Duration::from_millis(ms)),
                     }
                 }
-                match rung {
-                    0 | 1 => stitch_edge(
-                        problem,
-                        &base,
-                        &tiles,
-                        cfg,
-                        &router,
-                        edge,
-                        &remaining,
-                        &edge_cross,
-                        &cross_owner,
-                        &mut db,
-                        &mut arena,
-                        observer,
-                        &mut chip,
-                        1 << rung,
-                        StitchMode::Replay,
-                    ),
-                    2 => stitch_edge(
-                        problem,
-                        &base,
-                        &tiles,
-                        cfg,
-                        &router,
-                        edge,
-                        &remaining,
-                        &edge_cross,
-                        &cross_owner,
-                        &mut db,
-                        &mut arena,
-                        observer,
-                        &mut chip,
-                        4,
-                        StitchMode::Fresh,
-                    ),
+                let (scale, mode) = match rung {
+                    0 | 1 => (1 << rung, StitchMode::Replay),
+                    2 => (4, StitchMode::Fresh),
                     _ => {
                         // Last rung: rip each stubborn net wholesale so
                         // its broken seam wiring cannot block it, then
@@ -591,8 +525,25 @@ fn route_chip(
                             .try_route_incremental(problem, db)
                             .expect("the hierarchical database is built for this problem")
                             .into_db();
+                        break;
                     }
-                }
+                };
+                stitch_edge(
+                    problem,
+                    &base,
+                    &tiles,
+                    &router,
+                    edge,
+                    &remaining,
+                    &edge_cross,
+                    &cross_owner,
+                    &mut db,
+                    &mut arena,
+                    observer,
+                    &mut chip,
+                    scale,
+                    mode,
+                );
             }
             for id in repair {
                 if db.is_net_connected(id) {
@@ -609,17 +560,7 @@ fn route_chip(
     // Post-stitch checkpoint: a resumed run must reproduce the exact
     // pre-fallback database, or its replayed tiles were not equivalent.
     let mut journal_error: Option<String> = None;
-    if let Some(j) = journal {
-        let checksum = db.checksum();
-        if let Some(prev) = j.replayed_checkpoint("stitch") {
-            if prev != checksum {
-                journal_error = Some(format!(
-                    "resume diverged at the stitch checkpoint: journal {prev:016x}, live {checksum:016x}"
-                ));
-            }
-        }
-        j.checkpoint("stitch", checksum);
-    }
+    checkpoint(journal, "stitch", &db, &mut journal_error);
 
     let mut stats = GlobalStats {
         tiles: (tiles.cols(), tiles.rows()),
@@ -661,21 +602,9 @@ fn route_chip(
         .filter(|&id| !db.is_net_connected(id))
         .collect();
 
-    if let Some(j) = journal {
-        let checksum = db.checksum();
-        if journal_error.is_none() {
-            if let Some(prev) = j.replayed_checkpoint("final") {
-                if prev != checksum {
-                    journal_error = Some(format!(
-                        "resume diverged at the final checkpoint: journal {prev:016x}, live {checksum:016x}"
-                    ));
-                }
-            }
-        }
-        j.checkpoint("final", checksum);
-        if journal_error.is_none() {
-            journal_error = j.take_error();
-        }
+    checkpoint(journal, "final", &db, &mut journal_error);
+    if journal_error.is_none() {
+        journal_error = journal.and_then(ChipJournal::take_error);
     }
 
     GlobalOutcome { db, failed, stats, chip, resumed_tiles, journal_error }
@@ -690,13 +619,33 @@ struct TileMeta {
 
 /// One tile's result entering the paste loop.
 enum TileOutcome {
-    /// Plain batch-engine result (unsupervised flow).
-    Plain(RouteResult),
-    /// Live supervised outcome.
-    Supervised(SupervisedOutcome),
+    /// Routed in this run.
+    Live(SupervisedOutcome),
     /// A previous run's outcome, replayed from the journal and
     /// validated against the tile ([`replayed_outcome`]).
     Replayed(SupervisedOutcome),
+}
+
+/// Records a journal checkpoint of `db` under `stage`. On resume, a
+/// checksum that differs from the one the previous run recorded means
+/// the replayed tiles were not equivalent; the first such divergence
+/// latches into `error`.
+fn checkpoint(
+    journal: Option<&ChipJournal>,
+    stage: &str,
+    db: &RouteDb,
+    error: &mut Option<String>,
+) {
+    let Some(j) = journal else { return };
+    let checksum = db.checksum();
+    if error.is_none() {
+        if let Some(prev) = j.replayed_checkpoint(stage).filter(|&prev| prev != checksum) {
+            *error = Some(format!(
+                "resume diverged at the {stage} checkpoint: journal {prev:016x}, live {checksum:016x}"
+            ));
+        }
+    }
+    j.checkpoint(stage, checksum);
 }
 
 /// Bumps the supervised recovery counters for one tile's path.
@@ -854,7 +803,6 @@ fn supervise_tile(
     sup: &ChipSupervision,
     sub: &Problem,
     tile: usize,
-    deadline: Option<Duration>,
 ) -> SupervisedOutcome {
     let retry = RetryPolicy {
         attempts: sup.retries.saturating_add(1),
@@ -868,82 +816,35 @@ fn supervise_tile(
     if let Some(fault) = &sup.fault {
         supervisor = supervisor.with_tile_fault(fault.clone());
     }
-    supervisor.route_supervised(sub, tile, deadline)
+    supervisor.route_supervised(sub, tile, None)
 }
 
-/// The supervised tile stage: workers claim tiles from a shared
-/// counter; each tile either replays from the journal or routes through
-/// its [`Supervisor`], with its outcome persisted (fsync'd) as soon as
-/// it is known. Results are delivered in tile order regardless of
-/// worker count, so the paste stays deterministic.
-fn supervised_tile_batch(
+/// The tile stage: on the ordered worker pool, each tile either replays
+/// from the journal or routes through its [`Supervisor`], with its
+/// outcome persisted (fsync'd) as soon as it is known. Results come back
+/// in tile order at any worker count, so the paste stays deterministic.
+fn route_tiles(
     subs: &[Problem],
     metas: &[TileMeta],
     cfg: &GlobalConfig,
     sup: &ChipSupervision,
     journal: Option<&ChipJournal>,
 ) -> Vec<TileOutcome> {
-    let n = subs.len();
-    let requested = if cfg.parallel { cfg.jobs.min(mighty::MAX_JOBS) } else { 1 };
-    let jobs = if requested == 0 {
-        thread::available_parallelism().map(|j| j.get()).unwrap_or(1)
-    } else {
-        requested
-    }
-    .min(n)
-    .max(1);
-    let deadline = (cfg.tile_deadline_ms > 0).then(|| Duration::from_millis(cfg.tile_deadline_ms));
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, TileOutcome)>();
-    thread::scope(|s| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let replayed = journal.and_then(|j| j.replay(i));
-                if let Some(outcome) = replayed.and_then(|r| replayed_outcome(&subs[i], r)) {
-                    if tx.send((i, TileOutcome::Replayed(outcome))).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                if let Some(j) = journal {
-                    j.begin(i);
-                }
-                let outcome = if cfg.precheck {
-                    match route_analyze::analyze_problem(&subs[i]).certificates().first() {
-                        Some(cert) => SupervisedOutcome {
-                            path: RecoveryPath::Failed,
-                            attempts: 0,
-                            result: Some(Err(RouteError::Infeasible { reason: cert.summary() })),
-                            salvage: None,
-                        },
-                        None => supervise_tile(cfg, sup, &subs[i], i, deadline),
-                    }
-                } else {
-                    supervise_tile(cfg, sup, &subs[i], i, deadline)
-                };
-                if let Some(j) = journal {
-                    let fp = j.tile_fingerprint(i).unwrap_or(0);
-                    j.finish(&tile_record(i, fp, &subs[i], &metas[i], &outcome));
-                }
-                if tx.send((i, TileOutcome::Supervised(outcome))).is_err() {
-                    break;
-                }
-            });
+    mighty::map_ordered(cfg.jobs, subs.len(), |i| {
+        let replayed = journal.and_then(|j| j.replay(i));
+        if let Some(outcome) = replayed.and_then(|r| replayed_outcome(&subs[i], r)) {
+            return TileOutcome::Replayed(outcome);
         }
-        drop(tx);
-    });
-    let mut slots: Vec<Option<TileOutcome>> = (0..n).map(|_| None).collect();
-    for (i, outcome) in rx {
-        slots[i] = Some(outcome);
-    }
-    slots.into_iter().map(|s| s.expect("every claimed tile reports exactly once")).collect()
+        if let Some(j) = journal {
+            j.begin(i);
+        }
+        let outcome = supervise_tile(cfg, sup, &subs[i], i);
+        if let Some(j) = journal {
+            let fp = j.tile_fingerprint(i).unwrap_or(0);
+            j.finish(&tile_record(i, fp, &subs[i], &metas[i], &outcome));
+        }
+        TileOutcome::Live(outcome)
+    })
 }
 
 /// How a seam repair treats the repair nets' pre-existing in-band
@@ -968,7 +869,6 @@ fn stitch_edge(
     problem: &Problem,
     base: &Grid,
     tiles: &TileGrid,
-    cfg: &GlobalConfig,
     router: &MightyRouter,
     edge: TileEdge,
     repair: &[NetId],
@@ -983,7 +883,7 @@ fn stitch_edge(
 ) {
     let ra = tiles.rect(edge.a);
     let rb = tiles.rect(edge.b);
-    let w = (cfg.stitch_band.max(1) * scale.max(1)) as i32;
+    let w = (STITCH_BAND * scale) as i32;
     let band = if edge.is_horizontal() {
         let x0 = (ra.max().x - (w - 1)).max(ra.min().x);
         let x1 = (rb.min().x + (w - 1)).min(rb.max().x);

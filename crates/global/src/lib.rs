@@ -19,10 +19,11 @@
 //!    M2), nets spread across the edge in order of their destinations.
 //! 4. **Detailed routing** ([`route_hierarchical`]): each tile becomes a
 //!    sub-problem — real pins inside plus crossing pins on the boundary
-//!    — routed concurrently on the batch engine (`mighty::RouteEngine`:
-//!    input-order-deterministic merge, panic isolation, optional
-//!    per-tile deadlines and feasibility prechecks); the resulting
-//!    traces are translated back and committed into one global database.
+//!    — routed concurrently on the ordered worker pool
+//!    (`mighty::map_ordered`: input-order-deterministic merge), each
+//!    tile under a `mighty::Supervisor` (panic isolation, optional
+//!    retry, fallback and salvage); the resulting traces are translated
+//!    back and committed into one global database.
 //! 5. **Seam stitching**: nets still disconnected after paste-back are
 //!    repaired by the rip-up router on narrow bands around the tile
 //!    boundaries they cross — foreign wiring is frozen, the net's own
@@ -75,22 +76,11 @@ pub struct GlobalConfig {
     pub router: RouterConfig,
     /// Re-attempt nets that failed inside a tile flat on the full grid.
     pub fallback: bool,
-    /// Route tiles on multiple threads. Tiles are disjoint, so parallel
-    /// routing is deterministic — results are pasted in tile order
-    /// regardless of completion order.
-    pub parallel: bool,
     /// Worker threads for the tile batch (`0` = one per hardware
-    /// thread). Ignored when [`parallel`](GlobalConfig::parallel) is
-    /// off. The routed database is byte-identical at any job count.
+    /// thread, `1` = serial). Tiles are disjoint and results are pasted
+    /// in tile order regardless of completion order, so the routed
+    /// database is byte-identical at any job count.
     pub jobs: usize,
-    /// Wall-clock budget per tile job in milliseconds (`0` = none).
-    /// **Off by default**: a deadline makes results timing-dependent,
-    /// which forfeits the jobs-1-vs-N determinism contract.
-    pub tile_deadline_ms: u64,
-    /// Run the static feasibility analysis on every tile sub-problem
-    /// before routing it (see `route-analyze`); certified-unroutable
-    /// tiles are skipped instead of burning router budget.
-    pub precheck: bool,
     /// Run the chip-scale analysis (`route_analyze::analyze_chip`)
     /// before planning: nets certified unroutable (F006) are dropped up
     /// front — their pins stay as blockers, no crossings are assigned,
@@ -106,9 +96,6 @@ pub struct GlobalConfig {
     /// Repair incomplete crossing nets with the rip-up router on seam
     /// bands before (or instead of) the flat fallback.
     pub stitch: bool,
-    /// Half-width of a seam band, in cells on each side of the tile
-    /// boundary.
-    pub stitch_band: u32,
 }
 
 impl Default for GlobalConfig {
@@ -117,14 +104,10 @@ impl Default for GlobalConfig {
             tile: 16,
             router: RouterConfig::default(),
             fallback: true,
-            parallel: true,
             jobs: 0,
-            tile_deadline_ms: 0,
-            precheck: false,
             analyze: false,
             order: PlanOrder::Bbox,
             stitch: true,
-            stitch_band: 3,
         }
     }
 }
@@ -160,10 +143,11 @@ impl Default for ChipSupervision {
 }
 
 impl ChipSupervision {
-    /// Supervision with every recovery mechanism off: the tile stage
-    /// routes exactly once per tile, like the unsupervised flow, but
-    /// yields journal-shaped outcomes (used when only a journal is
-    /// requested).
+    /// Supervision with every recovery mechanism off: one attempt per
+    /// tile, no fallback, no faults. [`route_hierarchical`] and
+    /// [`route_hierarchical_observed`] run the tile stage under it; a
+    /// tile left incomplete still counts as salvaged
+    /// ([`ChipStats::tiles_salvaged`]).
     pub fn none() -> Self {
         ChipSupervision { retries: 0, fallback: false, seed: 0, fault: None }
     }

@@ -63,14 +63,10 @@ fn parallel_equals_serial() {
         let nets = rng.range(4, 14) as u32;
         let seed = rng.below(200);
         let problem = SwitchboxGen { width: side, height: side, nets, seed }.build();
-        let serial = route_hierarchical(
-            &problem,
-            &GlobalConfig { parallel: false, ..GlobalConfig::default() },
-        );
-        let parallel = route_hierarchical(
-            &problem,
-            &GlobalConfig { parallel: true, ..GlobalConfig::default() },
-        );
+        let serial =
+            route_hierarchical(&problem, &GlobalConfig { jobs: 1, ..GlobalConfig::default() });
+        let parallel =
+            route_hierarchical(&problem, &GlobalConfig { jobs: 4, ..GlobalConfig::default() });
         assert_eq!(serial.failed(), parallel.failed());
         assert_eq!(serial.db().stats(), parallel.db().stats());
         assert_eq!(serial.db().grid(), parallel.db().grid());

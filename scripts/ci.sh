@@ -300,4 +300,16 @@ else
   run cargo run --release --offline --quiet -p route-bench --bin exp_m1_hotpath -- --quick --gate
 fi
 
+# Benchmark build gate: vbench/ is its own workspace with path
+# dependencies on the router crates it measures, so the workspace build
+# above never compiles it. Build and test it against the current crates
+# and run every workload once in quick mode; each must exit 0.
+if [[ "$QUICK" == 0 ]]; then
+  run cargo test --release --offline --quiet --manifest-path vbench/Cargo.toml
+  for workload in maze flat chip serve; do
+    run cargo run --release --offline --quiet --manifest-path vbench/Cargo.toml \
+      --bin vbench -- --workload "$workload" --quick
+  done
+fi
+
 echo "ci: all checks passed"
