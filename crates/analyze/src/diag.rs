@@ -5,7 +5,7 @@
 //! severity, a stable rule code, the grid span it anchors to, a
 //! human-readable message and an optional fix hint. Diagnostics order
 //! deterministically ([`sort_diagnostics`]) and render as text
-//! ([`render_text`]) or JSON ([`render_json`]).
+//! ([`render_text`]).
 
 use std::fmt;
 
@@ -181,68 +181,6 @@ fn plural(n: usize) -> &'static str {
     }
 }
 
-/// Renders diagnostics as a JSON array (one object per diagnostic),
-/// with `null` for absent span/net/hint. The schema is pinned by the
-/// CLI's golden tests.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"severity\": \"{}\", \"code\": \"{}\", \"rule\": \"{}\", \"message\": {}",
-            d.severity,
-            d.code,
-            d.rule,
-            json_string(&d.message)
-        ));
-        match &d.span {
-            Some(s) => {
-                out.push_str(&format!(
-                    ", \"span\": {{\"from\": [{}, {}], \"to\": [{}, {}], \"layer\": {}}}",
-                    s.from.x,
-                    s.from.y,
-                    s.to.x,
-                    s.to.y,
-                    s.layer.map_or("null".to_string(), |l| format!("\"{l}\""))
-                ));
-            }
-            None => out.push_str(", \"span\": null"),
-        }
-        match d.net {
-            Some(n) => out.push_str(&format!(", \"net\": {}", n.0)),
-            None => out.push_str(", \"net\": null"),
-        }
-        match &d.hint {
-            Some(h) => out.push_str(&format!(", \"hint\": {}", json_string(h))),
-            None => out.push_str(", \"hint\": null"),
-        }
-        out.push('}');
-    }
-    out.push(']');
-    out
-}
-
-/// Escapes a string for embedding in JSON output.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,18 +225,6 @@ mod tests {
     #[test]
     fn empty_renderings() {
         assert_eq!(render_text(&[]), "");
-        assert_eq!(render_json(&[]), "[]");
-    }
-
-    #[test]
-    fn json_rendering_escapes_and_nests() {
-        let mut d = diag(Severity::Warning, "L007", Point::new(1, 2), "say \"hi\"");
-        d.net = Some(NetId(3));
-        let json = render_json(&[d]);
-        assert!(json.contains("\"message\": \"say \\\"hi\\\"\""), "{json}");
-        assert!(json.contains("\"span\": {\"from\": [1, 2], \"to\": [1, 2], \"layer\": \"M1\"}"));
-        assert!(json.contains("\"net\": 3"), "{json}");
-        assert!(json.contains("\"hint\": null"), "{json}");
     }
 
     #[test]

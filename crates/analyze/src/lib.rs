@@ -21,7 +21,7 @@
 //!
 //! Both passes report through the compiler-grade [`Diagnostic`] type
 //! (severity, stable rule code, grid span, fix hint, deterministic
-//! order) with [text](render_text) and [JSON](render_json) renderers.
+//! order) with a [text](render_text) renderer.
 //!
 //! # Examples
 //!
@@ -56,7 +56,7 @@ pub use chip::{
     analyze_chip, congestion_map, net_features, ChipReport, CongestionMap, NetFeatures,
     FEATURE_SCALE,
 };
-pub use diag::{render_json, render_text, sort_diagnostics, Diagnostic, GridSpan, Severity};
+pub use diag::{render_text, sort_diagnostics, Diagnostic, GridSpan, Severity};
 pub use feasibility::{analyze_problem, CutAxis, FeasibilityReport, InfeasibilityCertificate};
 pub use lint::{
     error_rules, lint_db, lint_db_with, lint_salvage, lint_salvage_chip, rules, LintFinding,

@@ -1,49 +1,42 @@
 //! M1 hot-path sweep: routed-nets/second of the maze-search inner loop
-//! under each frontier/probe configuration.
+//! under each frontier.
 //!
-//! Three modes bracket the PR-7 hot-path redesign:
+//! Two modes, both over the packed occupancy bit plane:
 //!
-//! * `heap-scalar` — binary-heap frontier, per-cell scalar occupancy
-//!   probes: the pre-redesign inner loop, kept reproducible through
-//!   [`ProbeKind::Scalar`].
-//! * `heap-bits` — binary-heap frontier over the packed occupancy bit
-//!   plane (isolates the word-probe win).
-//! * `buckets-bits` — bucket-queue frontier plus bit probes: the
-//!   default configuration.
+//! * `heap-bits` — the binary-heap reference frontier.
+//! * `buckets-bits` — the bucket-queue frontier: the default.
 //!
 //! Every mode must produce **bit-identical** databases — the sweep
 //! panics on any checksum divergence, so the throughput table doubles
 //! as the frontier-equivalence check. Both the sequential Lee baseline
 //! (`route_all_in`) and the rip-up router (`route_warm`) are measured;
 //! the speed gate compares the rip-up router's `buckets-bits` and
-//! `heap-scalar` rows.
+//! `heap-bits` rows. The end-to-end baseline is the recorded pre-PR
+//! binary ([`PRE_PR`]).
 
 use std::time::Instant;
 
-use mighty::{MightyRouter, RouterConfig};
+use mighty::MightyRouter;
 use route_maze::sequential::route_all_in;
-use route_maze::{CostModel, FrontierKind, ProbeKind, SearchArena};
+use route_maze::{CostModel, FrontierKind, SearchArena};
 use route_model::Problem;
 
 use crate::engine::replicated_channel_batch;
 use crate::json::Json;
 
-/// One frontier/probe configuration of the sweep.
+/// One frontier configuration of the sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct HotpathMode {
-    /// Stable row label (`heap-scalar`, `heap-bits`, `buckets-bits`).
+    /// Stable row label (`heap-bits`, `buckets-bits`).
     pub name: &'static str,
     /// Open-list implementation.
     pub frontier: FrontierKind,
-    /// Occupancy-probe implementation.
-    pub probe: ProbeKind,
 }
 
-/// The three bracketing modes, baseline first.
-pub const MODES: [HotpathMode; 3] = [
-    HotpathMode { name: "heap-scalar", frontier: FrontierKind::Heap, probe: ProbeKind::Scalar },
-    HotpathMode { name: "heap-bits", frontier: FrontierKind::Heap, probe: ProbeKind::Bits },
-    HotpathMode { name: "buckets-bits", frontier: FrontierKind::Buckets, probe: ProbeKind::Bits },
+/// The two modes, the heap reference first.
+pub const MODES: [HotpathMode; 2] = [
+    HotpathMode { name: "heap-bits", frontier: FrontierKind::Heap },
+    HotpathMode { name: "buckets-bits", frontier: FrontierKind::Buckets },
 ];
 
 /// One measured row of the sweep.
@@ -72,7 +65,7 @@ pub fn hotpath_batch(instances: usize) -> Vec<Problem> {
 }
 
 fn run_lee(problems: &[Problem], mode: HotpathMode, reps: usize) -> HotpathPoint {
-    let mut arena = SearchArena::with_config(mode.frontier, mode.probe);
+    let mut arena = SearchArena::with_frontier(mode.frontier);
     // Untimed warm-up pass: grows the arena to the largest grid.
     let _ = measure_lee(problems, &mut arena);
     let start = Instant::now();
@@ -95,9 +88,8 @@ fn measure_lee(problems: &[Problem], arena: &mut SearchArena) -> (usize, usize, 
 }
 
 fn run_mighty(problems: &[Problem], mode: HotpathMode, reps: usize) -> HotpathPoint {
-    let router =
-        MightyRouter::new(RouterConfig { frontier: mode.frontier, ..RouterConfig::default() });
-    let mut arena = SearchArena::with_config(mode.frontier, mode.probe);
+    let router = MightyRouter::default();
+    let mut arena = SearchArena::with_frontier(mode.frontier);
     let _ = measure_mighty(&router, problems, &mut arena);
     let start = Instant::now();
     let mut tally = (0usize, 0usize, 0u64);
@@ -146,8 +138,8 @@ fn point(
 /// # Panics
 ///
 /// Panics when any mode's per-batch checksum diverges from the
-/// baseline mode of the same router: the frontier and probe knobs are
-/// defined to be bit-identical, so a divergence is a correctness bug,
+/// heap mode of the same router: the frontiers are defined to be
+/// bit-identical, so a divergence is a correctness bug,
 /// not a measurement artifact.
 pub fn hotpath_sweep(problems: &[Problem], reps: usize) -> Vec<HotpathPoint> {
     let mut points = Vec::new();
@@ -171,12 +163,8 @@ pub fn hotpath_sweep(problems: &[Problem], reps: usize) -> Vec<HotpathPoint> {
 /// Throughput of the true pre-redesign binary, measured once from the
 /// PR-7 base commit with a timing loop identical to this sweep's.
 ///
-/// The in-binary `heap-scalar` mode reproduces the pre-redesign *inner
-/// loop* (binary heap, per-cell occupant probes, unmemoized heuristic)
-/// but still benefits from shared-path work that landed in the same PR
-/// (hashless connectivity BFS, spatial trace index), so it overstates
-/// the baseline. These rows are the honest end-to-end reference: the
-/// shipped pre-PR binary on the identical 64-instance channel batch.
+/// These rows are the end-to-end reference: the shipped pre-PR binary
+/// on the identical 64-instance channel batch.
 /// Rates are hardware-bound (measured on the benchmarking box that
 /// produced every `BENCH_*.json` in this repository); the checksums are
 /// not — any full run can verify it still produces the pre-PR databases
@@ -220,7 +208,8 @@ pub fn pre_pr_comparison(
 }
 
 /// The measured speedup of the rip-up router's default mode over the
-/// in-binary baseline mode (`buckets-bits` vs `heap-scalar` nets/sec).
+/// heap reference (`buckets-bits` vs `heap-bits` nets/sec) — the ratio
+/// `exp_m1_hotpath --gate` requires to be at least 1.
 pub fn mighty_speedup(points: &[HotpathPoint]) -> f64 {
     let rate = |mode: &str| {
         points
@@ -229,7 +218,7 @@ pub fn mighty_speedup(points: &[HotpathPoint]) -> f64 {
             .map(|p| p.nets_per_sec)
             .unwrap_or(0.0)
     };
-    let base = rate("heap-scalar");
+    let base = rate("heap-bits");
     if base > 0.0 {
         rate("buckets-bits") / base
     } else {
@@ -287,10 +276,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn modes_cover_both_frontiers_and_probes() {
-        assert_eq!(MODES[0].name, "heap-scalar");
-        assert!(MODES.iter().any(|m| m.frontier == FrontierKind::Buckets));
-        assert!(MODES.iter().any(|m| m.probe == ProbeKind::Scalar));
+    fn modes_cover_both_frontiers() {
+        assert_eq!(MODES[0].frontier, FrontierKind::Heap);
+        assert_eq!(MODES[1].frontier, FrontierKind::Buckets);
     }
 
     #[test]

@@ -495,7 +495,7 @@ impl<'a> Shared<'a> {
         match (flag, self) {
             ("--jobs", Shared { jobs: Some(jobs), .. }) => **jobs = cur.num(flag, 0..=4096)?,
             ("--deadline-ms", Shared { deadline_ms: Some(ms), .. }) => {
-                **ms = Some(cur.num(flag, 0..=u64::MAX)?);
+                **ms = Some(cur.num(flag, 1..=u64::MAX)?);
             }
             ("--retries", Shared { retries: Some(n), .. }) => **n = Some(cur.num(flag, 0..=16)?),
             ("--fallback", Shared { fallback: Some(chain), .. }) => {
@@ -1256,7 +1256,7 @@ mod tests {
     /// command needs, with the values just past each end of its range.
     const NUMERIC_FLAGS: &[(&str, &str, &[&str])] = &[
         ("batch a.sb", "--jobs", &["4097"]),
-        ("batch a.sb", "--deadline-ms", &[]),
+        ("batch a.sb", "--deadline-ms", &["0"]),
         ("batch a.sb", "--retries", &["17"]),
         ("chip", "--width", &["7", "4097"]),
         ("chip", "--height", &["7", "4097"]),
@@ -1278,8 +1278,8 @@ mod tests {
         ("gen channel --width 8 --nets 2", "--window", &[]),
         ("serve --socket s", "--workers", &["1025"]),
         ("serve --socket s", "--queue", &["0"]),
-        ("serve --socket s", "--deadline-ms", &[]),
-        ("client --socket s a.sb", "--deadline-ms", &[]),
+        ("serve --socket s", "--deadline-ms", &["0"]),
+        ("client --socket s a.sb", "--deadline-ms", &["0"]),
         ("client --socket s a.sb", "--priority", &["10"]),
         ("fuzz --seeds 0..1", "--jobs", &["4097"]),
         ("fuzz", "--seeds", &["0..18446744073709551616"]),

@@ -761,8 +761,10 @@ fn load_instance(path: &str) -> Result<Problem, ExecutionError> {
         Ok(format::parse_problem(&text)?)
     }
 }
-/// The JSON object for one diagnostic, mirroring
-/// [`route_analyze::render_json`]'s per-diagnostic schema.
+
+/// The JSON object for one diagnostic: `severity`, `code`, `rule` and
+/// `message` strings; `span` as `{from: [x, y], to: [x, y], layer}` or
+/// `null`; `net` as a number or `null`; `hint` as a string or `null`.
 fn diagnostic_json(d: &Diagnostic) -> Json {
     Json::obj([
         ("severity", Json::str(d.severity.to_string())),
@@ -1821,14 +1823,17 @@ mod tests {
     }
 
     #[test]
-    fn supervised_batch_salvages_on_zero_deadline() {
+    fn supervised_batch_salvages_past_the_deadline() {
         let _guard = SUP_ENV.lock().unwrap();
-        std::env::remove_var("VROUTE_FAULT");
         let dir = std::env::temp_dir().join("vroute-test-sup-salvage");
         let files = supervised_fixture(&dir, 2);
         let report = dir.join("salvage.json");
+        // Every attempt sleeps well past its 1 ms budget, so each
+        // routing is disqualified and salvaged.
+        std::env::set_var("VROUTE_FAULT", "delay-20");
         let (out, ok) =
-            run(&format!("batch {files} --retries 0 --deadline-ms 0 --json {}", report.display()));
+            run(&format!("batch {files} --retries 0 --deadline-ms 1 --json {}", report.display()));
+        std::env::remove_var("VROUTE_FAULT");
         assert!(!ok.unwrap(), "a salvaged batch is not complete:\n{out}");
         assert!(out.contains("0 complete, 2 salvaged"), "{out}");
         assert!(out.contains("salvaged,"), "{out}");

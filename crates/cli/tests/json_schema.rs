@@ -506,9 +506,16 @@ fn supervised_batch_json_schema_is_pinned() {
 fn supervised_salvage_outcome_keys_are_pinned() {
     let dir = std::env::temp_dir().join("vroute-json-schema-batch-sup-salvage");
     let a = instance(&dir, "a.sb");
+    // A net whose first pin is walled in on every side: the router
+    // cannot complete the instance, so the supervisor salvages it.
+    let mut text = std::fs::read_to_string(&a).unwrap();
+    text.push_str(
+        "obstacle 3 4\nobstacle 5 4\nobstacle 4 3\nobstacle 4 5\nnet walled 4 4 M1 7 4 M1\n",
+    );
+    std::fs::write(&a, text).unwrap();
     let report = dir.join("salvaged.json");
     let cmd = parse_args(
-        format!("batch {a} --retries 0 --deadline-ms 0 --jobs 1 --json {}", report.display())
+        format!("batch {a} --retries 0 --jobs 1 --json {}", report.display())
             .split_whitespace()
             .map(str::to_owned),
     )

@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use route_maze::{CostModel, FrontierKind};
+use route_maze::CostModel;
 
 /// Order in which nets are first attempted.
 ///
@@ -44,7 +44,7 @@ pub enum PenaltyGrowth {
 ///
 /// Prefer [`RouterConfig::builder`] over filling fields directly: the
 /// builder rejects configurations that would silently misbehave (a zero
-/// attempt budget, a zero base penalty, an inverted penalty schedule),
+/// attempt budget, a zero base penalty, an overflowing penalty cap),
 /// while struct-literal construction accepts anything. Direct field
 /// mutation remains available for ablation sweeps but is considered a
 /// legacy interface and may lose fields to the builder in a future
@@ -84,9 +84,6 @@ pub struct RouterConfig {
     pub max_events: usize,
     /// Initial net order.
     pub order: NetOrder,
-    /// Open-list implementation for every path search. The two kinds
-    /// produce bit-identical routings; this is purely a speed knob.
-    pub frontier: FrontierKind,
 }
 
 impl RouterConfig {
@@ -128,15 +125,12 @@ impl Default for RouterConfig {
             max_attempts: 12,
             max_events: 0,
             order: NetOrder::ShortFirst,
-            frontier: FrontierKind::default(),
         }
     }
 }
 
 /// A configuration that failed validation in a builder — shared by
-/// [`RouterConfigBuilder::build`],
-/// [`EngineConfigBuilder::build`](crate::engine::EngineConfigBuilder::build)
-/// and
+/// [`RouterConfigBuilder::build`] and
 /// [`ServiceConfigBuilder::build`](crate::serve::ServiceConfigBuilder::build).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
@@ -152,14 +146,6 @@ pub enum ConfigError {
     DoublingsOverflow {
         /// The requested exponent cap.
         doublings: u32,
-    },
-    /// A penalty schedule whose ceiling is below its initial value —
-    /// penalties must be monotone in the rip count.
-    InvertedPenaltySchedule {
-        /// Penalty of a never-ripped net.
-        initial: u64,
-        /// The requested ceiling, which was smaller.
-        ceiling: u64,
     },
     /// A zero wall-clock deadline: every instance would be disqualified
     /// before routing. Use `None` to disable the check instead.
@@ -187,12 +173,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::DoublingsOverflow { doublings } => {
                 write!(f, "max_penalty_doublings {doublings} would overflow u64 (cap is 63)")
-            }
-            ConfigError::InvertedPenaltySchedule { initial, ceiling } => {
-                write!(
-                    f,
-                    "inverted penalty schedule: ceiling {ceiling} is below initial penalty {initial}"
-                )
             }
             ConfigError::ZeroDeadline => {
                 write!(f, "deadline must be positive (use None to disable the check)")
@@ -231,7 +211,6 @@ impl Error for ConfigError {}
 #[derive(Debug, Clone, Default)]
 pub struct RouterConfigBuilder {
     cfg: RouterConfig,
-    penalty_ceiling: Option<u64>,
 }
 
 impl RouterConfigBuilder {
@@ -268,18 +247,6 @@ impl RouterConfigBuilder {
     /// Sets the cap on the escalation exponent directly.
     pub fn max_penalty_doublings(mut self, doublings: u32) -> Self {
         self.cfg.max_penalty_doublings = doublings;
-        self.penalty_ceiling = None;
-        self
-    }
-
-    /// Describes the penalty schedule by its endpoints: `initial` is the
-    /// crossing penalty of a never-ripped net, `ceiling` the value the
-    /// schedule is allowed to saturate at. The exponent cap is derived
-    /// from the ratio. A `ceiling` below `initial` is an inverted
-    /// schedule and rejected by [`build`](RouterConfigBuilder::build).
-    pub fn penalty_bounds(mut self, initial: u64, ceiling: u64) -> Self {
-        self.cfg.base_penalty = initial;
-        self.penalty_ceiling = Some(ceiling);
         self
     }
 
@@ -301,41 +268,19 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Selects the open-list ([`FrontierKind`]) implementation used by
-    /// every path search. Both kinds route bit-identically.
-    pub fn frontier(mut self, frontier: FrontierKind) -> Self {
-        self.cfg.frontier = frontier;
-        self
-    }
-
     /// Validates and produces the configuration.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for a zero attempt budget, a zero base
-    /// penalty, an exponent cap that would overflow `u64`, or an
-    /// inverted [`penalty_bounds`](RouterConfigBuilder::penalty_bounds)
-    /// schedule.
+    /// penalty, or an exponent cap that would overflow `u64`.
     pub fn build(self) -> Result<RouterConfig, ConfigError> {
-        let mut cfg = self.cfg;
+        let cfg = self.cfg;
         if cfg.max_attempts == 0 {
             return Err(ConfigError::ZeroAttemptBudget);
         }
         if cfg.base_penalty == 0 {
             return Err(ConfigError::ZeroBasePenalty);
-        }
-        if let Some(ceiling) = self.penalty_ceiling {
-            if ceiling < cfg.base_penalty {
-                return Err(ConfigError::InvertedPenaltySchedule {
-                    initial: cfg.base_penalty,
-                    ceiling,
-                });
-            }
-            // Smallest exponent cap whose saturated geometric penalty
-            // stays within the ceiling (at least one doubling short of
-            // overflow).
-            let ratio = ceiling / cfg.base_penalty;
-            cfg.max_penalty_doublings = 63 - ratio.leading_zeros();
         }
         if cfg.max_penalty_doublings > 63 {
             return Err(ConfigError::DoublingsOverflow { doublings: cfg.max_penalty_doublings });
@@ -412,34 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_inverted_penalty_schedule() {
-        assert_eq!(
-            RouterConfig::builder().penalty_bounds(16, 4).build(),
-            Err(ConfigError::InvertedPenaltySchedule { initial: 16, ceiling: 4 })
-        );
-    }
-
-    #[test]
-    fn penalty_bounds_derives_exponent_cap() {
-        let cfg = RouterConfig::builder().penalty_bounds(4, 1024).build().unwrap();
-        assert_eq!(cfg.base_penalty, 4);
-        // 1024 / 4 = 256 = 2^8 doublings.
-        assert_eq!(cfg.max_penalty_doublings, 8);
-        assert_eq!(cfg.penalty(100), 1024);
-
-        // Equal endpoints: a flat (but legal) schedule.
-        let flat = RouterConfig::builder().penalty_bounds(8, 8).build().unwrap();
-        assert_eq!(flat.max_penalty_doublings, 0);
-        assert_eq!(flat.penalty(50), 8);
-    }
-
-    #[test]
     fn config_errors_render() {
         for e in [
             ConfigError::ZeroAttemptBudget,
             ConfigError::ZeroBasePenalty,
             ConfigError::DoublingsOverflow { doublings: 64 },
-            ConfigError::InvertedPenaltySchedule { initial: 9, ceiling: 3 },
             ConfigError::ZeroDeadline,
             ConfigError::JobsOverCap { jobs: 9999, cap: 1024 },
             ConfigError::ZeroQueueCapacity,

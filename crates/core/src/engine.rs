@@ -54,7 +54,6 @@ use route_model::{
 
 use crate::journal::{JournalEntry, RunJournal};
 use crate::recover::{InstanceStatus, RecoveryPath, SupervisedOutcome, Supervisor};
-use crate::ConfigError;
 
 /// How much the engine observes of each instance's routing run.
 ///
@@ -77,13 +76,9 @@ pub enum ObserveMode {
 /// Knobs for [`RouteEngine`].
 ///
 /// The default is `0` jobs (one worker per available hardware thread),
-/// no deadline, and observation off.
-///
-/// Prefer [`EngineConfig::builder`] over filling fields directly: the
-/// builder rejects configurations that would silently misbehave (a zero
-/// deadline disqualifying every instance, a runaway thread count),
-/// mirroring [`RouterConfig::builder`](crate::RouterConfig::builder)
-/// with the same shared [`ConfigError`].
+/// no deadline, and observation off. Build it as a struct literal,
+/// e.g. `EngineConfig { jobs: 8, ..EngineConfig::default() }`; the
+/// worker pool caps `jobs` at [`MAX_JOBS`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads. `0` means one per available hardware thread.
@@ -105,91 +100,6 @@ pub struct EngineConfig {
 /// configuration, low enough to catch a units mistake (milliseconds in
 /// the jobs field) before it spawns thousands of threads.
 pub const MAX_JOBS: usize = 1024;
-
-impl EngineConfig {
-    /// Starts a validating [`EngineConfigBuilder`] seeded with the
-    /// defaults. See the type-level docs for why this is preferred over
-    /// struct-literal construction.
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder::default()
-    }
-}
-
-/// Validating builder for [`EngineConfig`] — the supported construction
-/// path, obtained from [`EngineConfig::builder`]. Shares [`ConfigError`]
-/// with [`RouterConfig::builder`](crate::RouterConfig::builder).
-///
-/// # Examples
-///
-/// ```
-/// use std::time::Duration;
-/// use mighty::{ConfigError, EngineConfig, ObserveMode};
-///
-/// let cfg = EngineConfig::builder()
-///     .jobs(4)
-///     .deadline(Some(Duration::from_millis(200)))
-///     .observe(ObserveMode::Metrics)
-///     .build()?;
-/// assert_eq!(cfg.jobs, 4);
-///
-/// assert_eq!(
-///     EngineConfig::builder().deadline(Some(Duration::ZERO)).build(),
-///     Err(ConfigError::ZeroDeadline),
-/// );
-/// # Ok::<(), ConfigError>(())
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineConfigBuilder {
-    cfg: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// Sets the worker-thread count (`0` = one per hardware thread).
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.cfg.jobs = jobs;
-        self
-    }
-
-    /// Sets the per-instance wall-clock budget (`None` disables).
-    pub fn deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.cfg.deadline = deadline;
-        self
-    }
-
-    /// Sets the per-instance wall-clock budget in milliseconds.
-    pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.cfg.deadline = Some(Duration::from_millis(ms));
-        self
-    }
-
-    /// Sets the observation mode.
-    pub fn observe(mut self, observe: ObserveMode) -> Self {
-        self.cfg.observe = observe;
-        self
-    }
-
-    /// Enables or disables the pre-route feasibility analysis.
-    pub fn precheck(mut self, precheck: bool) -> Self {
-        self.cfg.precheck = precheck;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::ZeroDeadline`] for a zero deadline and
-    /// [`ConfigError::JobsOverCap`] for a job count beyond [`MAX_JOBS`].
-    pub fn build(self) -> Result<EngineConfig, ConfigError> {
-        if self.cfg.deadline == Some(Duration::ZERO) {
-            return Err(ConfigError::ZeroDeadline);
-        }
-        if self.cfg.jobs > MAX_JOBS {
-            return Err(ConfigError::JobsOverCap { jobs: self.cfg.jobs, cap: MAX_JOBS });
-        }
-        Ok(self.cfg)
-    }
-}
 
 /// Aggregate accounting for one [`RouteEngine::route_batch`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

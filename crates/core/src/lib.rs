@@ -56,8 +56,8 @@ pub mod serve;
 
 pub use config::{ConfigError, NetOrder, PenaltyGrowth, RouterConfig, RouterConfigBuilder};
 pub use engine::{
-    map_ordered, BatchObservation, BatchOutcome, EngineConfig, EngineConfigBuilder, EngineStats,
-    ObserveMode, RouteEngine, SupervisedBatch, MAX_JOBS,
+    map_ordered, BatchObservation, BatchOutcome, EngineConfig, EngineStats, ObserveMode,
+    RouteEngine, SupervisedBatch, MAX_JOBS,
 };
 pub use journal::{
     ChipJournal, ChipTileRecord, JournalEntry, PendingRequest, RunJournal, ServeJournal,
@@ -66,7 +66,6 @@ pub use recover::{
     EngineFault, FallbackChain, FaultPlan, InstanceStatus, RecoveryPath, RetryPolicy, SalvageInfo,
     SupervisedOutcome, Supervisor,
 };
-pub use route_maze::FrontierKind;
 /// Work-accounting counters, re-exported from [`route_model`] — the
 /// router fills them and the engine/bench tables consume them.
 pub use route_model::RouterStats;

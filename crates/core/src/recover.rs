@@ -50,35 +50,35 @@ use route_model::{DetailedRouter, Problem, RouteError, RouteResult, Routing};
 use crate::engine::panic_text;
 use crate::{MightyRouter, NetOrder, RouterConfig};
 
+/// Multiplier per retry on [`RouterConfig::max_attempts`] and on an
+/// explicit [`RouterConfig::max_events`].
+const BUDGET_GROWTH: u32 = 2;
+
+/// Added per retry to [`RouterConfig::max_penalty_doublings`] (capped
+/// so the geometric schedule cannot overflow).
+const DOUBLINGS_PER_RETRY: u32 = 2;
+
 /// Budget escalation applied on each retry of the primary router.
 ///
 /// `attempts` counts *total* primary attempts (the first run plus
 /// retries), so the default of `1` disables retrying entirely. Retry
-/// `k` (1-based) multiplies the rip-up attempt budget by
-/// `attempt_factor^k`, multiplies an explicit event budget by
-/// `event_factor^k` (the automatic `0` budget is left automatic — it
-/// already scales with the problem), raises the penalty-doubling cap by
-/// `extra_doublings * k`, and perturbs the initial net order with a
-/// SplitMix64 stream seeded by `seed ^ k` — deterministic, so a
+/// `k` (1-based) doubles the rip-up attempt budget `k` times, doubles
+/// an explicit event budget `k` times (the automatic `0` budget is left
+/// automatic — it already scales with the problem), raises the
+/// penalty-doubling cap by `2k`, and perturbs the initial net order
+/// with a SplitMix64 stream seeded by `seed ^ k` — deterministic, so a
 /// supervised batch routes identically on every run and thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total primary attempts (first run + retries); minimum 1.
     pub attempts: u32,
-    /// Multiplier on [`RouterConfig::max_attempts`] per retry.
-    pub attempt_factor: u32,
-    /// Multiplier on an explicit [`RouterConfig::max_events`] per retry.
-    pub event_factor: u32,
-    /// Added to [`RouterConfig::max_penalty_doublings`] per retry
-    /// (capped so the geometric schedule cannot overflow).
-    pub extra_doublings: u32,
     /// Seed of the per-attempt net-order perturbation.
     pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { attempts: 1, attempt_factor: 2, event_factor: 2, extra_doublings: 2, seed: 0 }
+        RetryPolicy { attempts: 1, seed: 0 }
     }
 }
 
@@ -92,17 +92,17 @@ impl RetryPolicy {
     /// router whose first attempt used `base`.
     pub fn escalated(&self, base: &RouterConfig, retry: u32) -> RouterConfig {
         let mut cfg = *base;
-        let power = |f: u32| f.max(1).saturating_pow(retry);
-        cfg.max_attempts = base.max_attempts.saturating_mul(power(self.attempt_factor)).max(1);
+        let growth = BUDGET_GROWTH.saturating_pow(retry);
+        cfg.max_attempts = base.max_attempts.saturating_mul(growth).max(1);
         if base.max_events > 0 {
-            cfg.max_events = base.max_events.saturating_mul(power(self.event_factor) as usize);
+            cfg.max_events = base.max_events.saturating_mul(growth as usize);
         }
         // Keep the geometric schedule's shift in range: the cap may not
         // exceed the base penalty's headroom in a u64.
         let ceiling = base.base_penalty.leading_zeros();
         cfg.max_penalty_doublings = base
             .max_penalty_doublings
-            .saturating_add(self.extra_doublings.saturating_mul(retry))
+            .saturating_add(DOUBLINGS_PER_RETRY.saturating_mul(retry))
             .min(ceiling);
         cfg.order = perturbed_order(base.order, self.seed, retry);
         cfg
@@ -768,7 +768,7 @@ mod tests {
     #[test]
     fn escalation_is_monotone_and_deterministic() {
         let base = RouterConfig::default();
-        let policy = RetryPolicy { attempts: 4, seed: 7, ..RetryPolicy::default() };
+        let policy = RetryPolicy { attempts: 4, seed: 7 };
         let mut prev = base;
         for k in 1..4 {
             let cfg = policy.escalated(&base, k);
@@ -781,6 +781,15 @@ mod tests {
             assert_eq!(cfg, policy.escalated(&base, k), "escalation must be deterministic");
             prev = cfg;
         }
+        // The exact schedule: x2 attempts and explicit events, +2
+        // doublings per retry; the automatic event budget stays automatic.
+        let (r1, r2) = (policy.escalated(&base, 1), policy.escalated(&base, 2));
+        assert_eq!((r1.max_attempts, r1.max_penalty_doublings), (24, 14));
+        assert_eq!((r2.max_attempts, r2.max_penalty_doublings), (48, 16));
+        assert_eq!((r1.max_events, r2.max_events), (0, 0));
+        let explicit = RouterConfig { max_events: 100, ..base };
+        assert_eq!(policy.escalated(&explicit, 1).max_events, 200);
+        assert_eq!(policy.escalated(&explicit, 2).max_events, 400);
         // The shift stays in u64 range even under absurd escalation.
         let cfg = policy.escalated(&base, u32::MAX);
         assert!(cfg.max_penalty_doublings <= base.base_penalty.leading_zeros());

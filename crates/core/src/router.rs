@@ -124,7 +124,7 @@ impl MightyRouter {
         db: RouteDb,
         observer: &mut dyn RouteObserver,
     ) -> Result<RouteOutcome, RouteError> {
-        let mut arena = SearchArena::with_frontier(self.cfg.frontier);
+        let mut arena = SearchArena::new();
         self.try_route_incremental_observed_in(problem, db, &mut arena, observer)
     }
 

@@ -73,7 +73,7 @@ use route_model::{
 };
 
 use crate::engine::{panic_text, MAX_JOBS};
-use crate::{ConfigError, MightyRouter, RouterConfig};
+use crate::{ConfigError, MightyRouter};
 
 /// Knobs for [`RouteService`]. Prefer [`ServiceConfig::builder`], which
 /// validates; [`RouteService::start`] re-checks the invariants either
@@ -87,8 +87,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Deadline applied to jobs that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Configuration of each worker's warm [`MightyRouter`].
-    pub router: RouterConfig,
     /// Test/CI fault hook: sleep this long before routing each job,
     /// keeping jobs in flight long enough to kill mid-request.
     pub fault_delay: Option<Duration>,
@@ -96,13 +94,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            workers: 0,
-            queue_capacity: 64,
-            default_deadline: None,
-            router: RouterConfig::default(),
-            fault_delay: None,
-        }
+        ServiceConfig { workers: 0, queue_capacity: 64, default_deadline: None, fault_delay: None }
     }
 }
 
@@ -128,7 +120,7 @@ impl ServiceConfig {
 }
 
 /// Validating builder for [`ServiceConfig`], sharing [`ConfigError`]
-/// with the router and engine builders.
+/// with the router builder.
 ///
 /// # Examples
 ///
@@ -165,12 +157,6 @@ impl ServiceConfigBuilder {
     /// Sets the deadline applied to jobs without their own.
     pub fn default_deadline(mut self, deadline: Option<Duration>) -> Self {
         self.cfg.default_deadline = deadline;
-        self
-    }
-
-    /// Sets the warm router configuration.
-    pub fn router(mut self, router: RouterConfig) -> Self {
-        self.cfg.router = router;
         self
     }
 
@@ -361,7 +347,6 @@ struct Shared {
     available: Condvar,
     default_deadline: Option<Duration>,
     fault_delay: Option<Duration>,
-    router: RouterConfig,
 }
 
 /// The resident routing service. See the [module docs](self) for the
@@ -406,7 +391,6 @@ impl RouteService {
             available: Condvar::new(),
             default_deadline: config.default_deadline,
             fault_delay: config.fault_delay,
-            router: config.router,
         });
         let workers = (0..worker_count)
             .map(|idx| {
@@ -502,8 +486,8 @@ impl Drop for RouteService {
 }
 
 fn worker_loop(shared: &Shared, worker: usize) {
-    let router = MightyRouter::new(shared.router);
-    let mut arena = SearchArena::with_frontier(shared.router.frontier);
+    let router = MightyRouter::default();
+    let mut arena = SearchArena::new();
     loop {
         let job = {
             let mut state = shared.state.lock().expect("service state mutex");
@@ -586,7 +570,7 @@ fn serve_job(
     if did_panic {
         // The unwound search may have left the arena mid-flight; a
         // fresh one is cheap and provably clean.
-        *arena = SearchArena::with_frontier(arena.frontier_kind());
+        *arena = SearchArena::new();
     }
 
     let total = admitted.elapsed();
@@ -667,6 +651,7 @@ impl RouteObserver for Forwarder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RouterConfig;
     use route_model::{PinSide, ProblemBuilder, RouteEvent};
 
     fn switchbox(w: u32, h: u32, seed: u32) -> Problem {

@@ -9,10 +9,10 @@
 use std::fmt;
 
 use mighty::engine::{EngineConfig, ObserveMode, RouteEngine};
-use mighty::{FrontierKind, MightyRouter, RouterConfig};
+use mighty::{MightyRouter, RouterConfig};
 use route_benchdata::rng::SplitMix64;
-use route_maze::LeeRouter;
-use route_model::{DetailedRouter, Problem};
+use route_maze::{FrontierKind, LeeRouter, SearchArena};
+use route_model::{DetailedRouter, Problem, RouteResult, Routing};
 
 use crate::case::{CaseShape, FuzzCase};
 use crate::fault::{Fault, FaultyRouter};
@@ -41,11 +41,10 @@ impl RouterSet {
     /// the batch engine.
     pub fn standard(fault: Option<Fault>) -> Self {
         let mighty = MightyRouter::new(RouterConfig::default());
-        let heap_cfg = RouterConfig { frontier: FrontierKind::Heap, ..RouterConfig::default() };
         let (ripup, ripup_heap): (Box<dyn DetailedRouter + Sync>, _) = match fault {
             Some(f) => (Box::new(FaultyRouter::new(mighty, f)), None),
             None => {
-                let heap: Box<dyn DetailedRouter + Sync> = Box::new(MightyRouter::new(heap_cfg));
+                let heap: Box<dyn DetailedRouter + Sync> = Box::new(HeapRipup(mighty.clone()));
                 (Box::new(mighty), Some(heap))
             }
         };
@@ -61,6 +60,22 @@ impl RouterSet {
                 Box::new(route_channel::SwboxRouter),
             ],
         }
+    }
+}
+
+/// The rip-up router searching on the binary-heap reference open list,
+/// the other side of the frontier-parity oracle.
+struct HeapRipup(MightyRouter);
+
+impl DetailedRouter for HeapRipup {
+    fn name(&self) -> &str {
+        "mighty-heap"
+    }
+
+    fn route(&self, problem: &Problem) -> RouteResult {
+        let out = self.0.route_warm(problem, &mut SearchArena::with_frontier(FrontierKind::Heap));
+        let failed = out.failed().to_vec();
+        Ok(Routing { db: out.into_db(), failed })
     }
 }
 
@@ -203,13 +218,13 @@ pub fn run_batch(problems: &[Problem], routers: &RouterSet, jobs: usize) -> Vec<
     let mut lee_runs = core_runs.pop().expect("lee runs");
     let mut ripup_runs = core_runs.pop().expect("ripup runs");
 
-    let mut extra_runs: Vec<(String, std::vec::IntoIter<route_model::RouteResult>)> = routers
+    let mut extra_runs: Vec<(String, std::vec::IntoIter<RouteResult>)> = routers
         .extras
         .iter()
         .map(|r| (r.name().to_string(), off.route_batch(r.as_ref(), problems).results.into_iter()))
         .collect();
 
-    let mut heap_runs: Option<std::vec::IntoIter<route_model::RouteResult>> = routers
+    let mut heap_runs: Option<std::vec::IntoIter<RouteResult>> = routers
         .ripup_heap
         .as_ref()
         .map(|r| off.route_batch(r.as_ref(), problems).results.into_iter());

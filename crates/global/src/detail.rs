@@ -473,7 +473,7 @@ fn route_chip(
     // mutation, so a faulted rung escalates instead of corrupting state.
     if cfg.stitch {
         let seam_fault = supervision.fault.as_ref();
-        let mut arena = SearchArena::with_frontier(cfg.router.frontier);
+        let mut arena = SearchArena::new();
         for (&edge, nets) in &edge_nets {
             let repair: Vec<NetId> = nets
                 .iter()
@@ -804,11 +804,8 @@ fn supervise_tile(
     sub: &Problem,
     tile: usize,
 ) -> SupervisedOutcome {
-    let retry = RetryPolicy {
-        attempts: sup.retries.saturating_add(1),
-        seed: sup.seed ^ tile as u64,
-        ..RetryPolicy::default()
-    };
+    let retry =
+        RetryPolicy { attempts: sup.retries.saturating_add(1), seed: sup.seed ^ tile as u64 };
     let mut supervisor = Supervisor::new(cfg.router, retry);
     if sup.fallback {
         supervisor = supervisor.with_fallbacks(FallbackChain::lee());

@@ -25,8 +25,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt;
-use std::str::FromStr;
 
 /// Number of distinct `f` values the [`BucketFrontier`] calendar covers
 /// before keys spill to the overflow heap.
@@ -58,10 +56,13 @@ pub trait Frontier {
     }
 }
 
-/// Which [`Frontier`] implementation a router's searches use.
+/// Which [`Frontier`] a [`SearchArena`](crate::SearchArena) searches
+/// with.
 ///
-/// The two produce bit-identical results; the choice is purely a
-/// performance knob, and [`FrontierKind::Buckets`] is the default.
+/// The two produce bit-identical results, so this is not a router
+/// knob: every router uses the [`FrontierKind::Buckets`] default, and
+/// [`FrontierKind::Heap`] is the reference open list that parity tests
+/// and the fuzzer check the default against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontierKind {
     /// `BinaryHeap`-backed [`HeapFrontier`] (the reference baseline).
@@ -69,34 +70,6 @@ pub enum FrontierKind {
     /// Dial-style [`BucketFrontier`] (the fast default).
     #[default]
     Buckets,
-}
-
-impl FrontierKind {
-    /// Stable lowercase name, as accepted by [`FromStr`].
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            FrontierKind::Heap => "heap",
-            FrontierKind::Buckets => "buckets",
-        }
-    }
-}
-
-impl fmt::Display for FrontierKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for FrontierKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(FrontierKind::Heap),
-            "buckets" => Ok(FrontierKind::Buckets),
-            other => Err(format!("unknown frontier {other:?} (expected heap|buckets)")),
-        }
-    }
 }
 
 /// The classic binary-heap frontier: `BinaryHeap<Reverse<(f, g, idx)>>`.
@@ -319,15 +292,5 @@ mod tests {
         assert_eq!(f.pop(), Some((2, 0, 2)));
         assert_eq!(f.pop(), Some((BUCKET_SPAN as u64 + 1, 0, 1)));
         assert_eq!(f.pop(), None);
-    }
-
-    #[test]
-    fn kind_round_trips_names() {
-        for kind in [FrontierKind::Heap, FrontierKind::Buckets] {
-            assert_eq!(kind.as_str().parse::<FrontierKind>(), Ok(kind));
-            assert_eq!(kind.to_string(), kind.as_str());
-        }
-        assert!("fibonacci".parse::<FrontierKind>().is_err());
-        assert_eq!(FrontierKind::default(), FrontierKind::Buckets);
     }
 }

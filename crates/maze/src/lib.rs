@@ -45,5 +45,5 @@ pub mod sequential;
 
 pub use cost::CostModel;
 pub use frontier::{BucketFrontier, Frontier, FrontierKind, HeapFrontier, BUCKET_SPAN};
-pub use search::{FoundPath, ProbeKind, SearchArena, SearchStats, SoftPath};
+pub use search::{FoundPath, SearchArena, SearchStats, SoftPath};
 pub use sequential::{LeeRouter, SequentialOutcome};

@@ -91,6 +91,11 @@ pub struct SoftPath {
 /// buffers live, never what the search computes. One arena may serve
 /// grids of different sizes; it grows to the largest seen.
 ///
+/// The arena also owns the open list, and it is the one place that
+/// list is chosen: [`SearchArena::new`] uses the bucket queue, and
+/// [`SearchArena::with_frontier`] builds the binary-heap reference that
+/// parity tests and the fuzzer compare the default against.
+///
 /// # Examples
 ///
 /// ```
@@ -127,7 +132,6 @@ pub struct SearchArena {
     /// Cell indices written to `h_cache` since the last reset.
     h_touched: Vec<u32>,
     frontier: FrontierStore,
-    probe: ProbeKind,
 }
 
 /// The arena-owned open list, one variant per [`FrontierKind`].
@@ -142,23 +146,6 @@ enum FrontierStore {
     Buckets(BucketFrontier),
 }
 
-/// How the expansion loop tests whether a neighbor slot is free.
-///
-/// Purely a measurement knob: both modes compute identical results.
-/// The scalar mode exists so benchmarks can reproduce the
-/// pre-redesign inner loop — per-cell occupancy dereferences and an
-/// unmemoized heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProbeKind {
-    /// The historical loop: per-cell [`Grid::occupant`] dereferences
-    /// and the heuristic recomputed at every relaxation.
-    Scalar,
-    /// Word fetches from the grid's bit-packed
-    /// [`OccupancyView`](route_model::OccupancyView).
-    #[default]
-    Bits,
-}
-
 impl Default for SearchArena {
     fn default() -> Self {
         SearchArena::new()
@@ -167,19 +154,16 @@ impl Default for SearchArena {
 
 impl SearchArena {
     /// Creates an empty arena with the default (bucket) frontier;
-    /// buffers are sized lazily on first use.
+    /// buffers are sized lazily on first use. Every router builds its
+    /// arenas this way.
     pub fn new() -> Self {
-        SearchArena::with_config(FrontierKind::default(), ProbeKind::default())
+        SearchArena::with_frontier(FrontierKind::default())
     }
 
-    /// Creates an empty arena using the given frontier implementation.
+    /// Creates an empty arena over the given open list. Both kinds
+    /// search bit-identically; [`FrontierKind::Heap`] is the reference
+    /// that parity tests and the fuzzer check the default against.
     pub fn with_frontier(kind: FrontierKind) -> Self {
-        SearchArena::with_config(kind, ProbeKind::default())
-    }
-
-    /// Creates an empty arena with explicit frontier and neighbor-probe
-    /// choices (the latter only matters for baseline measurements).
-    pub fn with_config(kind: FrontierKind, probe: ProbeKind) -> Self {
         let frontier = match kind {
             FrontierKind::Heap => FrontierStore::Heap(HeapFrontier::new()),
             FrontierKind::Buckets => FrontierStore::Buckets(BucketFrontier::new()),
@@ -192,15 +176,6 @@ impl SearchArena {
             h_cache: Vec::new(),
             h_touched: Vec::new(),
             frontier,
-            probe,
-        }
-    }
-
-    /// Which frontier implementation this arena's searches use.
-    pub fn frontier_kind(&self) -> FrontierKind {
-        match self.frontier {
-            FrontierStore::Heap(_) => FrontierKind::Heap,
-            FrontierStore::Buckets(_) => FrontierKind::Buckets,
         }
     }
 
@@ -364,12 +339,11 @@ fn run(
     let grid = query.grid;
     let n_cells = grid.width() as usize * grid.height() as usize;
     arena.reset(n_cells * NUM_LAYERS, n_cells);
-    let SearchArena { dist, prev, target_mask, touched, h_cache, h_touched, frontier, probe } =
-        arena;
+    let SearchArena { dist, prev, target_mask, touched, h_cache, h_touched, frontier } = arena;
     let scratch = Scratch { dist, prev, target_mask, touched, h_cache, h_touched };
     match frontier {
-        FrontierStore::Heap(f) => run_core(query, soft, scratch, f, *probe),
-        FrontierStore::Buckets(f) => run_core(query, soft, scratch, f, *probe),
+        FrontierStore::Heap(f) => run_core(query, soft, scratch, f),
+        FrontierStore::Buckets(f) => run_core(query, soft, scratch, f),
     }
 }
 
@@ -378,7 +352,6 @@ fn run_core<F: Frontier>(
     soft: Option<&dyn Fn(Point, Layer, NetId) -> Option<u64>>,
     scratch: Scratch<'_>,
     frontier: &mut F,
-    probe: ProbeKind,
 ) -> (Option<SoftPath>, SearchStats) {
     let grid = query.grid;
     let Scratch { dist, prev, target_mask, touched, h_cache, h_touched } = scratch;
@@ -396,24 +369,18 @@ fn run_core<F: Frontier>(
     }
     let w = grid.width() as usize;
     let step_w = query.cost.step as u64;
-    let probe_bits = probe == ProbeKind::Bits;
     // Min-manhattan-to-any-target heuristic, memoized per cell (it is
     // layer-blind). Memoization changes where the value is computed,
-    // never the value, so results stay bit-identical. The baseline
-    // probe mode recomputes every call, as the pre-redesign loop did.
+    // never the value, so results stay bit-identical.
     let mut heuristic = |p: Point| -> u64 {
         let cell = p.y as usize * w + p.x as usize;
-        if probe_bits {
-            let cached = h_cache[cell];
-            if cached != u64::MAX {
-                return cached;
-            }
+        let cached = h_cache[cell];
+        if cached != u64::MAX {
+            return cached;
         }
         let h = targets.iter().map(|t| p.manhattan(t.at) as u64 * step_w).min().unwrap_or(0);
-        if probe_bits {
-            h_cache[cell] = h;
-            h_touched.push(cell as u32);
-        }
+        h_cache[cell] = h;
+        h_touched.push(cell as u32);
         h
     };
 
@@ -459,7 +426,7 @@ fn run_core<F: Frontier>(
         // Wire steps in the four directions. A set bit in `free_mask`
         // proves the neighbor is in bounds and free (enter cost 0)
         // from one word fetch, skipping the cell dereference.
-        let free_mask = if probe_bits { view.neighbor_free_mask(p, layer) } else { 0 };
+        let free_mask = view.neighbor_free_mask(p, layer);
         for (i, dir) in Dir::ALL.iter().enumerate() {
             let np = p.step(*dir);
             stats.relaxed += 1;
@@ -489,7 +456,7 @@ fn run_core<F: Frontier>(
         // Layer changes (vias) to the adjacent layers at the same point.
         for other in layer.adjacent() {
             stats.relaxed += 1;
-            let extra = if probe_bits && view.is_free(p, other) {
+            let extra = if view.is_free(p, other) {
                 Some(0)
             } else {
                 enter_cost(grid, query.net, p, other, soft)

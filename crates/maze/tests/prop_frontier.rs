@@ -125,10 +125,6 @@ fn clear_resets_both_impls_to_the_same_state() {
 }
 
 #[test]
-fn kind_constructs_the_matching_impl() {
-    // The config knob round-trips through names and Default.
+fn buckets_are_the_default_kind() {
     assert_eq!(FrontierKind::default(), FrontierKind::Buckets);
-    assert_eq!("heap".parse::<FrontierKind>(), Ok(FrontierKind::Heap));
-    assert_eq!("buckets".parse::<FrontierKind>(), Ok(FrontierKind::Buckets));
-    assert!("splay".parse::<FrontierKind>().is_err());
 }

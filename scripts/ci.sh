@@ -73,6 +73,7 @@ done
 
 # Out-of-range numbers are argument errors (exit 2), never wrapped into range.
 rc=0; "$VROUTE" chip --width 4294967336 2>/dev/null || rc=$?; [[ "$rc" == 2 ]] || { echo "ci: chip --width 4294967336 exited $rc, not 2" >&2; exit 1; }
+rc=0; "$VROUTE" batch x.sb --deadline-ms 0 2>/dev/null || rc=$?; [[ "$rc" == 2 ]] || { echo "ci: batch --deadline-ms 0 exited $rc, not 2" >&2; exit 1; }
 
 # Concurrency-sanitizer lane: mighty-core hosts the multithreaded
 # engine and service, so its tests get a ThreadSanitizer pass when the
@@ -288,8 +289,8 @@ else
   run cargo run --release --offline --quiet -p route-bench --bin exp_c1_chip -- --quick
 fi
 
-# Hot-path throughput gate: route the channel suite under every
-# frontier/probe mode (bit-identical checksums asserted inside the
+# Hot-path throughput gate: route the channel suite under both
+# frontier modes (bit-identical checksums asserted inside the
 # sweep) and fail if the default bucket-queue frontier is slower than
 # the binary heap on the rip-up router. Perf ratios are only meaningful
 # in release, so both modes build the bench binary optimized; the full

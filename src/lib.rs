@@ -99,15 +99,13 @@ pub use route_proto as proto;
 pub use route_verify as verify;
 
 pub use mighty::{
-    ConfigError, EngineConfig, EngineConfigBuilder, FallbackChain, JobDone, JobSpec, MightyRouter,
-    ObserveMode, RetryPolicy, RouteEngine, RouteService, RouterConfig, RouterConfigBuilder,
-    RunJournal, ServeJournal, ServiceConfig, ServiceConfigBuilder, ServiceReply, ServiceStats,
-    SubmitError, Supervisor,
+    ConfigError, EngineConfig, FallbackChain, JobDone, JobSpec, MightyRouter, ObserveMode,
+    RetryPolicy, RouteEngine, RouteService, RouterConfig, RouterConfigBuilder, RunJournal,
+    ServeJournal, ServiceConfig, ServiceConfigBuilder, ServiceReply, ServiceStats, SubmitError,
+    Supervisor,
 };
 pub use route_analyze::{Diagnostic, InfeasibilityCertificate, Severity};
-pub use route_maze::{
-    BucketFrontier, Frontier, FrontierKind, HeapFrontier, ProbeKind, SearchArena,
-};
+pub use route_maze::{BucketFrontier, Frontier, FrontierKind, HeapFrontier, SearchArena};
 pub use route_model::{
     DetailedRouter, EventLog, MetricsRecorder, NopObserver, OccupancyView, RouteError, RouteEvent,
     RouteObserver, RouteResult, RouterStats, Routing, SlotIndex,
