@@ -24,7 +24,10 @@
 //! layer, not just the crossing layer the hierarchical flow assigns),
 //! so a certificate here implies the flat fallback fails too. Each
 //! lifts into the same [`InfeasibilityCertificate`] lattice as
-//! F001–F003 and replays through the same machinery.
+//! F001–F003 and replays through the same machinery. The tiles are the
+//! router's own [`TileGrid`] and the seam pairs its
+//! [`TileGrid::facing`] pairs, so analyzer and router cannot disagree
+//! about a tile boundary.
 //!
 //! Alongside the certificates, [`analyze_chip`] produces a
 //! [`CongestionMap`] — the classic static pre-routing estimate: each
@@ -37,7 +40,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use route_geom::{Layer, Point, Rect};
-use route_model::{Grid, NetId, Occupant, Problem};
+use route_model::{Grid, Net, NetId, Occupant, Problem, TileEdge, TileGrid, TileId};
 
 use crate::diag::{sort_diagnostics, Diagnostic, GridSpan};
 use crate::feasibility::{Context, CutAxis, InfeasibilityCertificate};
@@ -103,9 +106,7 @@ impl ChipReport {
 /// boxes spread over the tile grid, capacity from free slots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CongestionMap {
-    tile: u32,
-    cols: u32,
-    rows: u32,
+    grid: TileGrid,
     /// Estimated wirelength demand per tile, row-major, scaled by
     /// [`FEATURE_SCALE`].
     demand: Vec<u64>,
@@ -114,23 +115,13 @@ pub struct CongestionMap {
 }
 
 impl CongestionMap {
-    /// Tile side length the map was built at.
-    pub fn tile(&self) -> u32 {
-        self.tile
-    }
-
-    /// Number of tile columns.
-    pub fn cols(&self) -> u32 {
-        self.cols
-    }
-
-    /// Number of tile rows.
-    pub fn rows(&self) -> u32 {
-        self.rows
+    /// The tile grid the map was built on.
+    pub fn grid(&self) -> &TileGrid {
+        &self.grid
     }
 
     fn index(&self, col: u32, row: u32) -> usize {
-        (row * self.cols + col) as usize
+        (row * self.grid.cols() + col) as usize
     }
 
     /// Estimated demand routed through tile `(col, row)`, scaled by
@@ -158,12 +149,10 @@ impl CongestionMap {
     /// first maximum).
     pub fn peak(&self) -> (u32, u32, u64) {
         let mut best = (0, 0, 0);
-        for row in 0..self.rows {
-            for col in 0..self.cols {
-                let c = self.congestion_at(col, row);
-                if c > best.2 {
-                    best = (col, row, c);
-                }
+        for t in self.grid.tiles() {
+            let c = self.congestion_at(t.col, t.row);
+            if c > best.2 {
+                best = (t.col, t.row, c);
             }
         }
         best
@@ -218,20 +207,20 @@ pub fn analyze_chip(problem: &Problem, tile: u32) -> ChipReport {
     let mut certificates = Vec::new();
 
     // F004: the grid cut along every tile boundary, columns then rows.
-    for boundary in 0..chip.cols.saturating_sub(1) {
+    for boundary in 0..chip.grid.cols().saturating_sub(1) {
         if let Some(cert) = chip.cut_certificate(&flat, CutAxis::Vertical, boundary) {
             certificates.push(cert);
         }
     }
-    for boundary in 0..chip.rows.saturating_sub(1) {
+    for boundary in 0..chip.grid.rows().saturating_sub(1) {
         if let Some(cert) = chip.cut_certificate(&flat, CutAxis::Horizontal, boundary) {
             certificates.push(cert);
         }
     }
 
     // F005: every bridge of the tile graph, in normalized edge order.
-    for (a, b) in chip.bridges() {
-        if let Some(cert) = chip.seam_certificate(a, b) {
+    for edge in chip.bridges() {
+        if let Some(cert) = chip.seam_certificate(edge) {
             certificates.push(cert);
         }
     }
@@ -241,12 +230,12 @@ pub fn analyze_chip(problem: &Problem, tile: u32) -> ChipReport {
         if net.pins.len() < 2 {
             continue;
         }
-        let reached = chip.flood(chip.tile_of(net.pins[0].at));
-        let Some(&cut_off) = net.pins.iter().find(|p| !reached.contains(&chip.tile_of(p.at)))
+        let reached = chip.flood(chip.grid.tile_of(net.pins[0].at));
+        let Some(&cut_off) = net.pins.iter().find(|p| !reached.contains(&chip.grid.tile_of(p.at)))
         else {
             continue;
         };
-        let island = chip.flood(chip.tile_of(cut_off.at));
+        let island = chip.flood(chip.grid.tile_of(cut_off.at));
         certificates.push(InfeasibilityCertificate::WalledTileRegion {
             tile,
             net: net.id,
@@ -270,19 +259,17 @@ pub fn analyze_chip(problem: &Problem, tile: u32) -> ChipReport {
 ///
 /// Panics if `tile` is zero.
 pub fn congestion_map(problem: &Problem, tile: u32) -> CongestionMap {
-    assert!(tile > 0, "tile size must be non-zero");
+    let grid = TileGrid::new(problem, tile);
+    let tiles = (grid.cols() * grid.rows()) as usize;
+    let mut map = CongestionMap { grid, demand: vec![0; tiles], capacity: vec![0; tiles] };
     let base = problem.base_grid();
-    let cols = problem.width().div_ceil(tile);
-    let rows = problem.height().div_ceil(tile);
-    let mut demand = vec![0u64; (cols * rows) as usize];
-    let mut capacity = vec![0u64; (cols * rows) as usize];
-
     let layers = problem.layers() as usize;
     for p in base.bounds().cells() {
-        let (col, row) = (p.x as u32 / tile, p.y as u32 / tile);
+        let t = map.grid.tile_of(p);
         for layer in Layer::ALL.into_iter().take(layers) {
             if base.occupant(p, layer) != Occupant::Blocked {
-                capacity[(row * cols + col) as usize] += 1;
+                let i = map.index(t.col, t.row);
+                map.capacity[i] += 1;
             }
         }
     }
@@ -291,22 +278,25 @@ pub fn congestion_map(problem: &Problem, tile: u32) -> CongestionMap {
     // is distributed uniformly over the tiles its pin bounding box
     // touches.
     for net in problem.nets() {
-        let Some(first) = net.pins.first() else { continue };
-        let bbox =
-            net.pins.iter().fold(Rect::cell(first.at), |acc, p| acc.union(&Rect::cell(p.at)));
-        let (c0, r0) = (bbox.min().x as u32 / tile, bbox.min().y as u32 / tile);
-        let (c1, r1) = (bbox.max().x as u32 / tile, bbox.max().y as u32 / tile);
+        let Some(bbox) = pin_bbox(net) else { continue };
+        let (lo, hi) = (map.grid.tile_of(bbox.min()), map.grid.tile_of(bbox.max()));
         let hpwl = u64::from(bbox.width() + bbox.height());
-        let spread = u64::from(c1 - c0 + 1) * u64::from(r1 - r0 + 1);
+        let spread = u64::from(hi.col - lo.col + 1) * u64::from(hi.row - lo.row + 1);
         let share = FEATURE_SCALE * hpwl / spread;
-        for row in r0..=r1 {
-            for col in c0..=c1 {
-                demand[(row * cols + col) as usize] += share;
+        for row in lo.row..=hi.row {
+            for col in lo.col..=hi.col {
+                let i = map.index(col, row);
+                map.demand[i] += share;
             }
         }
     }
+    map
+}
 
-    CongestionMap { tile, cols, rows, demand, capacity }
+/// The bounding box of a net's pins; `None` for a pinless net.
+fn pin_bbox(net: &Net) -> Option<Rect> {
+    let first = net.pins.first()?;
+    Some(net.pins.iter().fold(Rect::cell(first.at), |acc, p| acc.union(&Rect::cell(p.at))))
 }
 
 /// Computes the per-net feature vectors at tile size `tile`, indexed by
@@ -321,12 +311,11 @@ pub fn net_features(problem: &Problem, tile: u32) -> Vec<NetFeatures> {
 }
 
 fn features_from(problem: &Problem, map: &CongestionMap) -> Vec<NetFeatures> {
-    let tile = map.tile();
     problem
         .nets()
         .iter()
         .map(|net| {
-            let Some(first) = net.pins.first() else {
+            let Some(bbox) = pin_bbox(net) else {
                 return NetFeatures {
                     net: net.id,
                     congestion: 0,
@@ -335,13 +324,10 @@ fn features_from(problem: &Problem, map: &CongestionMap) -> Vec<NetFeatures> {
                     crossings: 0,
                 };
             };
-            let bbox =
-                net.pins.iter().fold(Rect::cell(first.at), |acc, p| acc.union(&Rect::cell(p.at)));
-            let (c0, r0) = (bbox.min().x as u32 / tile, bbox.min().y as u32 / tile);
-            let (c1, r1) = (bbox.max().x as u32 / tile, bbox.max().y as u32 / tile);
+            let (lo, hi) = (map.grid.tile_of(bbox.min()), map.grid.tile_of(bbox.max()));
             let mut congestion = 0;
-            for row in r0..=r1 {
-                for col in c0..=c1 {
+            for row in lo.row..=hi.row {
+                for col in lo.col..=hi.col {
                     congestion = congestion.max(map.congestion_at(col, row));
                 }
             }
@@ -351,7 +337,7 @@ fn features_from(problem: &Problem, map: &CongestionMap) -> Vec<NetFeatures> {
                 congestion,
                 pin_density: FEATURE_SCALE * net.pins.len() as u64 / bbox_area.max(1),
                 bbox_area,
-                crossings: u64::from(c1 - c0) + u64::from(r1 - r0),
+                crossings: u64::from(hi.col - lo.col) + u64::from(hi.row - lo.row),
             }
         })
         .collect()
@@ -372,10 +358,10 @@ pub(crate) fn replay_chip(cert: &InfeasibilityCertificate, problem: &Problem) ->
             if *tile == 0 {
                 return false;
             }
-            let chip = ChipContext::new(problem, *tile);
+            let grid = TileGrid::new(problem, *tile);
             let limit = match axis {
-                CutAxis::Vertical => chip.cols,
-                CutAxis::Horizontal => chip.rows,
+                CutAxis::Vertical => grid.cols(),
+                CutAxis::Horizontal => grid.rows(),
             };
             if *boundary + 1 >= limit {
                 return false;
@@ -394,10 +380,12 @@ pub(crate) fn replay_chip(cert: &InfeasibilityCertificate, problem: &Problem) ->
                 return false;
             }
             let chip = ChipContext::new(problem, *tile);
-            if !chip.in_range(*a) || !chip.in_range(*b) {
+            if !in_grid(&chip.grid, *a) || !in_grid(&chip.grid, *b) {
                 return false;
             }
-            let Some((derived_forced, derived_capacity)) = chip.seam_demand(*a, *b) else {
+            let Some((derived_forced, derived_capacity)) =
+                chip.seam_demand(TileEdge { a: *a, b: *b })
+            else {
                 return false;
             };
             derived_forced == *forced
@@ -416,8 +404,8 @@ pub(crate) fn replay_chip(cert: &InfeasibilityCertificate, problem: &Problem) ->
                 return false;
             }
             let chip = ChipContext::new(problem, *tile);
-            let island = chip.flood(chip.tile_of(pin.at));
-            island.len() == *region && !island.contains(&chip.tile_of(goal.at))
+            let island = chip.flood(chip.grid.tile_of(pin.at));
+            island.len() == *region && !island.contains(&chip.grid.tile_of(goal.at))
         }
         _ => false,
     }
@@ -425,65 +413,48 @@ pub(crate) fn replay_chip(cert: &InfeasibilityCertificate, problem: &Problem) ->
 
 /// The grid span of the boundary segment between two adjacent tiles,
 /// used when rendering F005 diagnostics. `None` on malformed witnesses.
-pub(crate) fn seam_span(
-    problem: &Problem,
-    tile: u32,
-    a: (u32, u32),
-    b: (u32, u32),
-) -> Option<GridSpan> {
+pub(crate) fn seam_span(problem: &Problem, tile: u32, a: TileId, b: TileId) -> Option<GridSpan> {
     if tile == 0 {
         return None;
     }
-    let chip = ChipContext::new(problem, tile);
-    if !chip.in_range(a) || !chip.in_range(b) {
+    let grid = TileGrid::new(problem, tile);
+    if !in_grid(&grid, a) || !in_grid(&grid, b) {
         return None;
     }
-    let ra = chip.rect(a);
-    let rb = chip.rect(b);
-    if a.1 == b.1 {
-        Some(GridSpan::area(Point::new(ra.max().x, ra.min().y), Point::new(rb.min().x, ra.max().y)))
-    } else {
-        Some(GridSpan::area(Point::new(ra.min().x, ra.max().y), Point::new(ra.max().x, rb.min().y)))
-    }
+    let pairs: Vec<_> = grid.facing(TileEdge { a, b }).collect();
+    let (&(from, _), &(_, to)) = (pairs.first()?, pairs.last()?);
+    Some(GridSpan::area(from, to))
 }
 
-/// Tile math over a problem, mirroring the hierarchical router's
-/// `TileGrid` exactly (div-ceil tiling, ragged top/right tiles) — but
-/// counting *every* layer across a boundary, because a feasibility
-/// proof must bind the flat fallback too, not just the crossing layer
-/// the hierarchical flow assigns.
+/// Whether `t` is a tile of `grid` (certificates are untrusted input).
+fn in_grid(grid: &TileGrid, t: TileId) -> bool {
+    t.col < grid.cols() && t.row < grid.rows()
+}
+
+/// The tile graph of a problem over the hierarchical router's own
+/// [`TileGrid`]. Two adjacent tiles are linked when some facing cell
+/// pair is unblocked on *some* layer: a feasibility proof must bind the
+/// flat fallback too, not just the crossing layer the hierarchical flow
+/// assigns.
 struct ChipContext<'a> {
     problem: &'a Problem,
     base: Grid,
-    tile: u32,
-    cols: u32,
-    rows: u32,
+    grid: TileGrid,
     /// Adjacency over passable seams, nodes row-major.
     adj: Vec<Vec<usize>>,
 }
 
 impl<'a> ChipContext<'a> {
     fn new(problem: &'a Problem, tile: u32) -> Self {
-        assert!(tile > 0, "tile size must be non-zero");
-        let mut chip = ChipContext {
-            problem,
-            base: problem.base_grid(),
-            tile,
-            cols: problem.width().div_ceil(tile),
-            rows: problem.height().div_ceil(tile),
-            adj: Vec::new(),
-        };
-        let mut adj = vec![Vec::new(); (chip.cols * chip.rows) as usize];
-        for row in 0..chip.rows {
-            for col in 0..chip.cols {
-                let t = (col, row);
-                if col + 1 < chip.cols && chip.passable(t, (col + 1, row)) {
-                    adj[chip.node(t)].push(chip.node((col + 1, row)));
-                    adj[chip.node((col + 1, row))].push(chip.node(t));
-                }
-                if row + 1 < chip.rows && chip.passable(t, (col, row + 1)) {
-                    adj[chip.node(t)].push(chip.node((col, row + 1)));
-                    adj[chip.node((col, row + 1))].push(chip.node(t));
+        let grid = TileGrid::new(problem, tile);
+        let mut chip = ChipContext { problem, base: problem.base_grid(), grid, adj: Vec::new() };
+        let mut adj = vec![Vec::new(); (chip.grid.cols() * chip.grid.rows()) as usize];
+        for t in chip.grid.tiles() {
+            // Each edge once, from its lower/left tile: right, then above.
+            for n in chip.grid.neighbors(t).into_iter().filter(|&n| n > t) {
+                if chip.passable(TileEdge { a: t, b: n }) {
+                    adj[chip.node(t)].push(chip.node(n));
+                    adj[chip.node(n)].push(chip.node(t));
                 }
             }
         }
@@ -491,41 +462,11 @@ impl<'a> ChipContext<'a> {
         chip
     }
 
-    fn in_range(&self, t: (u32, u32)) -> bool {
-        t.0 < self.cols && t.1 < self.rows
-    }
-
-    fn tile_of(&self, p: Point) -> (u32, u32) {
-        (p.x as u32 / self.tile, p.y as u32 / self.tile)
-    }
-
-    fn rect(&self, t: (u32, u32)) -> Rect {
-        let x0 = (t.0 * self.tile) as i32;
-        let y0 = (t.1 * self.tile) as i32;
-        let w = self.tile.min(self.problem.width() - t.0 * self.tile);
-        let h = self.tile.min(self.problem.height() - t.1 * self.tile);
-        Rect::with_size(Point::new(x0, y0), w, h)
-    }
-
-    /// The facing cell pairs across the boundary between two adjacent
-    /// tiles (`a` normalized lower/left).
-    fn seam_pairs(&self, a: (u32, u32), b: (u32, u32)) -> Vec<(Point, Point)> {
-        let ra = self.rect(a);
-        let rb = self.rect(b);
-        if a.1 == b.1 {
-            let (xa, xb) = (ra.max().x, rb.min().x);
-            (ra.min().y..=ra.max().y).map(|y| (Point::new(xa, y), Point::new(xb, y))).collect()
-        } else {
-            let (ya, yb) = (ra.max().y, rb.min().y);
-            (ra.min().x..=ra.max().x).map(|x| (Point::new(x, ya), Point::new(x, yb))).collect()
-        }
-    }
-
-    /// Whether any net could cross between `a` and `b`: some facing
-    /// pair is unblocked on some layer. Pins do not close a seam — a
-    /// pin slot is passable to its owner.
-    fn passable(&self, a: (u32, u32), b: (u32, u32)) -> bool {
-        self.seam_pairs(a, b).iter().any(|&(pa, pb)| {
+    /// Whether any net could cross `edge`: some facing pair is
+    /// unblocked on some layer. Pins do not close a seam — a pin slot is
+    /// passable to its owner.
+    fn passable(&self, edge: TileEdge) -> bool {
+        self.grid.facing(edge).any(|(pa, pb)| {
             Layer::ALL.into_iter().any(|layer| {
                 self.base.occupant(pa, layer) != Occupant::Blocked
                     && self.base.occupant(pb, layer) != Occupant::Blocked
@@ -533,16 +474,16 @@ impl<'a> ChipContext<'a> {
         })
     }
 
-    fn node(&self, t: (u32, u32)) -> usize {
-        (t.1 * self.cols + t.0) as usize
+    fn node(&self, t: TileId) -> usize {
+        (t.row * self.grid.cols() + t.col) as usize
     }
 
-    fn tile_at(&self, node: usize) -> (u32, u32) {
-        (node as u32 % self.cols, node as u32 / self.cols)
+    fn tile_at(&self, node: usize) -> TileId {
+        TileId { col: node as u32 % self.grid.cols(), row: node as u32 / self.grid.cols() }
     }
 
     /// Tiles reachable from `start` through passable seams.
-    fn flood(&self, start: (u32, u32)) -> HashSet<(u32, u32)> {
+    fn flood(&self, start: TileId) -> HashSet<TileId> {
         let mut seen = HashSet::from([start]);
         let mut queue = VecDeque::from([self.node(start)]);
         while let Some(n) = queue.pop_front() {
@@ -555,9 +496,9 @@ impl<'a> ChipContext<'a> {
         seen
     }
 
-    /// The bridges of the tile graph, normalized `(a, b)` with `a` the
-    /// lower/left tile, in ascending order. Iterative Tarjan lowlink.
-    fn bridges(&self) -> Vec<((u32, u32), (u32, u32))> {
+    /// The bridges of the tile graph, in ascending row-major node order.
+    /// Iterative Tarjan lowlink.
+    fn bridges(&self) -> Vec<TileEdge> {
         let n = self.adj.len();
         let mut disc = vec![0u32; n];
         let mut low = vec![0u32; n];
@@ -603,15 +544,15 @@ impl<'a> ChipContext<'a> {
             }
         }
         out.sort_unstable();
-        out.into_iter().map(|(a, b)| (self.tile_at(a), self.tile_at(b))).collect()
+        out.into_iter().map(|(a, b)| TileEdge { a: self.tile_at(a), b: self.tile_at(b) }).collect()
     }
 
-    /// The nets forced through the seam `(a, b)` — their pin tiles are
+    /// The nets forced through the seam `edge` — their pin tiles are
     /// separated by its removal — and the crossing capacity left to
     /// them. `None` when the seam is not separating or forces no net.
-    fn seam_demand(&self, a: (u32, u32), b: (u32, u32)) -> Option<(Vec<NetId>, usize)> {
-        let side_a = self.half_flood(a, b)?;
-        let side_b = self.half_flood(b, a)?;
+    fn seam_demand(&self, edge: TileEdge) -> Option<(Vec<NetId>, usize)> {
+        let side_a = self.half_flood(edge.a, edge.b)?;
+        let side_b = self.half_flood(edge.b, edge.a)?;
         let forced: Vec<NetId> = self
             .problem
             .nets()
@@ -620,7 +561,7 @@ impl<'a> ChipContext<'a> {
                 let mut in_a = false;
                 let mut in_b = false;
                 for pin in &net.pins {
-                    let t = self.tile_of(pin.at);
+                    let t = self.grid.tile_of(pin.at);
                     in_a |= side_a.contains(&t);
                     in_b |= side_b.contains(&t);
                 }
@@ -641,7 +582,7 @@ impl<'a> ChipContext<'a> {
             .flat_map(|n| n.pins.iter().map(move |p| ((p.at, p.layer), n.id)))
             .collect();
         let mut capacity = 0usize;
-        for (pa, pb) in self.seam_pairs(a, b) {
+        for (pa, pb) in self.grid.facing(edge) {
             for layer in Layer::ALL {
                 let usable = [pa, pb].iter().all(|&p| {
                     self.base.occupant(p, layer) != Occupant::Blocked
@@ -657,7 +598,7 @@ impl<'a> ChipContext<'a> {
 
     /// Flood from `a` with the seam `(a, b)` removed; `None` when `b`
     /// is still reachable (the seam is not a bridge).
-    fn half_flood(&self, a: (u32, u32), b: (u32, u32)) -> Option<HashSet<(u32, u32)>> {
+    fn half_flood(&self, a: TileId, b: TileId) -> Option<HashSet<TileId>> {
         let (na, nb) = (self.node(a), self.node(b));
         let mut seen = HashSet::from([a]);
         let mut queue = VecDeque::from([na]);
@@ -685,10 +626,10 @@ impl<'a> ChipContext<'a> {
         axis: CutAxis,
         boundary: u32,
     ) -> Option<InfeasibilityCertificate> {
-        let index = ((boundary + 1) * self.tile) as i32 - 1;
+        let index = ((boundary + 1) * self.grid.tile()) as i32 - 1;
         let cut = flat.cut(axis, index)?;
         (cut.crossing.len() > cut.capacity).then_some(InfeasibilityCertificate::TileCutSaturated {
-            tile: self.tile,
+            tile: self.grid.tile(),
             axis,
             boundary,
             demand: cut.crossing.len(),
@@ -698,12 +639,12 @@ impl<'a> ChipContext<'a> {
     }
 
     /// F005 check for one bridge seam.
-    fn seam_certificate(&self, a: (u32, u32), b: (u32, u32)) -> Option<InfeasibilityCertificate> {
-        let (forced, capacity) = self.seam_demand(a, b)?;
+    fn seam_certificate(&self, edge: TileEdge) -> Option<InfeasibilityCertificate> {
+        let (forced, capacity) = self.seam_demand(edge)?;
         (forced.len() > capacity).then_some(InfeasibilityCertificate::SeamSaturated {
-            tile: self.tile,
-            a,
-            b,
+            tile: self.grid.tile(),
+            a: edge.a,
+            b: edge.b,
             demand: forced.len(),
             forced,
             capacity,
@@ -833,7 +774,7 @@ mod tests {
         assert_eq!(f005.len(), 1, "{:?}", report.certificates());
         match f005[0] {
             InfeasibilityCertificate::SeamSaturated { a, b, demand, capacity, forced, .. } => {
-                assert_eq!((*a, *b), ((0, 0), (1, 0)));
+                assert_eq!((*a, *b), (TileId { col: 0, row: 0 }, TileId { col: 1, row: 0 }));
                 assert_eq!(*demand, 3);
                 assert_eq!(*capacity, 1, "one open pair on M1");
                 assert_eq!(forced.len(), 3);
@@ -856,8 +797,8 @@ mod tests {
         let p = walled(8, 4);
         let ctx = ChipContext::new(&p, 8);
         assert_eq!(ctx.bridges().len(), 2);
-        for (a, b) in ctx.bridges() {
-            assert!(ctx.seam_certificate(a, b).is_none());
+        for edge in ctx.bridges() {
+            assert!(ctx.seam_certificate(edge).is_none());
         }
     }
 
@@ -868,7 +809,7 @@ mod tests {
         b.net("local").pin_at(Point::new(1, 1), Layer::M1).pin_at(Point::new(2, 1), Layer::M1);
         let p = b.build().unwrap();
         let map = congestion_map(&p, 8);
-        assert_eq!((map.cols(), map.rows()), (4, 1));
+        assert_eq!((map.grid().cols(), map.grid().rows()), (4, 1));
         // The long net spreads over all four tiles; the local net only
         // loads the first.
         assert!(map.demand_at(0, 0) > map.demand_at(1, 0));
@@ -903,6 +844,7 @@ mod tests {
         let p = b.build().unwrap();
         let report = analyze_chip(&p, 16);
         assert!(report.is_feasible());
-        assert_eq!((report.congestion().cols(), report.congestion().rows()), (1, 1));
+        let grid = report.congestion().grid();
+        assert_eq!((grid.cols(), grid.rows()), (1, 1));
     }
 }

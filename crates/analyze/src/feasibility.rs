@@ -26,7 +26,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use route_geom::{Layer, Point};
-use route_model::{Grid, NetId, Occupant, Pin, Problem};
+use route_model::{Grid, NetId, Occupant, Pin, Problem, TileId};
 
 use crate::diag::{sort_diagnostics, Diagnostic, GridSpan, Severity};
 
@@ -115,10 +115,10 @@ pub enum InfeasibilityCertificate {
     SeamSaturated {
         /// Tile side length the analysis ran at.
         tile: u32,
-        /// Lower/left tile of the seam, as `(col, row)`.
-        a: (u32, u32),
-        /// Upper/right tile of the seam, as `(col, row)`.
-        b: (u32, u32),
+        /// Lower/left tile of the seam.
+        a: TileId,
+        /// Upper/right tile of the seam.
+        b: TileId,
         /// Nets forced through the seam: removing it separates their
         /// pin tiles in the tile graph.
         forced: Vec<NetId>,
@@ -231,7 +231,7 @@ impl InfeasibilityCertificate {
                 format!(
                     "seam between tiles ({}, {}) and ({}, {}) (tile size {tile}) is the \
                      only tile-graph link for {demand} nets but has {capacity} crossing slots",
-                    a.0, a.1, b.0, b.1
+                    a.col, a.row, b.col, b.row
                 )
             }
             InfeasibilityCertificate::WalledTileRegion { tile, net, pin, goal, region } => {

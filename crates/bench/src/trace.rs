@@ -1,11 +1,11 @@
-//! Machine-readable routing traces: [`RouteObserver`] events rendered
-//! as line-delimited JSON (one event object per line).
+//! Machine-readable routing traces: [`RouteEvent`]s rendered as
+//! line-delimited JSON (one event object per line).
 //!
-//! [`TraceRecorder`] wraps an [`EventLog`] so it can be handed to any
+//! [`trace_lines`] renders any recorded event slice: an
+//! [`EventLog`](route_model::EventLog) handed to a
 //! [`DetailedRouter::route_observed`](route_model::DetailedRouter::route_observed)
-//! call, then rendered with [`TraceRecorder::render`]. The free function
-//! [`trace_lines`] renders events the batch engine already collected
-//! (see `mighty::ObserveMode::Trace`).
+//! call, or the events the batch engine already collected (see
+//! `mighty::ObserveMode::Trace`).
 //!
 //! The line schema is stable: every record carries `"ev"` (the
 //! [`kind_name`](RouteEvent::kind_name)) and `"instance"`, plus the
@@ -15,87 +15,26 @@
 //! # Examples
 //!
 //! ```
-//! use route_bench::trace::TraceRecorder;
-//! use route_model::{DetailedRouter, PinSide, ProblemBuilder};
+//! use route_bench::trace::trace_lines;
+//! use route_model::{DetailedRouter, EventLog, PinSide, ProblemBuilder};
 //! use mighty::{MightyRouter, RouterConfig};
 //!
 //! let mut b = ProblemBuilder::switchbox(8, 8);
 //! b.net("a").pin_side(PinSide::Left, 3).pin_side(PinSide::Right, 5);
 //! let problem = b.build().unwrap();
 //!
-//! let mut trace = TraceRecorder::new("swbox-0");
+//! let mut log = EventLog::new();
 //! let router = MightyRouter::new(RouterConfig::default());
-//! let outcome = router.route_observed(&problem, &mut trace);
+//! let outcome = router.route_observed(&problem, &mut log);
 //! assert!(outcome.is_complete());
-//! let text = trace.render();
+//! let text = trace_lines("swbox-0", log.events());
 //! assert!(text.lines().all(|l| l.starts_with("{\"ev\":")));
 //! ```
 
-use route_model::{EventLog, NetId, RouteEvent, RouteObserver, SearchKind, SearchProbe};
+use route_model::RouteEvent;
 
 use crate::json::Json;
 use route_proto::event_pairs;
-
-/// An observer that records events and renders them as line-delimited
-/// JSON tagged with an instance label.
-#[derive(Debug, Clone, Default)]
-pub struct TraceRecorder {
-    instance: String,
-    log: EventLog,
-}
-
-impl TraceRecorder {
-    /// A recorder whose lines are tagged `"instance": <label>`.
-    pub fn new(instance: impl Into<String>) -> Self {
-        TraceRecorder { instance: instance.into(), log: EventLog::new() }
-    }
-
-    /// The recorded events, in emission order.
-    pub fn events(&self) -> &[RouteEvent] {
-        self.log.events()
-    }
-
-    /// The underlying log (for replay into other observers).
-    pub fn log(&self) -> &EventLog {
-        &self.log
-    }
-
-    /// Renders every recorded event as one JSON line, with a trailing
-    /// newline after each record.
-    pub fn render(&self) -> String {
-        trace_lines(&self.instance, self.log.events())
-    }
-}
-
-impl RouteObserver for TraceRecorder {
-    fn on_net_scheduled(&mut self, net: NetId) {
-        self.log.on_net_scheduled(net);
-    }
-
-    fn on_search_done(&mut self, net: NetId, kind: SearchKind, probe: SearchProbe) {
-        self.log.on_search_done(net, kind, probe);
-    }
-
-    fn on_weak_modification(&mut self, net: NetId, victim: NetId) {
-        self.log.on_weak_modification(net, victim);
-    }
-
-    fn on_strong_ripup(&mut self, net: NetId, victim: NetId, rip_count: u32) {
-        self.log.on_strong_ripup(net, victim, rip_count);
-    }
-
-    fn on_penalty_escalation(&mut self, victim: NetId, penalty: u64) {
-        self.log.on_penalty_escalation(victim, penalty);
-    }
-
-    fn on_net_committed(&mut self, net: NetId) {
-        self.log.on_net_committed(net);
-    }
-
-    fn on_net_failed(&mut self, net: NetId) {
-        self.log.on_net_failed(net);
-    }
-}
 
 /// Renders `events` as line-delimited JSON, one record per line, each
 /// tagged with `instance`.
@@ -120,6 +59,7 @@ fn event_json(instance: &str, ev: &RouteEvent) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use route_model::{NetId, SearchKind, SearchProbe};
 
     #[test]
     fn every_event_kind_renders_one_line() {
@@ -149,16 +89,5 @@ mod tests {
         assert!(lines[1].contains("\"found\":true"));
         assert!(lines[3].contains("\"rip_count\":2"));
         assert!(lines[4].contains("\"penalty\":32"));
-    }
-
-    #[test]
-    fn recorder_observes_and_renders() {
-        let mut rec = TraceRecorder::new("t");
-        rec.on_net_scheduled(NetId(4));
-        rec.on_net_committed(NetId(4));
-        assert_eq!(rec.events().len(), 2);
-        let text = rec.render();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("\"net\":4"));
     }
 }

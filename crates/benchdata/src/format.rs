@@ -141,9 +141,8 @@ pub fn parse_problem(text: &str) -> Result<Problem, ParseError> {
                 }
                 let w: u32 = tokens[1].parse().map_err(|_| syntax(line_no, "bad width"))?;
                 let h: u32 = tokens[2].parse().map_err(|_| syntax(line_no, "bad height"))?;
-                if w == 0 || h == 0 {
-                    return Err(syntax(line_no, "dimensions must be non-zero"));
-                }
+                side(line_no, "width", w.into())?;
+                side(line_no, "height", h.into())?;
                 builder = Some(ProblemBuilder::switchbox(w, h));
             }
             "region" => {
@@ -157,9 +156,10 @@ pub fn parse_problem(text: &str) -> Result<Problem, ParseError> {
                 let y: i32 = tokens[2].parse().map_err(|_| syntax(line_no, "bad y"))?;
                 let w: u32 = tokens[3].parse().map_err(|_| syntax(line_no, "bad width"))?;
                 let h: u32 = tokens[4].parse().map_err(|_| syntax(line_no, "bad height"))?;
-                if w == 0 || h == 0 {
-                    return Err(syntax(line_no, "region dimensions must be non-zero"));
-                }
+                side(line_no, "region width", w.into())?;
+                side(line_no, "region height", h.into())?;
+                side(line_no, "region x + width", i64::from(x) + i64::from(w))?;
+                side(line_no, "region y + height", i64::from(y) + i64::from(h))?;
                 region_rects.push(route_geom::Rect::with_size(Point::new(x, y), w, h));
             }
             "layers" => {
@@ -209,6 +209,21 @@ pub fn parse_problem(text: &str) -> Result<Problem, ParseError> {
         None => return Err(syntax(0, "missing `sb` or `region` header")),
     };
     Ok(builder.build()?)
+}
+
+/// Largest grid side or far corner an instance file may declare — the
+/// bound `vroute gen` and `vroute chip` enforce — so no cell count or
+/// corner coordinate can overflow.
+const MAX_SIDE: i64 = 4096;
+
+/// Checks one side or far-corner coordinate of a header against
+/// `1..=MAX_SIDE`.
+fn side(line_no: usize, what: &str, value: i64) -> Result<(), ParseError> {
+    if (1..=MAX_SIDE).contains(&value) {
+        Ok(())
+    } else {
+        Err(syntax(line_no, format!("{what} must be in 1..={MAX_SIDE}")))
+    }
 }
 
 /// Serializes a problem in the `sb` format (inverse of [`parse_problem`]).
@@ -482,6 +497,18 @@ net b 0 8 M1  3 10 M1
         assert!(matches!(parse_problem(""), Err(ParseError::Syntax { .. })));
         assert!(matches!(parse_problem("net x 0 0 M1"), Err(ParseError::Syntax { .. })));
         assert!(matches!(parse_problem("sb 0 5"), Err(ParseError::Syntax { .. })));
+        // Grids whose cell count wraps `u32`, or whose far corner
+        // overflows `i32`, are refused before any allocation.
+        for text in [
+            "sb 65536 65536\nnet a 0 0 M1 5 5 M1",
+            "sb 70000 70000\nnet a 0 0 M1 5 5 M1",
+            "region 2147483647 2147483647 5 5\nnet a 0 0 M1 1 1 M1",
+            "sb 4097 8",
+            "region 4090 0 7 7",
+        ] {
+            assert!(matches!(parse_problem(text), Err(ParseError::Syntax { .. })), "{text}");
+        }
+        assert!(parse_problem("sb 4096 1\nnet a 0 0 M1 5 0 M1").is_ok());
         assert!(matches!(
             parse_problem("sb 4 4\nnet x 0 0 M9 1 1 M1"),
             Err(ParseError::Syntax { .. })

@@ -860,12 +860,11 @@ fn execute_analyze_chip(
     )
     .expect("writing");
     let map = report.congestion();
+    let (cols, rows) = (map.grid().cols(), map.grid().rows());
     let (pc, pr, peak) = map.peak();
     writeln!(
         out,
-        "congestion: {}x{} tiles (tile {tile}), peak {}% at tile ({pc}, {pr})",
-        map.cols(),
-        map.rows(),
+        "congestion: {cols}x{rows} tiles (tile {tile}), peak {}% at tile ({pc}, {pr})",
         peak.min(9999)
     )
     .expect("writing");
@@ -873,9 +872,10 @@ fn execute_analyze_chip(
     if let Some(path) = &a.json {
         // The heatmap saturates at 9999% so fully blocked tiles stay
         // finite in the report.
-        let heatmap = Json::arr((0..map.rows()).map(|r| {
-            Json::arr((0..map.cols()).map(|c| Json::from(map.congestion_at(c, r).min(9999))))
-        }));
+        let heatmap =
+            Json::arr((0..rows).map(|r| {
+                Json::arr((0..cols).map(|c| Json::from(map.congestion_at(c, r).min(9999))))
+            }));
         let features = Json::arr(report.features().iter().map(|f| {
             Json::obj([
                 ("net", Json::from(u64::from(f.net.0))),
@@ -895,8 +895,8 @@ fn execute_analyze_chip(
             (
                 "congestion",
                 Json::obj([
-                    ("cols", Json::from(u64::from(map.cols()))),
-                    ("rows", Json::from(u64::from(map.rows()))),
+                    ("cols", Json::from(u64::from(cols))),
+                    ("rows", Json::from(u64::from(rows))),
                     (
                         "peak",
                         Json::arr([

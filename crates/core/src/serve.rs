@@ -26,8 +26,9 @@
 //!   nor the service: the job fails with [`RouteError::Panicked`], the
 //!   worker replaces its arena and keeps serving.
 //! * **Streamed observation** — jobs with [`JobSpec::stream_events`]
-//!   forward every [`RouteObserver`] event to the job's reply channel
-//!   before the terminal [`ServiceReply::Done`].
+//!   forward every [`RouteObserver`](route_model::RouteObserver) event
+//!   to the job's reply channel before the terminal
+//!   [`ServiceReply::Done`].
 //!
 //! Replies are delivered over a caller-supplied [`mpsc::Sender`]; a
 //! vanished receiver (client hung up) never stalls a worker.
@@ -68,8 +69,7 @@ use std::time::{Duration, Instant};
 
 use route_maze::search::SearchArena;
 use route_model::{
-    DetailedRouter, NetId, Problem, RouteError, RouteObserver, RouteResult, Routing, SearchKind,
-    SearchProbe,
+    DetailedRouter, EventSink, Problem, RouteError, RouteEvent, RouteResult, Routing,
 };
 
 use crate::engine::{panic_text, MAX_JOBS};
@@ -194,7 +194,8 @@ pub struct JobSpec {
     /// Wall-clock budget covering queue wait plus routing; `None` uses
     /// the service default.
     pub deadline: Option<Duration>,
-    /// Forward [`RouteObserver`] events to the reply channel.
+    /// Forward [`RouteObserver`](route_model::RouteObserver) events to
+    /// the reply channel.
     pub stream_events: bool,
 }
 
@@ -223,12 +224,12 @@ impl fmt::Debug for JobSpec {
 /// [`JobSpec::stream_events`] was set.
 #[derive(Debug)]
 pub enum ServiceReply {
-    /// A forwarded [`RouteObserver`] event.
+    /// A forwarded [`RouteObserver`](route_model::RouteObserver) event.
     Event {
         /// The job's correlation tag.
         tag: u64,
         /// The event.
-        event: route_model::RouteEvent,
+        event: RouteEvent,
     },
     /// The terminal result (boxed: it carries the whole database).
     Done(Box<JobDone>),
@@ -601,50 +602,20 @@ fn serve_job(
     }
 }
 
-/// Forwards observer callbacks to the job's reply channel as
-/// [`ServiceReply::Event`]s. A `None` sink (streaming off) makes every
-/// callback a no-op; a vanished receiver is ignored — the routing still
+/// Forwards every router event to the job's reply channel as a
+/// [`ServiceReply::Event`]. A `None` channel (streaming off) makes every
+/// event a no-op; a vanished receiver is ignored — the routing still
 /// completes and is journaled/accounted normally.
 struct Forwarder<'a> {
     tag: u64,
     tx: Option<&'a mpsc::Sender<ServiceReply>>,
 }
 
-impl Forwarder<'_> {
-    fn send(&mut self, event: route_model::RouteEvent) {
+impl EventSink for Forwarder<'_> {
+    fn event(&mut self, event: RouteEvent) {
         if let Some(tx) = self.tx {
             let _ = tx.send(ServiceReply::Event { tag: self.tag, event });
         }
-    }
-}
-
-impl RouteObserver for Forwarder<'_> {
-    fn on_net_scheduled(&mut self, net: NetId) {
-        self.send(route_model::RouteEvent::NetScheduled { net });
-    }
-
-    fn on_search_done(&mut self, net: NetId, kind: SearchKind, probe: SearchProbe) {
-        self.send(route_model::RouteEvent::SearchDone { net, kind, probe });
-    }
-
-    fn on_weak_modification(&mut self, net: NetId, victim: NetId) {
-        self.send(route_model::RouteEvent::WeakModification { net, victim });
-    }
-
-    fn on_strong_ripup(&mut self, net: NetId, victim: NetId, rip_count: u32) {
-        self.send(route_model::RouteEvent::StrongRipup { net, victim, rip_count });
-    }
-
-    fn on_penalty_escalation(&mut self, victim: NetId, penalty: u64) {
-        self.send(route_model::RouteEvent::PenaltyEscalation { victim, penalty });
-    }
-
-    fn on_net_committed(&mut self, net: NetId) {
-        self.send(route_model::RouteEvent::NetCommitted { net });
-    }
-
-    fn on_net_failed(&mut self, net: NetId) {
-        self.send(route_model::RouteEvent::NetFailed { net });
     }
 }
 

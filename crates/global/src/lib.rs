@@ -54,14 +54,13 @@
 
 mod detail;
 mod plan;
-mod tiles;
 
 pub use detail::{
     route_hierarchical, route_hierarchical_observed, route_hierarchical_supervised, ChipStats,
     GlobalOutcome, GlobalStats,
 };
 pub use plan::{plan, plan_with, GlobalPlan, PlanOrder};
-pub use tiles::{TileEdge, TileGrid, TileId};
+pub use route_model::{TileEdge, TileGrid, TileId};
 
 use mighty::{FaultPlan, RouterConfig};
 

@@ -4,9 +4,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use route_geom::Rect;
 use route_maze::{BucketFrontier, Frontier};
-use route_model::{NetId, Problem};
-
-use crate::tiles::{TileEdge, TileGrid, TileId};
+use route_model::{NetId, Problem, TileEdge, TileGrid, TileId};
 
 /// The result of the planning phase: per net, the tree of tile edges the
 /// net will cross.

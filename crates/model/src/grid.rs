@@ -91,7 +91,7 @@ impl Grid {
     /// Panics if either dimension is zero.
     pub fn new(width: u32, height: u32) -> Self {
         assert!(width > 0 && height > 0, "grid dimensions must be non-zero");
-        let cells = (width * height) as usize;
+        let cells = width as usize * height as usize;
         let words = cells.div_ceil(64);
         let mut free = vec![u64::MAX; words * NUM_LAYERS];
         // Clear the tail bits past the last real cell so every set bit

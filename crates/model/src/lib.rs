@@ -39,15 +39,19 @@ mod route;
 mod spatial;
 mod stats;
 mod svg;
+mod tiles;
 
 pub use api::{DetailedRouter, RouteError, RouteResult, Routing};
 pub use grid::{Cell, Grid, OccupancyView, Occupant};
 pub use metrics::{Histogram, MetricsRecorder, HISTOGRAM_BUCKETS};
 pub use net::{Net, NetId, Pin, PinSide};
-pub use observe::{EventLog, NopObserver, RouteEvent, RouteObserver, SearchKind, SearchProbe};
+pub use observe::{
+    EventLog, EventSink, NopObserver, RouteEvent, RouteObserver, SearchKind, SearchProbe,
+};
 pub use problem::{NetBuilder, Problem, ProblemBuilder, ProblemError};
 pub use render::render_layers;
 pub use route::{RouteDb, Step, Trace, TraceError, TraceId};
 pub use spatial::SlotIndex;
 pub use stats::{RouteStats, RouterStats};
 pub use svg::render_svg;
+pub use tiles::{TileEdge, TileGrid, TileId};

@@ -1,6 +1,6 @@
-//! Metrics built on the [`RouteObserver`] event stream: monotonic
-//! counters plus fixed-bucket log-scale histograms, with no external
-//! dependencies.
+//! Metrics built on the [`RouteObserver`](crate::RouteObserver) event
+//! stream: monotonic counters plus fixed-bucket log-scale histograms,
+//! with no external dependencies.
 //!
 //! [`MetricsRecorder`] is the standard production observer: attach one
 //! to any [`DetailedRouter`](crate::DetailedRouter) via
@@ -30,8 +30,8 @@
 
 use std::fmt;
 
-use crate::observe::{RouteObserver, SearchKind, SearchProbe};
-use crate::{NetId, RouterStats};
+use crate::observe::{EventSink, RouteEvent, SearchKind};
+use crate::RouterStats;
 
 /// Number of histogram buckets: bucket 0 holds the value `0`, bucket
 /// `i >= 1` holds `[2^(i-1), 2^i)`, and the last bucket absorbs
@@ -165,8 +165,8 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// A [`RouteObserver`] that folds the event stream into monotonic
-/// counters and histograms.
+/// A [`RouteObserver`](crate::RouteObserver) that folds the event
+/// stream into monotonic counters and histograms.
 ///
 /// The counter block is a [`RouterStats`] reconstructed from events, so
 /// engine aggregates and CLI tables speak the same vocabulary as the
@@ -200,7 +200,7 @@ impl MetricsRecorder {
         &self.router
     }
 
-    /// Queue events observed ([`on_net_scheduled`](RouteObserver::on_net_scheduled)).
+    /// Queue events observed ([`on_net_scheduled`](crate::RouteObserver::on_net_scheduled)).
     pub fn nets_scheduled(&self) -> u64 {
         self.nets_scheduled
     }
@@ -264,48 +264,39 @@ impl MetricsRecorder {
     }
 }
 
-impl RouteObserver for MetricsRecorder {
-    fn on_net_scheduled(&mut self, _net: NetId) {
-        self.nets_scheduled += 1;
-        self.router.events += 1;
-    }
-
-    fn on_search_done(&mut self, _net: NetId, kind: SearchKind, probe: SearchProbe) {
-        self.router.expanded += probe.expanded;
-        self.expansion.record(probe.expanded);
-        if probe.found {
-            match kind {
-                SearchKind::Hard => self.router.hard_routes += 1,
-                SearchKind::Soft => self.router.soft_routes += 1,
+impl EventSink for MetricsRecorder {
+    fn event(&mut self, event: RouteEvent) {
+        match event {
+            RouteEvent::NetScheduled { .. } => {
+                self.nets_scheduled += 1;
+                self.router.events += 1;
             }
+            RouteEvent::SearchDone { kind, probe, .. } => {
+                self.router.expanded += probe.expanded;
+                self.expansion.record(probe.expanded);
+                if probe.found {
+                    match kind {
+                        SearchKind::Hard => self.router.hard_routes += 1,
+                        SearchKind::Soft => self.router.soft_routes += 1,
+                    }
+                }
+            }
+            RouteEvent::WeakModification { .. } => self.router.weak_pushes += 1,
+            RouteEvent::StrongRipup { .. } => self.router.rips += 1,
+            RouteEvent::PenaltyEscalation { penalty, .. } => {
+                self.escalations += 1;
+                self.max_penalty = self.max_penalty.max(penalty);
+            }
+            RouteEvent::NetCommitted { .. } => self.nets_committed += 1,
+            RouteEvent::NetFailed { .. } => self.nets_failed += 1,
         }
-    }
-
-    fn on_weak_modification(&mut self, _net: NetId, _victim: NetId) {
-        self.router.weak_pushes += 1;
-    }
-
-    fn on_strong_ripup(&mut self, _net: NetId, _victim: NetId, _rip_count: u32) {
-        self.router.rips += 1;
-    }
-
-    fn on_penalty_escalation(&mut self, _victim: NetId, penalty: u64) {
-        self.escalations += 1;
-        self.max_penalty = self.max_penalty.max(penalty);
-    }
-
-    fn on_net_committed(&mut self, _net: NetId) {
-        self.nets_committed += 1;
-    }
-
-    fn on_net_failed(&mut self, _net: NetId) {
-        self.nets_failed += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NetId, RouteObserver, SearchProbe};
 
     #[test]
     fn bucket_layout() {

@@ -28,7 +28,10 @@
 //!
 //! All methods default to no-ops, so an observer implements only what it
 //! cares about and the [`NopObserver`] costs nothing but a virtual call
-//! to an empty body. Observation never changes routing behaviour:
+//! to an empty body. An observer that wants the whole stream as values —
+//! a recorder, a forwarder, a net-id translator — implements the one
+//! method of [`EventSink`] instead and is a [`RouteObserver`] through a
+//! blanket impl. Observation never changes routing behaviour:
 //! observer-on and observer-off runs produce bit-identical databases.
 //!
 //! # Examples
@@ -121,6 +124,45 @@ pub struct NopObserver;
 
 impl RouteObserver for NopObserver {}
 
+/// An observer that takes every event as one [`RouteEvent`] value; a
+/// blanket impl makes each sink a [`RouteObserver`]. [`EventLog`],
+/// [`MetricsRecorder`](crate::MetricsRecorder), the service's event
+/// forwarder and the chip flow's net-id translator are sinks.
+pub trait EventSink {
+    /// Receives one event, in emission order.
+    fn event(&mut self, event: RouteEvent);
+}
+
+impl<T: EventSink + ?Sized> RouteObserver for T {
+    fn on_net_scheduled(&mut self, net: NetId) {
+        self.event(RouteEvent::NetScheduled { net });
+    }
+
+    fn on_search_done(&mut self, net: NetId, kind: SearchKind, probe: SearchProbe) {
+        self.event(RouteEvent::SearchDone { net, kind, probe });
+    }
+
+    fn on_weak_modification(&mut self, net: NetId, victim: NetId) {
+        self.event(RouteEvent::WeakModification { net, victim });
+    }
+
+    fn on_strong_ripup(&mut self, net: NetId, victim: NetId, rip_count: u32) {
+        self.event(RouteEvent::StrongRipup { net, victim, rip_count });
+    }
+
+    fn on_penalty_escalation(&mut self, victim: NetId, penalty: u64) {
+        self.event(RouteEvent::PenaltyEscalation { victim, penalty });
+    }
+
+    fn on_net_committed(&mut self, net: NetId) {
+        self.event(RouteEvent::NetCommitted { net });
+    }
+
+    fn on_net_failed(&mut self, net: NetId) {
+        self.event(RouteEvent::NetFailed { net });
+    }
+}
+
 /// One recorded [`RouteObserver`] event, suitable for machine-readable
 /// traces and golden-sequence tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,6 +248,24 @@ impl RouteEvent {
             RouteEvent::NetFailed { net } => obs.on_net_failed(net),
         }
     }
+
+    /// The same event with every net id passed through `f` — how a
+    /// sub-problem's local ids are translated back to the caller's.
+    pub fn map_nets(mut self, mut f: impl FnMut(NetId) -> NetId) -> RouteEvent {
+        match &mut self {
+            RouteEvent::WeakModification { net, victim }
+            | RouteEvent::StrongRipup { net, victim, .. } => {
+                *net = f(*net);
+                *victim = f(*victim);
+            }
+            RouteEvent::NetScheduled { net }
+            | RouteEvent::SearchDone { net, .. }
+            | RouteEvent::NetCommitted { net }
+            | RouteEvent::NetFailed { net }
+            | RouteEvent::PenaltyEscalation { victim: net, .. } => *net = f(*net),
+        }
+        self
+    }
 }
 
 /// An observer that records the raw event stream in order.
@@ -248,33 +308,9 @@ impl EventLog {
     }
 }
 
-impl RouteObserver for EventLog {
-    fn on_net_scheduled(&mut self, net: NetId) {
-        self.events.push(RouteEvent::NetScheduled { net });
-    }
-
-    fn on_search_done(&mut self, net: NetId, kind: SearchKind, probe: SearchProbe) {
-        self.events.push(RouteEvent::SearchDone { net, kind, probe });
-    }
-
-    fn on_weak_modification(&mut self, net: NetId, victim: NetId) {
-        self.events.push(RouteEvent::WeakModification { net, victim });
-    }
-
-    fn on_strong_ripup(&mut self, net: NetId, victim: NetId, rip_count: u32) {
-        self.events.push(RouteEvent::StrongRipup { net, victim, rip_count });
-    }
-
-    fn on_penalty_escalation(&mut self, victim: NetId, penalty: u64) {
-        self.events.push(RouteEvent::PenaltyEscalation { victim, penalty });
-    }
-
-    fn on_net_committed(&mut self, net: NetId) {
-        self.events.push(RouteEvent::NetCommitted { net });
-    }
-
-    fn on_net_failed(&mut self, net: NetId) {
-        self.events.push(RouteEvent::NetFailed { net });
+impl EventSink for EventLog {
+    fn event(&mut self, event: RouteEvent) {
+        self.events.push(event);
     }
 }
 
@@ -333,6 +369,35 @@ mod tests {
                 "penalty_escalation",
                 "net_committed",
                 "net_failed"
+            ]
+        );
+    }
+
+    #[test]
+    fn map_nets_translates_every_id_and_keeps_payloads() {
+        let map = [NetId(7), NetId(3)];
+        let mut log = EventLog::new();
+        log.on_search_done(
+            NetId(0),
+            SearchKind::Soft,
+            SearchProbe { expanded: 5, ..SearchProbe::default() },
+        );
+        log.on_weak_modification(NetId(0), NetId(1));
+        log.on_strong_ripup(NetId(1), NetId(0), 4);
+        log.on_penalty_escalation(NetId(1), 64);
+        let mapped: Vec<RouteEvent> =
+            log.events().iter().map(|ev| ev.map_nets(|id| map[id.index()])).collect();
+        assert_eq!(
+            mapped,
+            [
+                RouteEvent::SearchDone {
+                    net: NetId(7),
+                    kind: SearchKind::Soft,
+                    probe: SearchProbe { expanded: 5, ..SearchProbe::default() },
+                },
+                RouteEvent::WeakModification { net: NetId(7), victim: NetId(3) },
+                RouteEvent::StrongRipup { net: NetId(3), victim: NetId(7), rip_count: 4 },
+                RouteEvent::PenaltyEscalation { victim: NetId(3), penalty: 64 },
             ]
         );
     }

@@ -74,6 +74,10 @@ done
 # Out-of-range numbers are argument errors (exit 2), never wrapped into range.
 rc=0; "$VROUTE" chip --width 4294967336 2>/dev/null || rc=$?; [[ "$rc" == 2 ]] || { echo "ci: chip --width 4294967336 exited $rc, not 2" >&2; exit 1; }
 rc=0; "$VROUTE" batch x.sb --deadline-ms 0 2>/dev/null || rc=$?; [[ "$rc" == 2 ]] || { echo "ci: batch --deadline-ms 0 exited $rc, not 2" >&2; exit 1; }
+# A grid whose cell count wraps u32 is a parse error (exit 1), not a panic.
+huge=$(mktemp); printf 'sb 65536 65536\nnet a 0 0 M1 5 5 M1\n' > "$huge"
+rc=0; err=$("$VROUTE" route "$huge" 2>&1 >/dev/null) || rc=$?; rm -f "$huge"
+[[ "$rc" == 1 && "$err" == *"parse error"* ]] || { echo "ci: route on a 65536x65536 grid exited $rc ($err), not a parse error" >&2; exit 1; }
 
 # Concurrency-sanitizer lane: mighty-core hosts the multithreaded
 # engine and service, so its tests get a ThreadSanitizer pass when the
