@@ -153,7 +153,9 @@ impl MightyRouter {
 
     /// The most general entry point: incremental routing with an
     /// external observer *and* an external search arena. All other
-    /// `route*` methods funnel here.
+    /// `route*` methods funnel here. The run keeps its best state as a
+    /// [`RouteDb::checkpoint`]; any checkpoint `db` held is discarded,
+    /// and the delivered database holds none.
     ///
     /// # Errors
     ///
@@ -176,16 +178,17 @@ impl MightyRouter {
         run.execute();
         // The outcome is the best configuration the run ever reached:
         // modification is speculative, so a late cascade of rips must not
-        // degrade the delivered result below an earlier state.
+        // degrade the delivered result below an earlier state. The best
+        // state is the database's checkpoint; rewinding undoes every edit
+        // made since.
         let final_connected = run.connected_count();
-        let db = match run.best.take() {
-            Some((best_count, best_db)) if best_count > final_connected => best_db,
-            _ => run.db,
-        };
-        let failed: Vec<NetId> = (0..db.net_count() as u32)
-            .map(NetId)
-            .filter(|&id| pin_components(&db, id).len() > 1)
-            .collect();
+        let mut db = run.db;
+        if run.best.is_some_and(|best| best > final_connected) {
+            db.rewind();
+        }
+        db.release_checkpoint();
+        let failed: Vec<NetId> =
+            (0..db.net_count() as u32).map(NetId).filter(|&id| !is_connected(&db, id)).collect();
         Ok(RouteOutcome { db, failed, stats: run.stats })
     }
 }
@@ -224,8 +227,9 @@ struct Run<'a> {
     /// Set when the event budget runs out: modification is disabled and
     /// the queue drains with one hard-only attempt per net.
     exhausted: bool,
-    /// Best state reached so far: `(connected nets, database snapshot)`.
-    best: Option<(usize, RouteDb)>,
+    /// Connected nets of the best state reached so far; that state is
+    /// `db`'s checkpoint.
+    best: Option<usize>,
     /// Per-net connectivity cache; `conn[i]` is valid iff `!conn_dirty[i]`.
     /// Every database mutation touches exactly one net, so the cache lets
     /// [`connected_count`](Run::connected_count) re-walk only the nets
@@ -344,13 +348,13 @@ impl<'a> Run<'a> {
         self.conn.iter().filter(|&&c| c).count()
     }
 
-    /// Snapshots the current state if it connects more nets than any
+    /// Checkpoints the current state if it connects more nets than any
     /// earlier state.
     fn remember_best(&mut self) {
         let count = self.connected_count();
-        let improved = self.best.as_ref().is_none_or(|&(best, _)| count > best);
-        if improved {
-            self.best = Some((count, self.db.clone()));
+        if self.best.is_none_or(|best| count > best) {
+            self.best = Some(count);
+            self.db.checkpoint();
         }
     }
 
@@ -834,6 +838,28 @@ mod tests {
             assert_eq!(cold.db().checksum(), warm1.db().checksum(), "{w}x{h} cold vs warm");
             assert_eq!(warm1.db().checksum(), warm2.db().checksum(), "{w}x{h} warm vs warm");
             assert_eq!(cold.failed(), warm1.failed());
+        }
+    }
+
+    /// Channels on which the run ends below its best state, so the
+    /// router delivers the best state by rewinding to its checkpoint.
+    /// Checksums and failed sets are the ones the clone-based best-state
+    /// snapshot delivered.
+    #[test]
+    fn rewound_best_state_matches_the_pinned_snapshot() {
+        use route_benchdata::gen::ChannelGen;
+        for (seed, slack, checksum, failed) in
+            [(112, 0, 0xaf11_de23_546c_70dc, NetId(3)), (238, 1, 0x26aa_7940_738e_56de, NetId(5))]
+        {
+            let spec =
+                ChannelGen { width: 20, nets: 9, extra_pin_pct: 40, span_window: 8, seed }.build();
+            let p = spec.to_problem(spec.density() as usize + slack);
+            let out = default_router().route(&p);
+            assert_eq!(out.db().checksum(), checksum, "seed {seed}: checksum");
+            assert_eq!(out.failed(), [failed], "seed {seed}: failed set");
+            assert_eq!(out.db().edits_since_checkpoint(), None, "seed {seed}: still recording");
+            let report = verify(&p, out.db());
+            assert!(report.is_legal_but_incomplete(), "seed {seed}: {report}");
         }
     }
 

@@ -179,6 +179,15 @@ struct NetState {
     vias: HashMap<(Point, Layer), u32>,
 }
 
+/// One recorded database edit: what [`RouteDb::rewind`] undoes.
+#[derive(Debug, Clone)]
+enum Edit {
+    /// A trace was committed into the last slot of its net.
+    Commit(TraceId),
+    /// A live trace was ripped out of its slot.
+    Rip(TraceId, Trace),
+}
+
 /// A live routing database: the occupancy [`Grid`] plus every committed
 /// [`Trace`], with support for incremental commit and rip-up.
 ///
@@ -186,6 +195,10 @@ struct NetState {
 /// the union of all pins and live traces: committing marks cells, ripping
 /// up unmarks cells that no other live trace (or pin) of the same net
 /// still covers. Pins are marked at construction and can never be ripped.
+///
+/// A [`checkpoint`](RouteDb::checkpoint) starts an undo log of commits
+/// and rip-ups; [`rewind`](RouteDb::rewind) replays it backwards to
+/// restore the checkpointed state without ever copying the database.
 ///
 /// # Examples
 ///
@@ -212,6 +225,9 @@ struct NetState {
 pub struct RouteDb {
     grid: Grid,
     nets: Vec<NetState>,
+    /// Edits since the last checkpoint, oldest first; `None` while no
+    /// checkpoint is held.
+    undo: Option<Vec<Edit>>,
 }
 
 impl RouteDb {
@@ -227,7 +243,7 @@ impl RouteDb {
             }
             nets.push(state);
         }
-        RouteDb { grid, nets }
+        RouteDb { grid, nets, undo: None }
     }
 
     /// The current occupancy grid.
@@ -421,6 +437,110 @@ impl RouteDb {
     /// bounds or lands on a slot held by an obstacle or another net.
     pub fn commit(&mut self, net: NetId, trace: Trace) -> Result<TraceId, TraceError> {
         self.check(net, &trace)?;
+        self.mark(net, &trace);
+        let traces = &mut self.nets[net.index()].traces;
+        traces.push(Some(trace));
+        let id = TraceId { net, slot: traces.len() - 1 };
+        if let Some(log) = &mut self.undo {
+            log.push(Edit::Commit(id));
+        }
+        Ok(id)
+    }
+
+    /// Removes a committed trace, unmarking cells no longer covered by any
+    /// live trace or pin of the same net.
+    ///
+    /// Returns the removed trace, or `None` if `id` was already ripped.
+    pub fn rip_up(&mut self, id: TraceId) -> Option<Trace> {
+        let trace = self.nets[id.net.index()].traces.get_mut(id.slot)?.take()?;
+        self.unmark(id.net, &trace);
+        if let Some(log) = &mut self.undo {
+            log.push(Edit::Rip(id, trace.clone()));
+        }
+        Some(trace)
+    }
+
+    /// Makes the current state the target of [`rewind`](RouteDb::rewind)
+    /// and records every later commit and rip-up until
+    /// [`release_checkpoint`](RouteDb::release_checkpoint). A new
+    /// checkpoint replaces the previous one: it only clears the log, so
+    /// taking one costs nothing beyond dropping the old edits.
+    pub fn checkpoint(&mut self) {
+        match &mut self.undo {
+            Some(log) => log.clear(),
+            None => self.undo = Some(Vec::new()),
+        }
+    }
+
+    /// Restores the state of the last [`checkpoint`](RouteDb::checkpoint)
+    /// by undoing the recorded edits newest first; the checkpoint stays
+    /// the target. Does nothing when no checkpoint is held.
+    ///
+    /// The restored database equals a clone taken at the checkpoint in
+    /// everything it exposes: grid, refcounts, vias, and every net's
+    /// trace list with its ids. Undoing a commit rips the trace and
+    /// drops its slot, which is the net's last slot at that point
+    /// because the newer commits are already undone; undoing a rip-up
+    /// re-marks the trace and puts it back into its own slot.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use route_model::{ProblemBuilder, PinSide, RouteDb, Step, Trace};
+    /// use route_geom::{Layer, Point};
+    ///
+    /// let mut b = ProblemBuilder::switchbox(4, 3);
+    /// b.net("a").pin_side(PinSide::Left, 1).pin_side(PinSide::Right, 1);
+    /// let problem = b.build()?;
+    /// let net = problem.nets()[0].id;
+    /// let mut db = RouteDb::new(&problem);
+    /// let row = |y| {
+    ///     Trace::from_steps((0..4).map(|x| Step::new(Point::new(x, y), Layer::M1)).collect())
+    /// };
+    /// let kept = db.commit(net, row(1)?)?;
+    /// let before = db.checksum();
+    ///
+    /// db.checkpoint();
+    /// db.rip_up(kept);
+    /// db.commit(net, row(0)?)?;
+    /// db.rewind();
+    /// assert_eq!(db.checksum(), before);
+    /// assert!(db.trace(kept).is_some());
+    /// db.release_checkpoint();
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn rewind(&mut self) {
+        let Some(mut log) = self.undo.take() else { return };
+        while let Some(edit) = log.pop() {
+            match edit {
+                Edit::Commit(id) => {
+                    let traces = &mut self.nets[id.net.index()].traces;
+                    debug_assert_eq!(id.slot + 1, traces.len(), "commit undone out of order");
+                    let trace = traces.pop().flatten().expect("undone commit is live");
+                    self.unmark(id.net, &trace);
+                }
+                Edit::Rip(id, trace) => {
+                    self.mark(id.net, &trace);
+                    self.nets[id.net.index()].traces[id.slot] = Some(trace);
+                }
+            }
+        }
+        self.undo = Some(log);
+    }
+
+    /// Drops the checkpoint and its log and stops recording edits.
+    pub fn release_checkpoint(&mut self) {
+        self.undo = None;
+    }
+
+    /// Number of edits a [`rewind`](RouteDb::rewind) would undo, or
+    /// `None` while no checkpoint is held.
+    pub fn edits_since_checkpoint(&self) -> Option<usize> {
+        self.undo.as_ref().map(Vec::len)
+    }
+
+    /// Marks the slots and vias of `trace` for `net`, bumping refcounts.
+    fn mark(&mut self, net: NetId, trace: &Trace) {
         let state = &mut self.nets[net.index()];
         for &step in trace.steps() {
             let count = state.occ.entry((step.at, step.layer)).or_insert(0);
@@ -436,17 +556,12 @@ impl RouteDb {
             }
             *count += 1;
         }
-        state.traces.push(Some(trace));
-        Ok(TraceId { net, slot: state.traces.len() - 1 })
     }
 
-    /// Removes a committed trace, unmarking cells no longer covered by any
-    /// live trace or pin of the same net.
-    ///
-    /// Returns the removed trace, or `None` if `id` was already ripped.
-    pub fn rip_up(&mut self, id: TraceId) -> Option<Trace> {
-        let state = &mut self.nets[id.net.index()];
-        let trace = state.traces.get_mut(id.slot)?.take()?;
+    /// Reverses [`mark`](RouteDb::mark): drops refcounts and frees the
+    /// slots and vias no other trace or pin of `net` still covers.
+    fn unmark(&mut self, net: NetId, trace: &Trace) {
+        let state = &mut self.nets[net.index()];
         for &step in trace.steps() {
             let key = (step.at, step.layer);
             let count = state.occ.get_mut(&key).expect("committed slot has refcount");
@@ -464,7 +579,6 @@ impl RouteDb {
                 self.grid.set_via_between(p, lower, None);
             }
         }
-        Some(trace)
     }
 
     /// Removes every live trace of `net`, returning them in commit order.
@@ -710,6 +824,78 @@ mod tests {
         let db = RouteDb::new(&p);
         let t = Trace::from_steps(vec![Step::new(Point::new(-1, 0), Layer::M1)]).unwrap();
         assert!(matches!(db.check(net, &t), Err(TraceError::OutOfBounds { .. })));
+    }
+
+    #[test]
+    fn rewind_restores_ripped_and_committed_traces() {
+        let p = one_net_problem();
+        let net = p.nets()[0].id;
+        let mut db = RouteDb::new(&p);
+        let spine = db.commit(net, straight_m1(1, 0, 4)).unwrap();
+        let spur = Trace::from_steps(vec![
+            Step::new(Point::new(2, 1), Layer::M1),
+            Step::new(Point::new(2, 1), Layer::M2),
+            Step::new(Point::new(2, 2), Layer::M2),
+        ])
+        .unwrap();
+        let spur = db.commit(net, spur).unwrap();
+        db.rip_up(spur);
+        let saved = db.clone();
+        assert_eq!(db.edits_since_checkpoint(), None, "nothing records before a checkpoint");
+
+        db.checkpoint();
+        db.rip_up(spine);
+        let late = db.commit(net, straight_m1(3, 0, 4)).unwrap();
+        db.rip_up(late);
+        db.commit(net, straight_m1(2, 1, 3)).unwrap();
+        assert_eq!(db.edits_since_checkpoint(), Some(4));
+        db.rewind();
+
+        assert_eq!(db.edits_since_checkpoint(), Some(0), "the checkpoint stays the target");
+        assert_eq!(db.grid(), saved.grid());
+        assert!(db.grid().debug_validate_bits());
+        assert_eq!(db.checksum(), saved.checksum());
+        assert_eq!(db.stats(), saved.stats());
+        let ids = |d: &RouteDb| d.traces(net).map(|(id, t)| (id, t.clone())).collect::<Vec<_>>();
+        assert_eq!(ids(&db), ids(&saved));
+        assert_eq!(db.slot_count(net), saved.slot_count(net));
+        assert_eq!(db.via_count(net), saved.via_count(net));
+        // Slot numbering continues where the checkpointed state left it.
+        let mut fresh = saved.clone();
+        assert_eq!(
+            db.commit(net, straight_m1(3, 0, 1)).unwrap(),
+            fresh.commit(net, straight_m1(3, 0, 1)).unwrap()
+        );
+        db.release_checkpoint();
+        assert_eq!(db.edits_since_checkpoint(), None);
+    }
+
+    #[test]
+    fn rewind_undoes_shared_refcounts_and_vias() {
+        let p = one_net_problem();
+        let net = p.nets()[0].id;
+        let mut db = RouteDb::new(&p);
+        db.checkpoint();
+        let saved = db.clone();
+        // Two traces share (2,1)@M1 and a via; ripping one must keep the
+        // other's marks, and the rewind must free both.
+        let via = || {
+            Trace::from_steps(vec![
+                Step::new(Point::new(2, 1), Layer::M1),
+                Step::new(Point::new(2, 1), Layer::M2),
+            ])
+            .unwrap()
+        };
+        let a = db.commit(net, via()).unwrap();
+        db.commit(net, via()).unwrap();
+        db.commit(net, straight_m1(1, 0, 4)).unwrap();
+        db.rip_up(a);
+        assert_eq!(db.grid().via_between(Point::new(2, 1), Layer::M1), Some(net));
+        db.rewind();
+        assert_eq!(db.grid(), saved.grid());
+        assert_eq!(db.grid().via_between(Point::new(2, 1), Layer::M1), None);
+        assert_eq!(db.stats(), saved.stats());
+        assert_eq!(db.traces(net).count(), 0);
     }
 
     #[test]

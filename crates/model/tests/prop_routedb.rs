@@ -1,11 +1,14 @@
 //! Property-style tests of the routing database's core invariant: the
 //! grid occupancy is exactly the union of pins and live traces, no
-//! matter how commits and rip-ups interleave. Inputs come from a
-//! deterministic in-file generator so the crate builds with zero
-//! registry access.
+//! matter how commits and rip-ups interleave; and of its undo log: a
+//! rewind restores exactly what a clone taken at the checkpoint holds.
+//! Inputs come from a deterministic in-file generator so the crate
+//! builds with zero registry access.
 
 use route_geom::{Layer, Point};
-use route_model::{Occupant, PinSide, Problem, ProblemBuilder, RouteDb, Step, Trace};
+use route_model::{
+    NetId, Occupant, PinSide, Problem, ProblemBuilder, RouteDb, Step, Trace, TraceId,
+};
 
 const W: u32 = 8;
 const H: u32 = 6;
@@ -162,4 +165,89 @@ fn failed_commit_is_a_noop() {
             assert_eq!(db.stats(), before.stats());
         }
     }
+}
+
+/// Asserts that `got` holds the same state as `want` in everything a
+/// database exposes: metal, statistics, refcounted slots and vias, and
+/// every net's live traces with their ids.
+fn assert_same_state(got: &RouteDb, want: &RouteDb, case: usize) {
+    assert_eq!(got.checksum(), want.checksum(), "case {case}: checksum");
+    assert_eq!(got.stats(), want.stats(), "case {case}: stats");
+    assert_eq!(got.grid(), want.grid(), "case {case}: grid");
+    assert!(got.grid().debug_validate_bits(), "case {case}: free plane out of sync");
+    for i in 0..want.net_count() {
+        let net = NetId(i as u32);
+        let traces = |db: &RouteDb| -> Vec<(TraceId, Trace)> {
+            db.traces(net).map(|(id, t)| (id, t.clone())).collect()
+        };
+        assert_eq!(traces(got), traces(want), "case {case}: traces of net {i}");
+        assert_eq!(got.slot_count(net), want.slot_count(net), "case {case}: slots of net {i}");
+        assert_eq!(got.via_count(net), want.via_count(net), "case {case}: vias of net {i}");
+    }
+}
+
+/// The delta path against the clone path: random interleavings of
+/// commits, rip-ups, whole-net rip-ups and dangling-wire pruning, with
+/// random checkpoints, rewind to exactly the state a clone taken at the
+/// checkpoint holds. Failed commits and rips of dead ids record nothing.
+#[test]
+fn rewind_equals_clone_at_checkpoint() {
+    let mut rng = Rng(0xDB04);
+    let mut rewinds = 0;
+    for case in 0..300 {
+        let problem = two_net_problem();
+        let nets = [problem.nets()[0].id, problem.nets()[1].id];
+        let mut db = RouteDb::new(&problem);
+        let mut issued: Vec<TraceId> = Vec::new();
+        let mut saved: Option<RouteDb> = None;
+        for _ in 0..40 {
+            let net = nets[rng.below(2) as usize];
+            let edits = db.edits_since_checkpoint();
+            match rng.below(10) {
+                0..=3 => match db.commit(net, random_trace(&mut rng)) {
+                    Ok(id) => issued.push(id),
+                    Err(_) => assert_eq!(db.edits_since_checkpoint(), edits, "failed commit"),
+                },
+                4 | 5 if !issued.is_empty() => {
+                    let id = issued[rng.below(issued.len() as u64) as usize];
+                    if db.rip_up(id).is_none() {
+                        assert_eq!(db.edits_since_checkpoint(), edits, "rip of a dead id");
+                    }
+                }
+                6 => {
+                    db.rip_up_net(net);
+                }
+                7 => {
+                    db.prune_dangling(net);
+                }
+                8 => {
+                    db.checkpoint();
+                    saved = Some(db.clone());
+                }
+                _ => {
+                    let before = db.checksum();
+                    db.rewind();
+                    if let Some(want) = &saved {
+                        assert_same_state(&db, want, case);
+                        assert_eq!(db.edits_since_checkpoint(), Some(0));
+                        rewinds += 1;
+                    } else {
+                        assert_eq!(db.checksum(), before, "rewind without a checkpoint");
+                        assert_eq!(db.edits_since_checkpoint(), None);
+                    }
+                }
+            }
+        }
+        if let Some(want) = &saved {
+            db.rewind();
+            assert_same_state(&db, want, case);
+            // Slot numbering continues where the checkpointed state left
+            // it: the next commit gets the id the clone would hand out.
+            let mut twin = want.clone();
+            let trace = random_trace(&mut rng);
+            let net = nets[rng.below(2) as usize];
+            assert_eq!(db.commit(net, trace.clone()).ok(), twin.commit(net, trace).ok());
+        }
+    }
+    assert!(rewinds > 300, "the interleavings must exercise rewind ({rewinds})");
 }

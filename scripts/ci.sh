@@ -99,14 +99,15 @@ else
 fi
 
 # Miri smoke: the grid/occupancy core of route-model carries the
-# bit-packed occupancy planes the routers trust blindly; a bounded
-# miri pass over its unit tests catches undefined behaviour that
+# bit-packed occupancy planes the routers trust blindly, and the
+# RouteDb undo log re-enters its refcount and plane code on rewind; a
+# bounded miri pass over their tests catches undefined behaviour that
 # ordinary tests cannot.
 if command -v rustup >/dev/null 2>&1 \
    && rustup component list --toolchain nightly 2>/dev/null \
       | grep -q 'miri.* (installed)'; then
-  echo "==> miri smoke (route-model grid/occupancy unit tests)"
-  cargo +nightly miri test -p route-model --offline -- grid occupancy
+  echo "==> miri smoke (route-model grid/occupancy/rewind tests)"
+  cargo +nightly miri test -p route-model --offline -- grid occupancy rewind
 else
   echo "==> nightly miri not installed; skipping miri smoke"
 fi
