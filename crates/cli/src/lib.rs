@@ -129,19 +129,20 @@ SUPERVISED RECOVERY (batch instances, chip tiles):
   combinable with --metrics/--trace.
   chip: --retries/--fallback select supervision; --journal works with
   or without them. Seam repair always escalates on its own: widened
-  band, re-anchored fresh band, then a per-net flat reroute.
+  band, re-anchored fresh band, then the edge's stubborn nets ripped
+  and the whole die rerouted incrementally.
   VROUTE_FAULT targets tiles (`panic@tile:3`) or seam rungs
   (`fail@seam`).
 
 ENVIRONMENT:
   VROUTE_FUZZ_FAULT  Inject a deliberate router bug into `fuzz` runs for
                      mutation testing: hide-failures | drop-trace
-  VROUTE_FAULT       Inject engine faults into supervised `batch` and
-                     `chip` runs: KIND[@TARGETS[@ATTEMPTS]] with KIND one
-                     of panic | fail | delay-MS, and TARGETS instances
-                     (`fail@1,4@1`), tiles (`panic@tile:3`), or seam
-                     rungs (`fail@seam`)
-  VROUTE_SERVE_FAULT Delay every `serve` job by a fixed amount for crash
-                     testing: delay-MS (e.g. `delay-800`)
+  VROUTE_FAULT       Inject engine faults into supervised `batch`,
+                     `chip` and `serve` runs: KIND[@TARGETS[@ATTEMPTS]]
+                     with KIND one of panic | fail | delay-MS, and
+                     TARGETS instances (`fail@1,4@1`), tiles
+                     (`panic@tile:3`), or seam rungs (`fail@seam`);
+                     `serve` targets its N-th admitted job as instance N
+                     (`delay-800` stalls every job)
   An empty value counts as unset for each of these.
 ";

@@ -151,9 +151,9 @@ pub(crate) fn fault_env(name: &str) -> Option<String> {
     std::env::var(name).ok().filter(|spec| !spec.is_empty())
 }
 
-/// The engine fault plan in `VROUTE_FAULT`, announced in `out` when
-/// set.
-fn fault_plan(out: &mut dyn fmt::Write) -> Result<Option<FaultPlan>, ExecutionError> {
+/// The fault plan in `VROUTE_FAULT` (for supervised `batch`, `chip`
+/// and `serve`), announced in `out` when set.
+pub(crate) fn fault_plan(out: &mut dyn fmt::Write) -> Result<Option<FaultPlan>, ExecutionError> {
     let Some(spec) = fault_env("VROUTE_FAULT") else { return Ok(None) };
     let plan = FaultPlan::parse(&spec)
         .map_err(|e| ExecutionError::Unroutable(format!("VROUTE_FAULT: {e}")))?;
@@ -1820,6 +1820,17 @@ mod tests {
         std::env::remove_var("VROUTE_FAULT");
         let msg = result.unwrap_err().to_string();
         assert!(msg.contains("VROUTE_FAULT"), "{msg}");
+    }
+
+    #[test]
+    fn an_empty_fault_variable_counts_as_unset() {
+        let _guard = SUP_ENV.lock().unwrap();
+        std::env::set_var("VROUTE_FAULT", "");
+        let mut out = String::new();
+        let plan = fault_plan(&mut out);
+        std::env::remove_var("VROUTE_FAULT");
+        assert_eq!(plan.ok(), Some(None));
+        assert!(out.is_empty(), "{out}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ use route_proto::{
 };
 
 use crate::args::{unknown_name, BatchRouterKind, ClientArgs, Named, ServeArgs, ServeEndpoint};
-use crate::run::{batch_router, fault_env, read_file, routed, ExecutionError};
+use crate::run::{batch_router, fault_plan, read_file, routed, ExecutionError};
 
 /// A listening socket of either flavor.
 enum Listener {
@@ -446,22 +446,6 @@ fn handle_conn(conn: Conn, daemon: &Daemon, endpoint: &ServeEndpoint) {
     }
 }
 
-/// Parses a `VROUTE_SERVE_FAULT` spec (`delay-MS`): an injected per-job
-/// stall used by the crash-replay smoke test to widen the kill window.
-fn serve_fault_delay(spec: &str) -> Result<Duration, ExecutionError> {
-    match spec.strip_prefix("delay-").and_then(|ms| ms.parse::<u64>().ok()) {
-        Some(ms) => Ok(Duration::from_millis(ms)),
-        None => Err(ExecutionError::Unroutable(format!(
-            "VROUTE_SERVE_FAULT: unknown fault `{spec}` (expected delay-MS)"
-        ))),
-    }
-}
-
-/// The per-job stall `VROUTE_SERVE_FAULT` asks for, if any.
-fn fault_delay_from_env() -> Result<Option<Duration>, ExecutionError> {
-    fault_env("VROUTE_SERVE_FAULT").map(|spec| serve_fault_delay(&spec)).transpose()
-}
-
 /// Runs the daemon until a client sends `{"op":"shutdown"}`.
 pub(crate) fn execute_serve(
     a: &ServeArgs,
@@ -471,7 +455,7 @@ pub(crate) fn execute_serve(
         .workers(a.workers)
         .queue_capacity(a.queue)
         .default_deadline(a.deadline_ms.map(Duration::from_millis))
-        .fault_delay(fault_delay_from_env()?)
+        .fault(fault_plan(out)?)
         .build()
         .map_err(|e| ExecutionError::Unroutable(format!("serve: {e}")))?;
     let service = RouteService::start(config)
@@ -712,21 +696,6 @@ mod tests {
             _ => panic!("expected the final line"),
         }
         assert!(matches!(read_line_bounded(&mut reader, 1 << 20, &stop).unwrap(), LineRead::Eof));
-    }
-
-    #[test]
-    fn fault_env_parses_delay_and_rejects_junk() {
-        assert_eq!(serve_fault_delay("delay-40").ok(), Some(Duration::from_millis(40)));
-        for junk in ["delay-", "delay-x", "panic", ""] {
-            let msg = serve_fault_delay(junk).unwrap_err().to_string();
-            assert!(msg.contains(&format!("unknown fault `{junk}`")), "{msg}");
-        }
-        // An empty variable counts as unset, as for every fault variable;
-        // no other test in this binary reads it.
-        std::env::set_var("VROUTE_SERVE_FAULT", "");
-        let delay = fault_delay_from_env();
-        std::env::remove_var("VROUTE_SERVE_FAULT");
-        assert_eq!(delay.ok(), Some(None));
     }
 
     #[test]

@@ -41,8 +41,7 @@
 //! assert_eq!(batch.stats.complete, 4);
 //! ```
 
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -53,7 +52,9 @@ use route_model::{
 };
 
 use crate::journal::{JournalEntry, RunJournal};
-use crate::recover::{InstanceStatus, RecoveryPath, SupervisedOutcome, Supervisor};
+use crate::recover::{
+    guarded, FaultSite, InstanceStatus, RecoveryPath, SupervisedOutcome, Supervisor,
+};
 
 /// How much the engine observes of each instance's routing run.
 ///
@@ -239,34 +240,25 @@ impl RouteEngine {
             if let Some(reason) = self.infeasible(&problems[i]) {
                 return (t0.elapsed(), (Err(RouteError::Infeasible { reason }), Observed::None));
             }
-            let (result, observed) = catch_unwind(AssertUnwindSafe(|| match observe {
-                ObserveMode::Off => (router.route(&problems[i]), Observed::None),
+            // The payload is set only once the router returns, so a
+            // panicked instance contributes no observation.
+            let mut observed = Observed::None;
+            let (result, _) = guarded(None, t0, deadline, || match observe {
+                ObserveMode::Off => router.route(&problems[i]),
                 ObserveMode::Metrics => {
                     let mut rec = Box::new(MetricsRecorder::new());
                     let r = router.route_observed(&problems[i], rec.as_mut());
-                    (r, Observed::Metrics(rec))
+                    observed = Observed::Metrics(rec);
+                    r
                 }
                 ObserveMode::Trace => {
                     let mut log = EventLog::new();
                     let r = router.route_observed(&problems[i], &mut log);
-                    (r, Observed::Events(log.into_events()))
+                    observed = Observed::Events(log.into_events());
+                    r
                 }
-            }))
-            .unwrap_or_else(|payload| {
-                (
-                    Err(RouteError::Panicked { message: panic_text(payload.as_ref()) }),
-                    Observed::None,
-                )
             });
-            let took = t0.elapsed();
-            let result = match (deadline, result) {
-                (Some(budget), Ok(_)) if took > budget => Err(RouteError::DeadlineExceeded {
-                    elapsed_ms: took.as_millis() as u64,
-                    budget_ms: budget.as_millis() as u64,
-                }),
-                (_, r) => r,
-            };
-            (took, (result, observed))
+            (t0.elapsed(), (result, observed))
         });
         let (timings, (results, observed_slots)): (Vec<Duration>, (Vec<RouteResult>, Vec<_>)) =
             reports.into_iter().unzip();
@@ -399,7 +391,7 @@ impl RouteEngine {
                     if let Some(j) = journal {
                         j.begin(i);
                     }
-                    supervisor.route_supervised(&problems[i], i, deadline)
+                    supervisor.route_supervised(&problems[i], FaultSite::Instance(i), deadline)
                 }
             };
             let entry = JournalEntry::from_outcome(i, &label, fingerprint, &outcome);
@@ -458,7 +450,7 @@ enum Observed {
 /// Worker threads for a `jobs` setting ([`EngineConfig::jobs`]
 /// semantics: `0` means one per available hardware thread), capped at
 /// [`MAX_JOBS`] however the setting was built.
-fn resolve_jobs(jobs: usize) -> usize {
+pub(crate) fn resolve_jobs(jobs: usize) -> usize {
     let jobs = if jobs == 0 {
         thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
@@ -516,17 +508,6 @@ pub fn map_ordered<T: Send>(jobs: usize, n: usize, work: impl Fn(usize) -> T + S
         }
     });
     slots.into_iter().map(|slot| slot.expect("every claimed item reports exactly once")).collect()
-}
-
-/// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -63,8 +63,8 @@ pub use journal::{
     ChipJournal, ChipTileRecord, JournalEntry, PendingRequest, RunJournal, ServeJournal,
 };
 pub use recover::{
-    EngineFault, FallbackChain, FaultPlan, InstanceStatus, RecoveryPath, RetryPolicy, SalvageInfo,
-    SupervisedOutcome, Supervisor,
+    guarded, EngineFault, FallbackChain, FaultPlan, FaultSite, InstanceStatus, RecoveryPath,
+    RetryPolicy, SalvageInfo, SupervisedOutcome, Supervisor,
 };
 /// Work-accounting counters, re-exported from [`route_model`] — the
 /// router fills them and the engine/bench tables consume them.

@@ -18,8 +18,12 @@
 //!   completed-net count and a legality lint report from
 //!   `route-analyze`, instead of discarding real metal.
 //! * [`FaultPlan`] injects panics, delays and spurious failures into
-//!   chosen instances and attempts, so tests (and the `VROUTE_FAULT`
-//!   environment hook in the CLI) can prove every recovery path fires.
+//!   chosen instances, tiles, seam rungs and attempts, so tests (and
+//!   the `VROUTE_FAULT` environment hook in the CLI) can prove every
+//!   recovery path fires.
+//! * [`guarded`] is the one attempt guard: it injects the planned
+//!   fault, isolates panics and enforces the wall-clock deadline for
+//!   the batch engine, the supervisor and the service alike.
 //!
 //! The decision sequence per instance:
 //!
@@ -40,14 +44,12 @@
 //! ```
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use route_analyze::LintReport;
 use route_model::{DetailedRouter, Problem, RouteError, RouteResult, Routing};
 
-use crate::engine::panic_text;
 use crate::{MightyRouter, NetOrder, RouterConfig};
 
 /// Multiplier per retry on [`RouterConfig::max_attempts`] and on an
@@ -193,7 +195,48 @@ pub enum EngineFault {
     Delay(u64),
 }
 
-/// Which instances and attempts an [`EngineFault`] hits.
+impl EngineFault {
+    /// Injects the fault ahead of an attempt: a delay sleeps and lets
+    /// the attempt run, a spurious failure returns
+    /// [`RouteError::Unroutable`], and a panic is a real unwind,
+    /// isolated into [`RouteError::Panicked`].
+    pub fn inject(self) -> Result<(), RouteError> {
+        match self {
+            EngineFault::Panic => RouteError::isolate(|| panic!("injected fault: panic")),
+            EngineFault::SpuriousFail => Err(RouteError::Unroutable {
+                reason: "injected fault: spurious failure".to_string(),
+            }),
+            EngineFault::Delay(ms) => {
+                thread::sleep(Duration::from_millis(ms));
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Where an attempt runs, as [`FaultPlan::at`] matches it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultSite {
+    /// A batch instance, or the service job admitted as the N-th
+    /// (0-based).
+    Instance(usize),
+    /// A chip tile.
+    Tile(usize),
+    /// A chip seam repair; its attempts are the escalation rungs.
+    Seam,
+}
+
+/// The sites a [`FaultPlan`] targets: every instance and tile (never
+/// the seam stage), listed instances, listed tiles, or seam rungs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum FaultTarget {
+    All,
+    Instances(Vec<usize>),
+    Tiles(Vec<usize>),
+    Seam,
+}
+
+/// Which sites and attempts an [`EngineFault`] hits.
 ///
 /// The spec grammar (used by the CLI's `VROUTE_FAULT` environment
 /// variable and by [`FaultPlan::parse`]) is
@@ -215,21 +258,22 @@ pub enum EngineFault {
 /// `panic@0,2@1` panics the first attempt of instances 0 and 2;
 /// `delay-200@*@2` delays the first two attempts of every instance;
 /// `panic@tile:3` panics tile 3's first attempt; `fail@seam@2` fails
-/// the first two rungs of every seam repair.
+/// the first two rungs of every seam repair. The service targets its
+/// jobs as instances, in admission order, each with one attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     fault: EngineFault,
-    instances: Option<Vec<usize>>,
-    tiles: Option<Vec<usize>>,
-    seam: bool,
+    target: FaultTarget,
     attempts: u32,
 }
 
 impl FaultPlan {
     /// A plan injecting `fault` into the first `attempts` attempts of
-    /// the given batch instances (`None` targets every instance).
+    /// the given batch instances (`None` targets every instance and
+    /// every tile, like a bare spec).
     pub fn new(fault: EngineFault, instances: Option<Vec<usize>>, attempts: u32) -> Self {
-        FaultPlan { fault, instances, tiles: None, seam: false, attempts }
+        let target = instances.map_or(FaultTarget::All, FaultTarget::Instances);
+        FaultPlan { fault, target, attempts }
     }
 
     /// Parses the `KIND[@TARGETS[@ATTEMPTS]]` spec described on the
@@ -247,32 +291,31 @@ impl FaultPlan {
         } else {
             return Err(format!("unknown fault kind {kind:?} (panic, fail, delay-MS)"));
         };
-        let mut instances: Option<Vec<usize>> = None;
-        let mut tiles: Option<Vec<usize>> = None;
-        let mut seam = false;
-        match parts.next() {
-            None | Some("*") => {}
-            Some("seam") => seam = true,
+        let target = match parts.next() {
+            None | Some("*") => FaultTarget::All,
+            Some("seam") => FaultTarget::Seam,
             Some(list) => {
+                let (mut instances, mut tiles) = (Vec::new(), Vec::new());
                 for part in list.split(',') {
                     if part == "seam" {
                         return Err("seam must be the sole fault target".to_string());
                     } else if let Some(t) = part.strip_prefix("tile:") {
-                        let t =
-                            t.parse::<usize>().map_err(|_| format!("bad tile index {part:?}"))?;
-                        tiles.get_or_insert_with(Vec::new).push(t);
+                        tiles.push(t.parse().map_err(|_| format!("bad tile index {part:?}"))?);
                     } else {
-                        let i = part
-                            .parse::<usize>()
-                            .map_err(|_| format!("bad instance index {part:?}"))?;
-                        instances.get_or_insert_with(Vec::new).push(i);
+                        instances.push(
+                            part.parse().map_err(|_| format!("bad instance index {part:?}"))?,
+                        );
                     }
                 }
-                if instances.is_some() && tiles.is_some() {
-                    return Err("cannot mix instance and tile fault targets".to_string());
+                match (instances.is_empty(), tiles.is_empty()) {
+                    (false, false) => {
+                        return Err("cannot mix instance and tile fault targets".to_string())
+                    }
+                    (true, _) => FaultTarget::Tiles(tiles),
+                    (false, true) => FaultTarget::Instances(instances),
                 }
             }
-        }
+        };
         let attempts = match parts.next() {
             None => 1,
             Some(n) => n.parse::<u32>().map_err(|_| format!("bad attempt count {n:?}"))?,
@@ -280,38 +323,51 @@ impl FaultPlan {
         if let Some(extra) = parts.next() {
             return Err(format!("trailing fault spec part {extra:?}"));
         }
-        Ok(FaultPlan { fault, instances, tiles, seam, attempts })
+        Ok(FaultPlan { fault, target, attempts })
     }
 
-    /// Whether the plan fires for attempt `attempt` (0-based, counted
-    /// across the whole recovery chain) of batch instance `instance`.
-    /// Tile- and seam-targeted plans never hit batch instances.
-    pub fn applies(&self, instance: usize, attempt: u32) -> bool {
-        attempt < self.attempts
-            && !self.seam
-            && self.tiles.is_none()
-            && self.instances.as_ref().is_none_or(|list| list.contains(&instance))
+    /// The fault to inject into attempt `attempt` (0-based, counted
+    /// across the whole recovery chain; for [`FaultSite::Seam`], the
+    /// escalation rung) at `site`, if the plan targets it (see the
+    /// type's `TARGETS`).
+    pub fn at(&self, site: FaultSite, attempt: u32) -> Option<EngineFault> {
+        let hit = match (&self.target, site) {
+            (FaultTarget::All, FaultSite::Instance(_) | FaultSite::Tile(_)) => true,
+            (FaultTarget::Instances(list), FaultSite::Instance(i))
+            | (FaultTarget::Tiles(list), FaultSite::Tile(i)) => list.contains(&i),
+            (FaultTarget::Seam, FaultSite::Seam) => true,
+            _ => false,
+        };
+        (hit && attempt < self.attempts).then_some(self.fault)
     }
+}
 
-    /// Whether the plan fires for attempt `attempt` of chip tile
-    /// `tile`. Bare plans hit every tile; instance- and seam-targeted
-    /// plans never hit tiles.
-    pub fn applies_tile(&self, tile: usize, attempt: u32) -> bool {
-        attempt < self.attempts
-            && !self.seam
-            && self.instances.is_none()
-            && self.tiles.as_ref().is_none_or(|list| list.contains(&tile))
-    }
-
-    /// Whether the plan fires for escalation rung `rung` (0-based) of a
-    /// chip seam repair. Only explicit `@seam` plans ever fire here.
-    pub fn applies_seam(&self, rung: u32) -> bool {
-        self.seam && rung < self.attempts
-    }
-
-    /// The injected fault.
-    pub fn fault(&self) -> EngineFault {
-        self.fault
+/// Runs one routing attempt behind the workspace's one failure guard:
+/// injects `fault` first ([`EngineFault::inject`]), runs `route` under
+/// [`RouteError::isolate`], and replaces an `Ok` delivered more than
+/// `budget` after `since` with [`RouteError::DeadlineExceeded`], handing
+/// the late routing back beside it (its metal is real). Errors keep
+/// their own diagnosis and hand back no routing. Callers choose the
+/// clock: the engine starts it with the instance, the supervisor with
+/// the attempt, the service at admission.
+pub fn guarded(
+    fault: Option<EngineFault>,
+    since: Instant,
+    budget: Option<Duration>,
+    route: impl FnOnce() -> RouteResult,
+) -> (RouteResult, Option<Routing>) {
+    let result =
+        fault.map_or(Ok(()), EngineFault::inject).and_then(|()| RouteError::isolate(route)?);
+    let elapsed = since.elapsed();
+    match (budget, result) {
+        (Some(budget), Ok(late)) if elapsed > budget => {
+            let exceeded = RouteError::DeadlineExceeded {
+                elapsed_ms: elapsed.as_millis() as u64,
+                budget_ms: budget.as_millis() as u64,
+            };
+            (Err(exceeded), Some(late))
+        }
+        (_, result) => (result, None),
     }
 }
 
@@ -486,10 +542,6 @@ pub struct Supervisor {
     retry: RetryPolicy,
     fallbacks: FallbackChain,
     fault: Option<FaultPlan>,
-    /// When set, the `instance` passed to
-    /// [`route_supervised`](Supervisor::route_supervised) is a chip
-    /// tile index and faults match via [`FaultPlan::applies_tile`].
-    fault_on_tiles: bool,
 }
 
 impl fmt::Debug for Supervisor {
@@ -512,7 +564,6 @@ impl Supervisor {
             retry,
             fallbacks: FallbackChain::none(),
             fault: None,
-            fault_on_tiles: false,
         }
     }
 
@@ -524,7 +575,6 @@ impl Supervisor {
             retry,
             fallbacks: FallbackChain::none(),
             fault: None,
-            fault_on_tiles: false,
         }
     }
 
@@ -540,16 +590,6 @@ impl Supervisor {
         self
     }
 
-    /// Attaches a fault-injection plan scoped to chip tiles: the
-    /// `instance` argument of
-    /// [`route_supervised`](Supervisor::route_supervised) is treated as
-    /// a tile index and matched via [`FaultPlan::applies_tile`].
-    pub fn with_tile_fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = Some(fault);
-        self.fault_on_tiles = true;
-        self
-    }
-
     /// Name of the primary router.
     pub fn primary_name(&self) -> &str {
         match &self.primary {
@@ -558,15 +598,15 @@ impl Supervisor {
         }
     }
 
-    /// Routes `problem` (batch index `instance`, used for fault
-    /// targeting) through the full recovery chain. `deadline` is the
-    /// per-*attempt* wall-clock budget: an attempt delivering after it
-    /// is disqualified ([`RouteError::DeadlineExceeded`]) but its
-    /// routing still feeds the salvage snapshot.
+    /// Routes `problem` (at `site`, which only fault targeting reads)
+    /// through the full recovery chain. `deadline` is the per-*attempt*
+    /// wall-clock budget: an attempt delivering after it is
+    /// disqualified ([`RouteError::DeadlineExceeded`]) but its routing
+    /// still feeds the salvage snapshot.
     pub fn route_supervised(
         &self,
         problem: &Problem,
-        instance: usize,
+        site: FaultSite,
         deadline: Option<Duration>,
     ) -> SupervisedOutcome {
         let mut best: Option<Routing> = None;
@@ -582,14 +622,14 @@ impl Supervisor {
                     self.attempt(
                         &MightyRouter::new(cfg),
                         problem,
-                        instance,
+                        site,
                         attempts,
                         deadline,
                         &mut best,
                     )
                 }
                 Primary::Fixed(r) => {
-                    self.attempt(r.as_ref(), problem, instance, attempts, deadline, &mut best)
+                    self.attempt(r.as_ref(), problem, site, attempts, deadline, &mut best)
                 }
             };
             attempts += 1;
@@ -641,7 +681,7 @@ impl Supervisor {
         if !proof {
             for fb in &self.fallbacks.routers {
                 let result =
-                    self.attempt(fb.as_ref(), problem, instance, attempts, deadline, &mut best);
+                    self.attempt(fb.as_ref(), problem, site, attempts, deadline, &mut best);
                 attempts += 1;
                 match result {
                     Ok(routing) if routing.is_complete() => {
@@ -686,58 +726,24 @@ impl Supervisor {
         }
     }
 
-    /// Runs one attempt: injects any planned fault, isolates panics,
-    /// and disqualifies results delivered after `deadline` (feeding the
-    /// disqualified routing into the salvage snapshot first).
+    /// Runs one attempt through [`guarded`], its clock started with the
+    /// attempt; a routing disqualified by `deadline` still feeds the
+    /// salvage snapshot.
     fn attempt(
         &self,
         router: &dyn DetailedRouter,
         problem: &Problem,
-        instance: usize,
+        site: FaultSite,
         attempt_no: u32,
         deadline: Option<Duration>,
         best: &mut Option<Routing>,
     ) -> RouteResult {
-        let injected = self
-            .fault
-            .as_ref()
-            .filter(|f| {
-                if self.fault_on_tiles {
-                    f.applies_tile(instance, attempt_no)
-                } else {
-                    f.applies(instance, attempt_no)
-                }
-            })
-            .map(FaultPlan::fault);
-        let t0 = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            match injected {
-                Some(EngineFault::Panic) => panic!("injected fault: panic"),
-                Some(EngineFault::SpuriousFail) => {
-                    return Err(RouteError::Unroutable {
-                        reason: "injected fault: spurious failure".to_string(),
-                    });
-                }
-                Some(EngineFault::Delay(ms)) => thread::sleep(Duration::from_millis(ms)),
-                None => {}
-            }
-            router.route(problem)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(RouteError::Panicked { message: panic_text(payload.as_ref()) })
-        });
-        let took = t0.elapsed();
-        match (deadline, result) {
-            (Some(budget), Ok(routing)) if took > budget => {
-                // Disqualified, but the metal is real: salvage it.
-                remember_best(best, routing);
-                Err(RouteError::DeadlineExceeded {
-                    elapsed_ms: took.as_millis() as u64,
-                    budget_ms: budget.as_millis() as u64,
-                })
-            }
-            (_, r) => r,
+        let fault = self.fault.as_ref().and_then(|f| f.at(site, attempt_no));
+        let (result, late) = guarded(fault, Instant::now(), deadline, || router.route(problem));
+        if let Some(routing) = late {
+            remember_best(best, routing);
         }
+        result
     }
 }
 
@@ -757,6 +763,7 @@ fn remember_best(best: &mut Option<Routing>, candidate: Routing) {
 mod tests {
     use super::*;
     use route_model::{PinSide, ProblemBuilder, RouteDb};
+    use FaultSite::{Instance, Seam, Tile};
 
     fn tiny() -> Problem {
         let mut b = ProblemBuilder::switchbox(8, 6);
@@ -800,13 +807,13 @@ mod tests {
     fn fault_plan_spec_round_trips() {
         let plan = FaultPlan::parse("panic@0,2@2").unwrap();
         assert_eq!(plan, FaultPlan::new(EngineFault::Panic, Some(vec![0, 2]), 2));
-        assert!(plan.applies(0, 0) && plan.applies(2, 1));
-        assert!(!plan.applies(1, 0), "untargeted instance");
-        assert!(!plan.applies(0, 2), "attempt past the window");
+        assert!(plan.at(Instance(0), 0).is_some() && plan.at(Instance(2), 1).is_some());
+        assert!(plan.at(Instance(1), 0).is_none(), "untargeted instance");
+        assert!(plan.at(Instance(0), 2).is_none(), "attempt past the window");
 
         let plan = FaultPlan::parse("delay-150").unwrap();
         assert_eq!(plan, FaultPlan::new(EngineFault::Delay(150), None, 1));
-        assert!(plan.applies(9, 0));
+        assert!(plan.at(Instance(9), 0).is_some());
 
         let plan = FaultPlan::parse("fail@*@3").unwrap();
         assert_eq!(plan, FaultPlan::new(EngineFault::SpuriousFail, None, 3));
@@ -819,29 +826,29 @@ mod tests {
     #[test]
     fn fault_plan_tile_and_seam_targets() {
         let plan = FaultPlan::parse("panic@tile:3").unwrap();
-        assert!(plan.applies_tile(3, 0));
-        assert!(!plan.applies_tile(2, 0), "untargeted tile");
-        assert!(!plan.applies_tile(3, 1), "attempt past the window");
-        assert!(!plan.applies(3, 0), "tile plans never hit batch instances");
-        assert!(!plan.applies_seam(0), "tile plans never hit the seam stage");
+        assert!(plan.at(Tile(3), 0).is_some());
+        assert!(plan.at(Tile(2), 0).is_none(), "untargeted tile");
+        assert!(plan.at(Tile(3), 1).is_none(), "attempt past the window");
+        assert!(plan.at(Instance(3), 0).is_none(), "tile plans never hit batch instances");
+        assert!(plan.at(Seam, 0).is_none(), "tile plans never hit the seam stage");
 
         let plan = FaultPlan::parse("fail@tile:1,tile:4@2").unwrap();
-        assert!(plan.applies_tile(1, 1) && plan.applies_tile(4, 0));
-        assert!(!plan.applies_tile(2, 0));
+        assert!(plan.at(Tile(1), 1).is_some() && plan.at(Tile(4), 0).is_some());
+        assert!(plan.at(Tile(2), 0).is_none());
 
         let plan = FaultPlan::parse("fail@seam@2").unwrap();
-        assert!(plan.applies_seam(0) && plan.applies_seam(1));
-        assert!(!plan.applies_seam(2), "rung past the window");
-        assert!(!plan.applies(0, 0) && !plan.applies_tile(0, 0));
+        assert!(plan.at(Seam, 0).is_some() && plan.at(Seam, 1).is_some());
+        assert!(plan.at(Seam, 2).is_none(), "rung past the window");
+        assert!(plan.at(Instance(0), 0).is_none() && plan.at(Tile(0), 0).is_none());
 
         // Bare plans hit batch instances and tiles, never seams.
         let plan = FaultPlan::parse("delay-40").unwrap();
-        assert!(plan.applies(7, 0) && plan.applies_tile(7, 0));
-        assert!(!plan.applies_seam(0));
+        assert!(plan.at(Instance(7), 0).is_some() && plan.at(Tile(7), 0).is_some());
+        assert!(plan.at(Seam, 0).is_none());
 
         // Instance-index plans never hit tiles, and vice versa.
         let plan = FaultPlan::parse("panic@2").unwrap();
-        assert!(plan.applies(2, 0) && !plan.applies_tile(2, 0));
+        assert!(plan.at(Instance(2), 0).is_some() && plan.at(Tile(2), 0).is_none());
 
         for bad in ["panic@tile:x", "panic@seam,1", "panic@1,tile:2"] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must be rejected");
@@ -853,11 +860,69 @@ mod tests {
         // A tile-scoped fault on tile 0: the first attempt panics and
         // the retry recovers; other tiles are untouched.
         let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(2))
-            .with_tile_fault(FaultPlan::parse("panic@tile:0").unwrap());
-        let out = sup.route_supervised(&tiny(), 0, None);
+            .with_fault(FaultPlan::parse("panic@tile:0").unwrap());
+        let out = sup.route_supervised(&tiny(), Tile(0), None);
         assert_eq!(out.path, RecoveryPath::Retried { attempt: 1 });
-        let out = sup.route_supervised(&tiny(), 1, None);
+        let out = sup.route_supervised(&tiny(), Tile(1), None);
         assert_eq!(out.path, RecoveryPath::Direct, "tile 1 is untargeted");
+    }
+
+    #[test]
+    fn guard_injects_isolates_and_disqualifies() {
+        let p = tiny();
+        let router = MightyRouter::default();
+        let route = || DetailedRouter::route(&router, &p);
+        let direct = route().unwrap().db.checksum();
+        let boom = || -> RouteResult { panic!("boom") };
+        let own = || -> RouteResult { Err(RouteError::BudgetExhausted { tracks: 2 }) };
+        let (late, tight, roomy) = (
+            Some(EngineFault::Delay(30)),
+            Some(Duration::from_millis(5)),
+            Some(Duration::from_secs(600)),
+        );
+        let panicked = |message: &str| Err(RouteError::Panicked { message: message.to_string() });
+        let spurious = "injected fault: spurious failure".to_string();
+        // (fault, budget, attempt, expected result as a checksum, late
+        // routing handed back); a deadline's elapsed time reads as 0.
+        type Row<'a> = (
+            Option<EngineFault>,
+            Option<Duration>,
+            &'a dyn Fn() -> RouteResult,
+            Result<u64, RouteError>,
+            bool,
+        );
+        let rows: [Row; 6] = [
+            (None, roomy, &route, Ok(direct), false),
+            (Some(EngineFault::Panic), None, &route, panicked("injected fault: panic"), false),
+            (
+                Some(EngineFault::SpuriousFail),
+                None,
+                &route,
+                Err(RouteError::Unroutable { reason: spurious }),
+                false,
+            ),
+            (
+                late,
+                tight,
+                &route,
+                Err(RouteError::DeadlineExceeded { elapsed_ms: 0, budget_ms: 5 }),
+                true,
+            ),
+            (None, None, &boom, panicked("boom"), false),
+            (late, tight, &own, Err(RouteError::BudgetExhausted { tracks: 2 }), false),
+        ];
+        for (i, (fault, budget, attempt, expected, hands_back)) in rows.into_iter().enumerate() {
+            let (result, handed) = guarded(fault, Instant::now(), budget, attempt);
+            let result = result.map(|r| r.db.checksum()).map_err(|e| match e {
+                RouteError::DeadlineExceeded { elapsed_ms, budget_ms } => {
+                    assert!(elapsed_ms >= 30, "row {i}: elapsed {elapsed_ms} ms");
+                    RouteError::DeadlineExceeded { elapsed_ms: 0, budget_ms }
+                }
+                other => other,
+            });
+            assert_eq!(result, expected, "row {i}");
+            assert_eq!(handed.map(|r| r.db.checksum()), hands_back.then_some(direct), "row {i}");
+        }
     }
 
     #[test]
@@ -891,7 +956,7 @@ mod tests {
     #[test]
     fn direct_success_spends_one_attempt() {
         let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(3));
-        let out = sup.route_supervised(&tiny(), 0, None);
+        let out = sup.route_supervised(&tiny(), Instance(0), None);
         assert_eq!(out.path, RecoveryPath::Direct);
         assert_eq!(out.attempts, 1);
         assert_eq!(out.status(), InstanceStatus::Complete);
@@ -901,7 +966,7 @@ mod tests {
     fn injected_panic_is_recovered_by_retry() {
         let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(2))
             .with_fault(FaultPlan::parse("panic@0@1").unwrap());
-        let out = sup.route_supervised(&tiny(), 0, None);
+        let out = sup.route_supervised(&tiny(), Instance(0), None);
         assert_eq!(out.path, RecoveryPath::Retried { attempt: 1 });
         assert_eq!(out.attempts, 2);
         assert_eq!(out.status(), InstanceStatus::Complete);
@@ -913,7 +978,7 @@ mod tests {
         // chain even though the budget would allow five attempts.
         let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(4))
             .with_fault(FaultPlan::parse("panic@*@99").unwrap());
-        let out = sup.route_supervised(&tiny(), 0, None);
+        let out = sup.route_supervised(&tiny(), Instance(0), None);
         assert_eq!(out.attempts, 2, "one panic, one capped retry");
         assert_eq!(out.status(), InstanceStatus::Panicked);
     }
@@ -924,7 +989,7 @@ mod tests {
         let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(1))
             .with_fault(FaultPlan::new(EngineFault::SpuriousFail, None, 2))
             .with_fallbacks(FallbackChain::lee());
-        let out = sup.route_supervised(&tiny(), 0, None);
+        let out = sup.route_supervised(&tiny(), Instance(0), None);
         assert_eq!(out.path, RecoveryPath::FellBack { router: "lee".to_string() });
         assert_eq!(out.attempts, 3);
         assert_eq!(out.status(), InstanceStatus::Complete);
@@ -943,7 +1008,7 @@ mod tests {
         }
         let sup = Supervisor::with_primary(Box::new(Prover), RetryPolicy::with_retries(5))
             .with_fallbacks(FallbackChain::lee());
-        let out = sup.route_supervised(&tiny(), 0, None);
+        let out = sup.route_supervised(&tiny(), Instance(0), None);
         assert_eq!(out.attempts, 1, "a proof must not be retried or handed to fallbacks");
         assert_eq!(out.status(), InstanceStatus::Infeasible);
         assert_eq!(out.path, RecoveryPath::Failed);
@@ -964,7 +1029,7 @@ mod tests {
         }
         let p = tiny();
         let sup = Supervisor::with_primary(Box::new(GiveUp), RetryPolicy::with_retries(1));
-        let out = sup.route_supervised(&p, 0, None);
+        let out = sup.route_supervised(&p, Instance(0), None);
         assert_eq!(out.path, RecoveryPath::Salvaged);
         assert_eq!(out.status(), InstanceStatus::Salvaged);
         let salvage = out.salvage.expect("salvage info");

@@ -20,11 +20,15 @@
 //!   [`JobSpec::priority`] first, FIFO within a priority class.
 //! * **Deadlines** — a per-job wall-clock budget covering queue wait
 //!   *plus* routing. A job that expires while queued is failed without
-//!   routing; a result delivered late is disqualified exactly like the
-//!   batch engine does ([`RouteError::DeadlineExceeded`]).
+//!   routing; a result delivered late is disqualified by the same
+//!   [`guarded`] attempt guard the batch engine uses
+//!   ([`RouteError::DeadlineExceeded`]).
 //! * **Panic isolation** — a router panic poisons neither the worker
 //!   nor the service: the job fails with [`RouteError::Panicked`], the
 //!   worker replaces its arena and keeps serving.
+//! * **Fault injection** — [`ServiceConfig::fault`] takes the batch
+//!   engine's [`FaultPlan`], with the N-th admitted job targeted as
+//!   instance N.
 //! * **Streamed observation** — jobs with [`JobSpec::stream_events`]
 //!   forward every [`RouteObserver`](route_model::RouteObserver) event
 //!   to the job's reply channel before the terminal
@@ -61,7 +65,6 @@
 
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -72,13 +75,14 @@ use route_model::{
     DetailedRouter, EventSink, Problem, RouteError, RouteEvent, RouteResult, Routing,
 };
 
-use crate::engine::{panic_text, MAX_JOBS};
+use crate::engine::{resolve_jobs, MAX_JOBS};
+use crate::recover::{guarded, FaultPlan, FaultSite};
 use crate::{ConfigError, MightyRouter};
 
 /// Knobs for [`RouteService`]. Prefer [`ServiceConfig::builder`], which
 /// validates; [`RouteService::start`] re-checks the invariants either
 /// way.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Warm worker threads. `0` means one per available hardware thread.
     pub workers: usize,
@@ -87,14 +91,15 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Deadline applied to jobs that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Test/CI fault hook: sleep this long before routing each job,
-    /// keeping jobs in flight long enough to kill mid-request.
-    pub fault_delay: Option<Duration>,
+    /// Test/CI fault hook: the N-th admitted job is attempt 0 of
+    /// [`FaultSite::Instance`]`(N)` (a `delay-MS` plan keeps jobs in
+    /// flight long enough to kill mid-request).
+    pub fault: Option<FaultPlan>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig { workers: 0, queue_capacity: 64, default_deadline: None, fault_delay: None }
+        ServiceConfig { workers: 0, queue_capacity: 64, default_deadline: None, fault: None }
     }
 }
 
@@ -136,7 +141,7 @@ impl ServiceConfig {
 /// );
 /// # Ok::<(), ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceConfigBuilder {
     cfg: ServiceConfig,
 }
@@ -160,9 +165,9 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Sets the test/CI fault delay.
-    pub fn fault_delay(mut self, delay: Option<Duration>) -> Self {
-        self.cfg.fault_delay = delay;
+    /// Sets the test/CI fault plan.
+    pub fn fault(mut self, fault: Option<FaultPlan>) -> Self {
+        self.cfg.fault = fault;
         self
     }
 
@@ -347,7 +352,7 @@ struct Shared {
     state: Mutex<State>,
     available: Condvar,
     default_deadline: Option<Duration>,
-    fault_delay: Option<Duration>,
+    fault: Option<FaultPlan>,
 }
 
 /// The resident routing service. See the [module docs](self) for the
@@ -378,11 +383,7 @@ impl RouteService {
     /// [`ServiceConfigBuilder::build`].
     pub fn start(config: ServiceConfig) -> Result<RouteService, ConfigError> {
         config.validate()?;
-        let worker_count = if config.workers == 0 {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            config.workers
-        };
+        let worker_count = resolve_jobs(config.workers);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: BinaryHeap::new(),
@@ -391,7 +392,7 @@ impl RouteService {
             }),
             available: Condvar::new(),
             default_deadline: config.default_deadline,
-            fault_delay: config.fault_delay,
+            fault: config.fault,
         });
         let workers = (0..worker_count)
             .map(|idx| {
@@ -513,77 +514,57 @@ fn serve_job(
     worker: usize,
     job: QueuedJob,
 ) {
-    let QueuedJob { admitted, spec, reply, .. } = job;
+    let QueuedJob { seq, admitted, spec, reply } = job;
     let budget = spec.deadline.or(shared.default_deadline);
     let queued = admitted.elapsed();
 
-    // A job that expired while waiting is failed without routing it:
-    // burning a worker on a result nobody may use starves the live jobs
-    // behind it.
-    if let Some(budget) = budget {
-        if queued > budget {
-            let done = JobDone {
+    let (result, total) = match budget {
+        // A job that expired while waiting is failed without routing
+        // it: burning a worker on a result nobody may use starves the
+        // live jobs behind it.
+        Some(budget) if queued > budget => {
+            let expired = RouteError::DeadlineExceeded {
+                elapsed_ms: queued.as_millis() as u64,
+                budget_ms: budget.as_millis() as u64,
+            };
+            (Err(expired), queued)
+        }
+        _ => {
+            let fault =
+                shared.fault.as_ref().and_then(|f| f.at(FaultSite::Instance(seq as usize), 0));
+            let mut forwarder = Forwarder {
                 tag: spec.tag,
-                result: Err(RouteError::DeadlineExceeded {
-                    elapsed_ms: queued.as_millis() as u64,
-                    budget_ms: budget.as_millis() as u64,
-                }),
-                queued_ms: queued.as_millis() as u64,
-                total_ms: queued.as_millis() as u64,
-                worker,
+                tx: if spec.stream_events { Some(&reply) } else { None },
             };
-            let _ = reply.send(ServiceReply::Done(Box::new(done)));
-            let mut state = shared.state.lock().expect("service state mutex");
-            state.counters.completed += 1;
-            state.counters.expired += 1;
-            return;
-        }
-    }
-
-    if let Some(delay) = shared.fault_delay {
-        thread::sleep(delay);
-    }
-
-    let mut forwarder =
-        Forwarder { tag: spec.tag, tx: if spec.stream_events { Some(&reply) } else { None } };
-    let caught = catch_unwind(AssertUnwindSafe(|| match &spec.router {
-        Some(custom) => {
-            if spec.stream_events {
-                custom.route_observed(&spec.problem, &mut forwarder)
-            } else {
-                custom.route(&spec.problem)
+            let (result, _) = guarded(fault, admitted, budget, || match &spec.router {
+                Some(custom) => {
+                    if spec.stream_events {
+                        custom.route_observed(&spec.problem, &mut forwarder)
+                    } else {
+                        custom.route(&spec.problem)
+                    }
+                }
+                None => {
+                    let out = if spec.stream_events {
+                        router.route_warm_observed(&spec.problem, arena, &mut forwarder)
+                    } else {
+                        router.route_warm(&spec.problem, arena)
+                    };
+                    let failed = out.failed().to_vec();
+                    Ok(Routing { db: out.into_db(), failed })
+                }
+            });
+            if matches!(result, Err(RouteError::Panicked { .. })) {
+                // The unwound search may have left the arena mid-flight;
+                // a fresh one is cheap and provably clean.
+                *arena = SearchArena::new();
             }
+            (result, admitted.elapsed())
         }
-        None => {
-            let out = if spec.stream_events {
-                router.route_warm_observed(&spec.problem, arena, &mut forwarder)
-            } else {
-                router.route_warm(&spec.problem, arena)
-            };
-            let failed = out.failed().to_vec();
-            Ok(Routing { db: out.into_db(), failed })
-        }
-    }));
-    let (result, did_panic) = match caught {
-        Ok(result) => (result, false),
-        Err(payload) => (Err(RouteError::Panicked { message: panic_text(payload.as_ref()) }), true),
-    };
-    if did_panic {
-        // The unwound search may have left the arena mid-flight; a
-        // fresh one is cheap and provably clean.
-        *arena = SearchArena::new();
-    }
-
-    let total = admitted.elapsed();
-    let result = match (budget, result) {
-        (Some(budget), Ok(_)) if total > budget => Err(RouteError::DeadlineExceeded {
-            elapsed_ms: total.as_millis() as u64,
-            budget_ms: budget.as_millis() as u64,
-        }),
-        (_, r) => r,
     };
 
     let expired = matches!(result, Err(RouteError::DeadlineExceeded { .. }));
+    let panicked = matches!(result, Err(RouteError::Panicked { .. }));
     let done = JobDone {
         tag: spec.tag,
         result,
@@ -594,12 +575,8 @@ fn serve_job(
     let _ = reply.send(ServiceReply::Done(Box::new(done)));
     let mut state = shared.state.lock().expect("service state mutex");
     state.counters.completed += 1;
-    if expired {
-        state.counters.expired += 1;
-    }
-    if did_panic {
-        state.counters.panicked += 1;
-    }
+    state.counters.expired += u64::from(expired);
+    state.counters.panicked += u64::from(panicked);
 }
 
 /// Forwards every router event to the job's reply channel as a
@@ -673,7 +650,7 @@ mod tests {
         let service = start(ServiceConfig {
             workers: 1,
             queue_capacity: 1,
-            fault_delay: Some(Duration::from_millis(150)),
+            fault: FaultPlan::parse("delay-150").ok(),
             ..ServiceConfig::default()
         });
         let (tx, rx) = mpsc::channel();
@@ -699,7 +676,7 @@ mod tests {
     fn priorities_order_the_queue() {
         let service = start(ServiceConfig {
             workers: 1,
-            fault_delay: Some(Duration::from_millis(60)),
+            fault: FaultPlan::parse("delay-60").ok(),
             ..ServiceConfig::default()
         });
         let (tx, rx) = mpsc::channel();
@@ -720,7 +697,7 @@ mod tests {
     fn deadlines_expire_queued_and_slow_jobs() {
         let service = start(ServiceConfig {
             workers: 1,
-            fault_delay: Some(Duration::from_millis(80)),
+            fault: FaultPlan::parse("delay-80").ok(),
             ..ServiceConfig::default()
         });
         let (tx, rx) = mpsc::channel();
@@ -782,6 +759,47 @@ mod tests {
     }
 
     #[test]
+    fn fault_plans_target_jobs_as_admitted_instances() {
+        // `panic@0`: the first admitted job panics, the next one is
+        // served by the same (only) worker.
+        let service = start(ServiceConfig {
+            workers: 1,
+            fault: FaultPlan::parse("panic@0").ok(),
+            ..ServiceConfig::default()
+        });
+        let (tx, rx) = mpsc::channel();
+        service.submit(JobSpec::new(0, switchbox(6, 6, 0)), tx.clone()).unwrap();
+        let done = recv_done(&rx);
+        assert_eq!(
+            done.result.err(),
+            Some(RouteError::Panicked { message: "injected fault: panic".to_string() })
+        );
+        service.submit(JobSpec::new(1, switchbox(6, 6, 1)), tx.clone()).unwrap();
+        let done = recv_done(&rx);
+        assert!(done.result.is_ok(), "job 1 is untargeted");
+        assert_eq!(done.worker, 0);
+        let stats = service.shutdown();
+        assert_eq!((stats.panicked, stats.completed), (1, 2));
+
+        // A tile-targeted plan never fires on a job.
+        let service = start(ServiceConfig {
+            workers: 1,
+            fault: FaultPlan::parse("panic@tile:0").ok(),
+            ..ServiceConfig::default()
+        });
+        service.submit(JobSpec::new(0, switchbox(6, 6, 0)), tx.clone()).unwrap();
+        assert!(recv_done(&rx).result.is_ok());
+        assert_eq!(service.shutdown().panicked, 0);
+    }
+
+    #[test]
+    fn default_workers_follow_the_engine_jobs_rule() {
+        let service = start(ServiceConfig::default());
+        assert_eq!(service.stats().workers, crate::RouteEngine::with_jobs(0).jobs());
+        service.shutdown();
+    }
+
+    #[test]
     fn streamed_events_precede_done_and_replay_consistently() {
         let service = start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
         let (tx, rx) = mpsc::channel();
@@ -811,7 +829,7 @@ mod tests {
     fn shutdown_drains_queued_work_and_rejects_new() {
         let service = start(ServiceConfig {
             workers: 1,
-            fault_delay: Some(Duration::from_millis(20)),
+            fault: FaultPlan::parse("delay-20").ok(),
             ..ServiceConfig::default()
         });
         let (tx, rx) = mpsc::channel();

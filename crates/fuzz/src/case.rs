@@ -10,7 +10,7 @@ use std::error::Error;
 use std::fmt;
 
 use route_benchdata::gen::{ChannelGen, ObstructedGen, SwitchboxGen};
-use route_model::{Problem, ProblemBuilder};
+use route_model::{Problem, ProblemBuilder, RouteError};
 
 /// The generator family and shape of a fuzz case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,7 +129,7 @@ impl FuzzCase {
     /// every pin), and hand-written case files can describe such
     /// shapes. Returns `None` instead of propagating the panic.
     pub fn try_build(&self) -> Option<Problem> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.build())).ok()
+        RouteError::isolate(|| self.build()).ok()
     }
 
     /// Serializes the case in the `fuzzcase v1` text format.

@@ -35,7 +35,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use mighty::{RecoveryPath, RetryPolicy, RouterConfig, SupervisedOutcome, Supervisor};
+use mighty::{FaultSite, RecoveryPath, RetryPolicy, RouterConfig, SupervisedOutcome, Supervisor};
 use route_model::{NetId, Problem, RouteError, RouteEvent, RouteResult};
 use route_verify::{verify, Violation};
 
@@ -222,19 +222,14 @@ fn check_chip_salvage(problem: &Problem, out: &mut Vec<OracleViolation>) {
             fallback: false,
             ..route_global::GlobalConfig::default()
         };
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        RouteError::isolate(|| {
             route_global::route_hierarchical_supervised(problem, &cfg, &sup, None)
-        }))
+        })
     };
     let outcome = match route(1) {
         Ok(outcome) => outcome,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            broken(OracleKind::ChipSalvage, format!("supervised chip flow panicked: {message}"));
+        Err(panicked) => {
+            broken(OracleKind::ChipSalvage, format!("supervised chip flow: {panicked}"));
             return;
         }
     };
@@ -320,23 +315,18 @@ fn check_chip_salvage(problem: &Problem, out: &mut Vec<OracleViolation>) {
 /// hierarchically too.
 fn check_chip_stitch(problem: &Problem, runs: &InstanceRuns, out: &mut Vec<OracleViolation>) {
     let cfg = route_global::GlobalConfig { tile: 8, ..route_global::GlobalConfig::default() };
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let run = RouteError::isolate(|| {
         let mut log = route_model::EventLog::new();
         let outcome = route_global::route_hierarchical_observed(problem, &cfg, &mut log);
         (outcome, log)
-    }));
+    });
     let mut broken = |kind: OracleKind, detail: String| {
         out.push(OracleViolation { kind, router: "hierarchical".to_string(), detail });
     };
     let (outcome, log) = match run {
         Ok(pair) => pair,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            broken(OracleKind::ChipStitch, format!("hierarchical flow panicked: {message}"));
+        Err(panicked) => {
+            broken(OracleKind::ChipStitch, format!("hierarchical flow: {panicked}"));
             return;
         }
     };
@@ -443,9 +433,7 @@ fn check_chip_analysis(problem: &Problem, runs: &InstanceRuns, out: &mut Vec<Ora
     // The certificate is a claim about the instance, not about any one
     // router, so the hierarchical flow must agree with it too.
     let cfg = route_global::GlobalConfig { tile: 8, ..route_global::GlobalConfig::default() };
-    let hier = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        route_global::route_hierarchical(problem, &cfg)
-    }));
+    let hier = RouteError::isolate(|| route_global::route_hierarchical(problem, &cfg));
     if let Ok(outcome) = hier {
         if outcome.is_complete() {
             out.push(OracleViolation {
@@ -503,12 +491,12 @@ fn check_salvage(problem: &Problem, out: &mut Vec<OracleViolation>) {
         return;
     };
     let sup = Supervisor::new(starved, RetryPolicy::with_retries(1));
-    let outcome = sup.route_supervised(problem, 0, None);
+    let outcome = sup.route_supervised(problem, FaultSite::Instance(0), None);
     check_salvage_outcome(problem, &outcome, out);
 
     // Determinism: the whole recovery chain (escalation, order
     // perturbation, snapshot choice) must replay identically.
-    let again = sup.route_supervised(problem, 0, None);
+    let again = sup.route_supervised(problem, FaultSite::Instance(0), None);
     let key = |o: &SupervisedOutcome| {
         let checksum = match &o.result {
             Some(Ok(routing)) => routing.db.checksum(),

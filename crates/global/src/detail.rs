@@ -23,13 +23,10 @@
 //! fallback runs.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::thread;
-use std::time::Duration;
 
 use mighty::{
-    ChipJournal, ChipTileRecord, EngineFault, FallbackChain, InstanceStatus, MightyRouter,
-    RecoveryPath, RetryPolicy, RunJournal, SupervisedOutcome, Supervisor,
+    ChipJournal, ChipTileRecord, EngineFault, FallbackChain, FaultSite, InstanceStatus,
+    MightyRouter, RecoveryPath, RetryPolicy, RunJournal, SupervisedOutcome, Supervisor,
 };
 use route_geom::{Layer, Point, Rect};
 use route_maze::SearchArena;
@@ -526,19 +523,12 @@ fn route_chip(
                 if rung > 0 {
                     chip.seam_escalations += 1;
                 }
-                if let Some(f) = seam_fault.filter(|f| f.applies_seam(rung)) {
-                    match f.fault() {
-                        EngineFault::Panic => {
-                            // A real unwind, isolated here: the rung is
-                            // lost, the ladder escalates.
-                            let _ = catch_unwind(AssertUnwindSafe(|| {
-                                panic!("injected fault: seam panic")
-                            }));
-                            continue;
-                        }
-                        EngineFault::SpuriousFail => continue,
-                        EngineFault::Delay(ms) => thread::sleep(Duration::from_millis(ms)),
-                    }
+                // An injected panic (a real unwind, isolated) or failure
+                // loses the rung and the ladder escalates; a delay lets
+                // the rung run late.
+                let fault = seam_fault.and_then(|f| f.at(FaultSite::Seam, rung));
+                if let Some(Err(_)) = fault.map(EngineFault::inject) {
+                    continue;
                 }
                 let (scale, mode) = match rung {
                     0 | 1 => (1 << rung, StitchMode::Replay),
@@ -798,9 +788,9 @@ fn supervise_tile(
         supervisor = supervisor.with_fallbacks(FallbackChain::lee());
     }
     if let Some(fault) = &sup.fault {
-        supervisor = supervisor.with_tile_fault(fault.clone());
+        supervisor = supervisor.with_fault(fault.clone());
     }
-    supervisor.route_supervised(sub, tile, None)
+    supervisor.route_supervised(sub, FaultSite::Tile(tile), None)
 }
 
 /// The tile stage: on the ordered worker pool, each tile either replays
@@ -941,10 +931,10 @@ fn stitch_edge(
         members.push((id, pins));
     }
     // Foreign wiring can legally sit on a repair net's crossing cell:
-    // a per-net flat repair of an *earlier* edge routes over the full
-    // grid, where reservations do not bind. Such a net cannot be
-    // repaired in this band — restore its ripped wiring and leave it
-    // to its own flat rung. Once evicted, the net is foreign to the
+    // the whole-die reroute of an *earlier* edge's rung 3 routes over
+    // the full grid, where reservations do not bind. Such a net cannot
+    // be repaired in this band — restore its ripped wiring and leave it
+    // to this edge's rung 3, the whole-die reroute. Once evicted, the net is foreign to the
     // band: its restored wiring, its grid-marked pins, and its
     // reserved crossing cells all join the obstacle set, which may
     // evict further nets — iterate to a fixpoint before any net is

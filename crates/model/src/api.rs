@@ -51,8 +51,8 @@ pub enum RouteError {
         /// Nets in the database.
         found: usize,
     },
-    /// The router panicked; the batch engine converts panics into this
-    /// variant so one bad instance cannot take down a batch.
+    /// The router panicked; [`RouteError::isolate`] converts panics into
+    /// this variant so one bad instance cannot take down a batch.
     Panicked {
         /// The panic payload, if it was a string.
         message: String,
@@ -111,6 +111,22 @@ impl RouteError {
             | RouteError::DbMismatch { .. }
             | RouteError::Infeasible { .. } => false,
         }
+    }
+
+    /// Runs `f`, turning a panic inside it into
+    /// [`Panicked`](RouteError::Panicked) with the panic's `&str` or
+    /// `String` message, or "opaque panic payload". The workspace's one
+    /// panic catcher. `f` counts as unwind-safe: a caller whose state
+    /// `f` may leave half-updated must discard that state on `Err`.
+    pub fn isolate<T>(f: impl FnOnce() -> T) -> Result<T, RouteError> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "opaque panic payload".to_string());
+            RouteError::Panicked { message }
+        })
     }
 }
 
@@ -306,5 +322,18 @@ mod tests {
             assert!(e.to_string().contains(needle), "{e}");
             assert_eq!(e.is_retryable(), retryable, "retryability of {e}");
         }
+    }
+
+    #[test]
+    fn isolate_decodes_every_payload_kind() {
+        let panicked = |message: &str| Err(RouteError::Panicked { message: message.to_string() });
+        assert_eq!(RouteError::isolate(|| 3), Ok(3));
+        assert_eq!(RouteError::isolate::<()>(|| panic!("static text")), panicked("static text"));
+        let n = 4;
+        assert_eq!(RouteError::isolate::<()>(|| panic!("formatted {n}")), panicked("formatted 4"));
+        assert_eq!(
+            RouteError::isolate::<()>(|| std::panic::panic_any(7u8)),
+            panicked("opaque panic payload")
+        );
     }
 }

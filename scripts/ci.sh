@@ -170,9 +170,24 @@ fi
 grep -q "daemon stopping" "$SMOKE/client.out" || {
   echo "ci: client never saw the shutdown acknowledgement" >&2; exit 1; }
 
+echo "==> $VROUTE serve (VROUTE_FAULT=melt is refused before binding)"
+rm -f "$SOCK"
+set +e
+VROUTE_FAULT=melt timeout 10 "$VROUTE" serve --socket "$SOCK" > /dev/null 2>&1
+STATUS=$?
+set -e
+if [[ "$STATUS" != 1 ]]; then
+  echo "ci: serve with an unparsable fault plan exited $STATUS, expected 1" >&2
+  exit 1
+fi
+if [[ -e "$SOCK" ]]; then
+  echo "ci: serve bound $SOCK despite an unparsable fault plan" >&2
+  exit 1
+fi
+
 echo "==> $VROUTE serve (killed mid-request)"
 rm -f "$SOCK"; mkdir -p "$SMOKE/swal"
-VROUTE_SERVE_FAULT=delay-800 \
+VROUTE_FAULT=delay-800 \
   "$VROUTE" serve --socket "$SOCK" --workers 1 --journal "$SMOKE/swal" \
   > /dev/null 2>&1 &
 SERVE_PID=$!
