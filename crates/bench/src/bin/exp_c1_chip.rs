@@ -9,27 +9,82 @@
 //! full configuration a 512x512 floorplan with 10,560 mostly-local nets
 //! and 24 macro obstacles over a 16x16 tile grid (256 tiles). The chip
 //! is routed flat (one rip-up router over the whole grid) and
-//! hierarchically at 1..N workers; every hierarchical database must be
-//! byte-identical regardless of the job count, and the full-size run
-//! must come out verifier-clean. Writes the machine-readable record to
+//! hierarchically at 1..N workers, [`FULL_REPS`] times each in the full
+//! configuration. Every hierarchical database must be byte-identical
+//! regardless of the job count, every repetition must reproduce its
+//! configuration's checksum, and the full-size runs must come out
+//! verifier-clean with the pinned checksums [`FLAT_CHECKSUM`] and
+//! [`HIER_CHECKSUM`], so a change to die-scale routing fails here
+//! instead of silently rewriting the record. Writes the machine-readable
+//! record, with the median, minimum and maximum time of each
+//! configuration, the hardware thread count and the commit, to
 //! `BENCH_chip.json` (skipped in `--quick`, the CI smoke mode).
 
 use std::time::Instant;
 
 use mighty::{MightyRouter, RouterConfig};
-use route_bench::table;
+use route_bench::{provenance, table};
 use route_benchdata::gen::ChipGen;
 use route_global::{route_hierarchical, GlobalConfig, TileGrid};
+use route_model::{Problem, RouteDb};
 use route_proto::{versioned_doc, Json};
 use route_verify::verify;
 
+/// Repetitions per configuration in the full run.
+const FULL_REPS: usize = 3;
+/// The full chip's flat routing checksum.
+const FLAT_CHECKSUM: u64 = 0x8fe2_71b0_3c9d_eb16;
+/// The full chip's hierarchical routing checksum, at every job count.
+const HIER_CHECKSUM: u64 = 0x7a3c_c6d7_7292_ac83;
+
 struct Row {
-    config: String,
+    config: &'static str,
     jobs: usize,
-    ms: f64,
-    nets_per_sec: f64,
+    /// Wall time of each repetition, sorted ascending.
+    ms: Vec<f64>,
     routed: usize,
     checksum: u64,
+}
+
+impl Row {
+    fn median_ms(&self) -> f64 {
+        self.ms[self.ms.len() / 2]
+    }
+}
+
+/// Routes `problem` `reps` times with `route` and checks every result:
+/// legal (clean in the full run), and one checksum across repetitions.
+fn measure(
+    problem: &Problem,
+    config: &'static str,
+    jobs: usize,
+    reps: usize,
+    full: bool,
+    route: impl Fn() -> (RouteDb, usize),
+) -> Row {
+    let mut row = Row { config, jobs, ms: Vec::new(), routed: 0, checksum: 0 };
+    for rep in 0..reps {
+        let start = Instant::now();
+        let (db, failed) = route();
+        row.ms.push(start.elapsed().as_secs_f64() * 1e3);
+        let checksum = db.checksum();
+        if rep == 0 {
+            let report = verify(problem, &db);
+            assert!(report.is_clean() || report.is_legal_but_incomplete(), "{report}");
+            if full {
+                assert!(
+                    report.is_clean(),
+                    "the full-size chip must route verifier-clean: {report}"
+                );
+            }
+            row.checksum = checksum;
+            row.routed = problem.nets().len() - failed;
+        }
+        assert_eq!(checksum, row.checksum, "{config} jobs={jobs}: repetition {rep} diverged");
+    }
+    row.ms.sort_by(f64::total_cmp);
+    eprintln!("{config} jobs={jobs} done in {:.1}s (median of {reps})", row.median_ms() / 1e3);
+    row
 }
 
 fn main() {
@@ -51,50 +106,27 @@ fn main() {
         assert!(nets >= 10_000, "the full chip must carry at least 10k nets");
     }
 
+    let reps = if quick { 1 } else { FULL_REPS };
     let mut rows: Vec<Row> = Vec::new();
 
     // Flat baseline: one rip-up router over the whole grid.
-    let start = Instant::now();
-    let flat = MightyRouter::new(RouterConfig::default()).route(&problem);
-    let secs = start.elapsed().as_secs_f64();
-    let report = verify(&problem, flat.db());
-    assert!(report.is_clean() || report.is_legal_but_incomplete(), "{report}");
-    rows.push(Row {
-        config: "flat".to_string(),
-        jobs: 1,
-        ms: secs * 1e3,
-        nets_per_sec: nets as f64 / secs,
-        routed: nets - flat.failed().len(),
-        checksum: flat.db().checksum(),
-    });
-    eprintln!("flat done in {:.1}s", secs);
+    let router = MightyRouter::new(RouterConfig::default());
+    rows.push(measure(&problem, "flat", 1, reps, !quick, || {
+        let flat = router.route(&problem);
+        let failed = flat.failed().len();
+        (flat.into_db(), failed)
+    }));
 
     // Hierarchical at 1..N workers: the database must not depend on N.
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hw = provenance::hardware_threads();
     let sweep = if hw > 1 { vec![1, hw] } else { vec![1, 2] };
     for jobs in sweep {
         let cfg = GlobalConfig { tile, jobs, ..GlobalConfig::default() };
-        let start = Instant::now();
-        let hier = route_hierarchical(&problem, &cfg);
-        let secs = start.elapsed().as_secs_f64();
-        let report = verify(&problem, hier.db());
-        assert!(report.is_clean() || report.is_legal_but_incomplete(), "{report}");
-        if !quick {
-            assert!(report.is_clean(), "the full-size chip must route verifier-clean: {report}");
-        }
-        eprintln!(
-            "hier jobs={jobs} done in {secs:.1}s ({} seams repaired, {} fallback)",
-            hier.chip_stats().seams_repaired,
-            hier.stats().fallback_completed
-        );
-        rows.push(Row {
-            config: "hier".to_string(),
-            jobs,
-            ms: secs * 1e3,
-            nets_per_sec: nets as f64 / secs,
-            routed: nets - hier.failed().len(),
-            checksum: hier.db().checksum(),
-        });
+        rows.push(measure(&problem, "hier", jobs, reps, !quick, || {
+            let hier = route_hierarchical(&problem, &cfg);
+            let failed = hier.failed().len();
+            (hier.into_db(), failed)
+        }));
     }
     let hier_checksums: Vec<u64> =
         rows.iter().filter(|r| r.config == "hier").map(|r| r.checksum).collect();
@@ -102,33 +134,48 @@ fn main() {
         hier_checksums.windows(2).all(|w| w[0] == w[1]),
         "hierarchical checksums depend on the job count: {hier_checksums:x?}"
     );
+    if !quick {
+        for r in &rows {
+            let pinned = if r.config == "flat" { FLAT_CHECKSUM } else { HIER_CHECKSUM };
+            assert_eq!(
+                r.checksum, pinned,
+                "{} jobs={}: checksum {:016x}, pinned {pinned:016x}",
+                r.config, r.jobs, r.checksum
+            );
+        }
+    }
 
     let render: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
-                r.config.clone(),
+                r.config.to_string(),
                 r.jobs.to_string(),
-                format!("{:.0}", r.ms),
-                format!("{:.0}", r.nets_per_sec),
+                format!("{:.0}", r.median_ms()),
+                format!("{:.0}", nets as f64 / r.median_ms() * 1e3),
                 format!("{}/{nets}", r.routed),
                 format!("{:016x}", r.checksum),
             ]
         })
         .collect();
-    let header = ["config", "jobs", "ms", "nets/sec", "routed", "checksum"];
+    let header = ["config", "jobs", "median ms", "nets/sec", "routed", "checksum"];
     println!("{}", table::render(&header, &render));
     println!("hierarchical databases bit-identical across job counts.");
+    if !quick {
+        println!("checksums match the pinned flat and hierarchical values.");
+    }
 
     if !quick {
         let runs: Vec<Json> = rows
             .iter()
             .map(|r| {
                 Json::obj([
-                    ("config", Json::str(r.config.as_str())),
+                    ("config", Json::str(r.config)),
                     ("jobs", Json::from(r.jobs as u64)),
-                    ("ms", Json::from(r.ms)),
-                    ("nets_per_sec", Json::from(r.nets_per_sec)),
+                    ("ms", Json::from(r.median_ms())),
+                    ("ms_min", Json::from(r.ms[0])),
+                    ("ms_max", Json::from(r.ms[r.ms.len() - 1])),
+                    ("nets_per_sec", Json::from(nets as f64 / r.median_ms() * 1e3)),
                     ("routed", Json::from(r.routed as u64)),
                     ("nets", Json::from(nets as u64)),
                     ("checksum", Json::str(format!("{:016x}", r.checksum))),
@@ -145,6 +192,9 @@ fn main() {
                 ("seed".to_string(), Json::from(gen.seed)),
                 ("tile".to_string(), Json::from(u64::from(tile))),
                 ("tiles".to_string(), Json::from(tile_count as u64)),
+                ("reps".to_string(), Json::from(reps as u64)),
+                ("hardware_threads".to_string(), Json::from(hw as u64)),
+                ("commit".to_string(), Json::str(provenance::commit())),
                 ("runs".to_string(), Json::Arr(runs)),
             ],
         );

@@ -45,7 +45,7 @@ fn main() {
     println!("{}", table::render(&header, &rows));
     println!("expanded = A* nodes settled; growth should track grid area x nets.");
 
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let hardware = route_bench::provenance::hardware_threads();
     println!(
         "\nF2b: batch-engine throughput — {BATCH_INSTANCES} channel-suite instances, \
          {hardware} hardware thread(s)\n"

@@ -16,7 +16,7 @@ const REQUESTS: usize = 128;
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let hardware = route_bench::provenance::hardware_threads();
     println!(
         "S1: routing-service throughput — {REQUESTS} channel-suite requests, \
          {hardware} hardware thread(s)\n"

@@ -100,7 +100,7 @@ pub fn scaling_sweep(problems: &[Problem], thread_counts: &[usize]) -> Vec<Engin
 /// hardware parallelism (the ceiling on any measured speedup) and one
 /// record per thread count.
 pub fn sweep_json(suite: &str, instances: usize, points: &[EnginePoint]) -> Json {
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let hardware = crate::provenance::hardware_threads();
     Json::obj([
         ("experiment", Json::str("engine-throughput-scaling")),
         ("suite", Json::str(suite)),

@@ -226,13 +226,16 @@ pub fn mighty_speedup(points: &[HotpathPoint]) -> f64 {
     }
 }
 
-/// Serializes the sweep as the `BENCH_maze.json` artifact.
+/// Serializes the sweep as the `BENCH_maze.json` artifact, with the
+/// hardware thread count and the commit it was measured at.
 pub fn hotpath_json(instances: usize, reps: usize, points: &[HotpathPoint]) -> Json {
     Json::obj([
         ("experiment", Json::str("maze-hotpath-throughput")),
         ("suite", Json::str("channels")),
         ("instances", Json::from(instances)),
         ("reps", Json::from(reps)),
+        ("hardware_threads", Json::from(crate::provenance::hardware_threads())),
+        ("commit", Json::str(crate::provenance::commit())),
         ("mighty_speedup", Json::from(mighty_speedup(points))),
         (
             "pre_pr_baseline",

@@ -22,6 +22,7 @@ pub mod channels;
 pub mod engine;
 pub mod hotpath;
 pub mod json;
+pub mod provenance;
 pub mod serve;
 pub mod sweeps;
 pub mod switchboxes;

@@ -114,7 +114,7 @@ pub fn serve_sweep(problems: &[Problem], worker_counts: &[usize]) -> Vec<ServePo
 /// document with request-set shape, hardware parallelism and one
 /// record per worker count.
 pub fn serve_sweep_json(suite: &str, requests: usize, points: &[ServePoint]) -> Json {
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let hardware = crate::provenance::hardware_threads();
     let pairs = [
         ("experiment", Json::str("serve-throughput-latency")),
         ("suite", Json::str(suite)),

@@ -430,8 +430,9 @@ impl<'a> Run<'a> {
             let targets: Vec<Step> = comps[1..].iter().flatten().copied().collect();
             let query = Query { grid: self.db.grid(), net, sources, targets, cost: self.cfg.cost };
 
-            if let Some(found) = find_path_observed(self.arena, &query, &mut *self.obs) {
-                self.stats.expanded += found.stats.expanded as u64;
+            let (found, searched) = find_path_observed(self.arena, &query, &mut *self.obs);
+            self.stats.expanded += searched.expanded as u64;
+            if let Some(found) = found {
                 self.stats.hard_routes += 1;
                 self.db.commit(net, found.trace).expect("hard paths commit");
                 self.touch_net(net);
@@ -454,12 +455,12 @@ impl<'a> Run<'a> {
                     Some(cfg.penalty(rips[owner.index()]))
                 }
             };
-            let Some(soft) =
-                find_path_soft_observed(self.arena, &query, &soft_cost, &mut *self.obs)
-            else {
+            let (soft, searched) =
+                find_path_soft_observed(self.arena, &query, &soft_cost, &mut *self.obs);
+            self.stats.expanded += searched.expanded as u64;
+            let Some(soft) = soft else {
                 return ConnectResult::Stuck;
             };
-            self.stats.expanded += soft.stats.expanded as u64;
             self.stats.soft_routes += 1;
 
             // Lift every victim trace covering a crossed slot. A spatial
@@ -579,9 +580,10 @@ impl<'a> Run<'a> {
             let targets: Vec<Step> = comps[1..].iter().flatten().copied().collect();
             let query =
                 Query { grid: self.db.grid(), net: victim, sources, targets, cost: self.cfg.cost };
-            match find_path_observed(self.arena, &query, &mut *self.obs) {
+            let (found, searched) = find_path_observed(self.arena, &query, &mut *self.obs);
+            self.stats.expanded += searched.expanded as u64;
+            match found {
                 Some(found) => {
-                    self.stats.expanded += found.stats.expanded as u64;
                     committed.push(self.db.commit(victim, found.trace).expect("hard paths commit"));
                     self.touch_net(victim);
                 }

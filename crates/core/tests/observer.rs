@@ -15,6 +15,7 @@
 use mighty::{MightyRouter, RouterConfig};
 use route_benchdata::gen::SwitchboxGen;
 use route_benchdata::rng::SplitMix64;
+use route_benchdata::suite::channel_suite;
 use route_model::{EventLog, MetricsRecorder, PinSide, Problem, ProblemBuilder, RouteEvent};
 
 /// A dense fixed-seed switchbox that forces weak and strong
@@ -128,9 +129,21 @@ fn observation_never_changes_the_routing() {
     }
 }
 
+/// The nine channels of the T1 suite with three tracks above density,
+/// as the M1 batch routes them. Their rip-up runs include failed hard
+/// and soft searches that settle nodes.
+fn suite_channels() -> Vec<Problem> {
+    channel_suite()
+        .into_iter()
+        .map(|(_, spec)| spec.to_problem(spec.density() as usize + 3))
+        .collect()
+}
+
 #[test]
 fn event_derived_metrics_agree_with_router_stats() {
-    for (i, problem) in random_problems(0x0DD5, 24).iter().enumerate() {
+    let mut problems = random_problems(0x0DD5, 24);
+    problems.extend(suite_channels());
+    for (i, problem) in problems.iter().enumerate() {
         let router = MightyRouter::new(RouterConfig::default());
         let mut log = EventLog::new();
         let outcome = router.route_observed(problem, &mut log);

@@ -1,7 +1,9 @@
 //! Weighted A* path search over the multi-layer occupancy grid.
 
 use route_geom::{Dir, Layer, Point, NUM_LAYERS};
-use route_model::{Grid, NetId, Occupant, RouteObserver, SearchKind, SearchProbe, Step, Trace};
+use route_model::{
+    Grid, NetId, OccupancyView, Occupant, RouteObserver, SearchKind, SearchProbe, Step, Trace,
+};
 
 use crate::frontier::{BucketFrontier, Frontier, FrontierKind, HeapFrontier};
 use crate::CostModel;
@@ -96,6 +98,10 @@ pub struct SoftPath {
 /// [`SearchArena::with_frontier`] builds the binary-heap reference that
 /// parity tests and the fuzzer compare the default against.
 ///
+/// It also holds the target-side pocket flood (see [`find_path`]): one
+/// generation-stamped mark per node and the flood's stack, so proving a
+/// search hopeless allocates nothing once the arena is warm.
+///
 /// # Examples
 ///
 /// ```
@@ -132,6 +138,14 @@ pub struct SearchArena {
     /// Cell indices written to `h_cache` since the last reset.
     h_touched: Vec<u32>,
     frontier: FrontierStore,
+    /// Pocket-flood marks: node `i` is flooded iff
+    /// `pocket_mark[i] == pocket_stamp`.
+    pocket_mark: Vec<u32>,
+    /// The current search's generation; never 0 during a search, so a
+    /// fresh mark of 0 is never flooded.
+    pocket_stamp: u32,
+    /// Flooded nodes whose neighbours are not yet examined.
+    pocket_stack: Vec<u32>,
 }
 
 /// The arena-owned open list, one variant per [`FrontierKind`].
@@ -176,7 +190,17 @@ impl SearchArena {
             h_cache: Vec::new(),
             h_touched: Vec::new(),
             frontier,
+            pocket_mark: Vec::new(),
+            pocket_stamp: 0,
+            pocket_stack: Vec::new(),
         }
+    }
+
+    /// Sets the pocket flood's generation stamp, so tests can drive an
+    /// arena across the stamp wraparound without running 2^32 searches.
+    #[doc(hidden)]
+    pub fn set_pocket_stamp(&mut self, stamp: u32) {
+        self.pocket_stamp = stamp;
     }
 
     /// Clears the previous search's marks and guarantees capacity for
@@ -205,6 +229,17 @@ impl SearchArena {
         if self.h_cache.len() < n_cells {
             self.h_cache.resize(n_cells, u64::MAX);
         }
+        // A new generation unmarks every node at once; only the wrap
+        // back to 0 pays for a sweep.
+        self.pocket_stack.clear();
+        self.pocket_stamp = self.pocket_stamp.wrapping_add(1);
+        if self.pocket_stamp == 0 {
+            self.pocket_mark.fill(0);
+            self.pocket_stamp = 1;
+        }
+        if self.pocket_mark.len() < n_nodes {
+            self.pocket_mark.resize(n_nodes, 0);
+        }
     }
 }
 
@@ -213,6 +248,16 @@ impl SearchArena {
 ///
 /// Returns `None` when no such path exists (or the source/target sets are
 /// empty after dropping unusable slots).
+///
+/// A failed search costs about the smaller of its two sides. Alongside the A*
+/// from the sources, a flood from the targets crosses one slot for each
+/// node the A* settles, over exactly the slots the A* may enter. When
+/// the flood runs dry before it touches a slot the A* has reached, the
+/// targets sit in a pocket no source can reach and the search returns
+/// `None` at once. The flood never writes the A*'s distances, so every
+/// path and cost is the one a plain A* returns; only the effort
+/// counters of failed searches shrink. Both entry points, and both
+/// frontiers, share this one core.
 pub fn find_path(query: &Query<'_>) -> Option<FoundPath> {
     find_path_in(&mut SearchArena::new(), query)
 }
@@ -227,8 +272,9 @@ pub fn find_path_in(arena: &mut SearchArena, query: &Query<'_>) -> Option<FoundP
 }
 
 /// Like [`find_path_in`], but reports the search to `obs` via
-/// [`RouteObserver::on_search_done`] — including the effort spent on
-/// *failed* searches, which the un-observed entry points discard.
+/// [`RouteObserver::on_search_done`] and returns its effort counters
+/// alongside the result — including the effort spent on *failed*
+/// searches, which the un-observed entry points discard.
 ///
 /// The observer only watches: results are bit-identical to
 /// [`find_path_in`].
@@ -236,11 +282,11 @@ pub fn find_path_observed(
     arena: &mut SearchArena,
     query: &Query<'_>,
     obs: &mut dyn RouteObserver,
-) -> Option<FoundPath> {
+) -> (Option<FoundPath>, SearchStats) {
     let (found, stats) = run(arena, query, None);
     obs.on_search_done(query.net, SearchKind::Hard, stats.probe(found.is_some()));
-    let found = found?;
-    Some(FoundPath { trace: found.trace, cost: found.cost, stats: found.stats })
+    let found = found.map(|f| FoundPath { trace: f.trace, cost: f.cost, stats: f.stats });
+    (found, stats)
 }
 
 /// Finds a minimum-cost path that may additionally cross slots occupied
@@ -268,17 +314,18 @@ pub fn find_path_soft_in(
 }
 
 /// Like [`find_path_soft_in`], but reports the search (found or not)
-/// to `obs` via [`RouteObserver::on_search_done`]. Results are
-/// bit-identical to [`find_path_soft_in`].
+/// to `obs` via [`RouteObserver::on_search_done`] and returns its
+/// effort counters alongside the result. Results are bit-identical to
+/// [`find_path_soft_in`].
 pub fn find_path_soft_observed(
     arena: &mut SearchArena,
     query: &Query<'_>,
     soft: &dyn Fn(Point, Layer, NetId) -> Option<u64>,
     obs: &mut dyn RouteObserver,
-) -> Option<SoftPath> {
+) -> (Option<SoftPath>, SearchStats) {
     let (found, stats) = run(arena, query, Some(soft));
     obs.on_search_done(query.net, SearchKind::Soft, stats.probe(found.is_some()));
-    found
+    (found, stats)
 }
 
 const NO_PREV: u32 = u32::MAX;
@@ -324,6 +371,43 @@ struct Scratch<'a> {
     touched: &'a mut Vec<u32>,
     h_cache: &'a mut [u64],
     h_touched: &'a mut Vec<u32>,
+    pocket: Pocket<'a>,
+}
+
+/// The target-side flood of one search: the marks and stack it borrows
+/// from the arena, plus the generation that counts as marked.
+struct Pocket<'a> {
+    mark: &'a mut [u32],
+    stamp: u32,
+    stack: &'a mut Vec<u32>,
+}
+
+/// What one step of the pocket flood learned.
+#[derive(PartialEq, Eq)]
+enum Flood {
+    /// Nothing yet: the flood goes on.
+    Open,
+    /// The flood touched a slot the A* has reached: a path exists.
+    Met,
+    /// The flood ran out of slots: no source reaches a target.
+    Dry,
+}
+
+impl Pocket<'_> {
+    /// Floods `idx`: marks it and queues it, unless it is marked
+    /// already. Reports [`Flood::Met`] when the A* has touched it.
+    #[inline]
+    fn enter(&mut self, idx: usize, dist: &[u64]) -> Flood {
+        if self.mark[idx] == self.stamp {
+            return Flood::Open;
+        }
+        self.mark[idx] = self.stamp;
+        if dist[idx] != u64::MAX {
+            return Flood::Met;
+        }
+        self.stack.push(idx as u32);
+        Flood::Open
+    }
 }
 
 /// The search core: always returns the effort counters, even when no
@@ -339,8 +423,20 @@ fn run(
     let grid = query.grid;
     let n_cells = grid.width() as usize * grid.height() as usize;
     arena.reset(n_cells * NUM_LAYERS, n_cells);
-    let SearchArena { dist, prev, target_mask, touched, h_cache, h_touched, frontier } = arena;
-    let scratch = Scratch { dist, prev, target_mask, touched, h_cache, h_touched };
+    let SearchArena {
+        dist,
+        prev,
+        target_mask,
+        touched,
+        h_cache,
+        h_touched,
+        frontier,
+        pocket_mark,
+        pocket_stamp,
+        pocket_stack,
+    } = arena;
+    let pocket = Pocket { mark: pocket_mark, stamp: *pocket_stamp, stack: pocket_stack };
+    let scratch = Scratch { dist, prev, target_mask, touched, h_cache, h_touched, pocket };
     match frontier {
         FrontierStore::Heap(f) => run_core(query, soft, scratch, f),
         FrontierStore::Buckets(f) => run_core(query, soft, scratch, f),
@@ -354,7 +450,7 @@ fn run_core<F: Frontier>(
     frontier: &mut F,
 ) -> (Option<SoftPath>, SearchStats) {
     let grid = query.grid;
-    let Scratch { dist, prev, target_mask, touched, h_cache, h_touched } = scratch;
+    let Scratch { dist, prev, target_mask, touched, h_cache, h_touched, mut pocket } = scratch;
     let mut stats = SearchStats::default();
 
     let usable = |s: &Step| grid.admits(s.at, s.layer, query.net);
@@ -399,6 +495,14 @@ fn run_core<F: Frontier>(
         return (None, stats);
     }
     stats.heap_peak = frontier.len();
+    // Seed the pocket flood with the targets, now that every source
+    // carries its distance.
+    let mut flooding = true;
+    for t in &targets {
+        if pocket.enter(node_index(grid, t.at, t.layer), dist) == Flood::Met {
+            flooding = false;
+        }
+    }
 
     let view = grid.occupancy_view();
     // Node-index deltas for a wire step, in Dir::ALL order; only applied
@@ -422,6 +526,13 @@ fn run_core<F: Frontier>(
             break;
         }
         let (p, layer) = node_point(grid, idx);
+        if flooding {
+            match flood_step(grid, query.net, soft, &view, &node_delta, &mut pocket, dist, p) {
+                Flood::Open => {}
+                Flood::Met => flooding = false,
+                Flood::Dry => return (None, stats),
+            }
+        }
 
         // Wire steps in the four directions. A set bit in `free_mask`
         // proves the neighbor is in bounds and free (enter cost 0)
@@ -504,6 +615,65 @@ fn run_core<F: Frontier>(
         .collect();
     let trace = Trace::from_steps(steps_rev).expect("search paths are contiguous");
     (Some(SoftPath { trace, cost, crossings, stats }), stats)
+}
+
+/// Advances the pocket flood by one slot: pops a flooded slot and
+/// floods every neighbour the A* could enter, by the same wire steps
+/// and vias and the same [`enter_cost`] test.
+///
+/// Whether a slot can be entered depends on that slot alone, so the
+/// flood covers exactly the targets' component of the passable-slot
+/// graph. The sources are touched before the first settle, so a flood
+/// that runs dry without meeting a touched slot has proved that no
+/// source shares that component: the A* would exhaust its own side and
+/// return `None`.
+///
+/// The order of the pushes changes only how soon a flood meets the A*,
+/// never whether it runs dry: wire steps are pushed farthest from
+/// `settled`, the node the A* just settled, first, so the flood's
+/// depth-first walk heads for the A*'s region, and vias last, so a
+/// layer change is tried before the walk goes on.
+#[allow(clippy::too_many_arguments)]
+fn flood_step(
+    grid: &Grid,
+    net: NetId,
+    soft: Option<&dyn Fn(Point, Layer, NetId) -> Option<u64>>,
+    view: &OccupancyView<'_>,
+    node_delta: &[i64; 4],
+    pocket: &mut Pocket<'_>,
+    dist: &[u64],
+    settled: Point,
+) -> Flood {
+    let Some(idx) = pocket.stack.pop() else {
+        return Flood::Dry;
+    };
+    let idx = idx as usize;
+    let (p, layer) = node_point(grid, idx);
+    let free_mask = view.neighbor_free_mask(p, layer);
+    let mut order = [0, 1, 2, 3];
+    order.sort_by_key(|&i| std::cmp::Reverse(p.step(Dir::ALL[i]).manhattan(settled)));
+    for i in order {
+        let np = p.step(Dir::ALL[i]);
+        if free_mask & (1 << i) != 0 || enter_cost(grid, net, np, layer, soft).is_some() {
+            let nidx = (idx as i64 + node_delta[i]) as usize;
+            if pocket.enter(nidx, dist) == Flood::Met {
+                return Flood::Met;
+            }
+        }
+    }
+    for other in layer.adjacent() {
+        if view.is_free(p, other) || enter_cost(grid, net, p, other, soft).is_some() {
+            let nidx = idx - layer.index() + other.index();
+            if pocket.enter(nidx, dist) == Flood::Met {
+                return Flood::Met;
+            }
+        }
+    }
+    if pocket.stack.is_empty() {
+        Flood::Dry
+    } else {
+        Flood::Open
+    }
 }
 
 #[cfg(test)]

@@ -230,10 +230,11 @@ fn connect_net_seeded_obs(
         }
         let query =
             Query { grid: db.grid(), net, sources: connected.clone(), targets: vec![pin], cost };
-        match find_path_observed(arena, &query, obs) {
+        let (found, searched) = find_path_observed(arena, &query, obs);
+        stats.expanded += searched.expanded;
+        stats.relaxed += searched.relaxed;
+        match found {
             Some(found) => {
-                stats.expanded += found.stats.expanded;
-                stats.relaxed += found.stats.relaxed;
                 let steps = found.trace.steps().to_vec();
                 let id: TraceId =
                     db.commit(net, found.trace).expect("hard search paths are committable");
@@ -391,6 +392,25 @@ mod tests {
         log.replay(&mut metrics);
         assert_eq!(metrics.nets_scheduled(), 2);
         assert_eq!(metrics.nets_committed(), 2);
+        assert_eq!(metrics.router().expanded, plain.stats.expanded as u64);
+
+        // A failed search counts too: a wall isolates net a's right pin,
+        // and the search that proves it settles nodes before it gives up.
+        let mut b = ProblemBuilder::switchbox(5, 5);
+        for y in 0..5 {
+            b.obstacle(Point::new(3, y));
+        }
+        b.net("a").pin_side(PinSide::Left, 2).pin_side(PinSide::Right, 2);
+        let p = b.build().unwrap();
+        let plain = route_all(&p, CostModel::default());
+        let mut log = EventLog::new();
+        let observed = route_all_observed(&p, CostModel::default(), &mut log);
+        assert_eq!(plain.stats, observed.stats);
+        assert_eq!(plain.failed, vec![p.nets()[0].id]);
+        let mut metrics = MetricsRecorder::new();
+        log.replay(&mut metrics);
+        assert_eq!(metrics.nets_failed(), 1);
+        assert!(plain.stats.expanded > 0, "the failed search settled nodes");
         assert_eq!(metrics.router().expanded, plain.stats.expanded as u64);
     }
 

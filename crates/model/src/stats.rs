@@ -24,7 +24,7 @@ pub struct RouterStats {
     pub rips: u64,
     /// Re-route tasks processed for previously ripped nets.
     pub reroutes: u64,
-    /// Total search nodes settled across all searches.
+    /// Total search nodes settled across all searches, found or failed.
     pub expanded: u64,
     /// Total queue events processed.
     pub events: u64,

@@ -302,7 +302,8 @@ fi
 
 # Chip-scale benchmark: flat vs hierarchical at 1..N workers. The
 # binary asserts jobs-parity checksums and (in full mode) a verifier-
-# clean 256-tile, 10k-net routing, then refreshes BENCH_chip.json.
+# clean 256-tile, 10k-net routing with the pinned flat and hierarchical
+# checksums, then refreshes BENCH_chip.json.
 if [[ "$QUICK" == 0 ]]; then
   run cargo run --release --offline --quiet -p route-bench --bin exp_c1_chip
 else
