@@ -8,14 +8,16 @@
 //! Routes the replicated channel suite through the sequential Lee
 //! baseline and the rip-up router under each mode of
 //! [`route_bench::hotpath::MODES`], asserts the results are
-//! bit-identical, and reports routed-nets/second. Writes the
+//! bit-identical and the effort counters (`expanded`, `soft_routes`,
+//! `rips`) equal, and reports routed-nets/second with those counters. Writes the
 //! machine-readable record to `BENCH_maze.json` in the working
 //! directory (skipped in `--quick` mode, which is the CI smoke
 //! configuration).
 //!
-//! With `--gate`, exits nonzero if the default bucket-queue mode is
-//! slower than the binary-heap mode on the rip-up router — the
-//! regression guard `scripts/ci.sh` runs.
+//! With `--gate`, exits nonzero if the modes of a router differ in
+//! checksum or effort counters (the sweep panics), or if the default
+//! bucket-queue mode is slower than the binary-heap mode on the rip-up
+//! router — the regression guard `scripts/ci.sh` runs.
 
 use route_bench::hotpath::{
     hotpath_batch, hotpath_json, hotpath_sweep, mighty_speedup, pre_pr_comparison, MODES,
@@ -53,12 +55,18 @@ fn main() {
                 p.nets_routed.to_string(),
                 format!("{}/{instances}", p.complete),
                 format!("{:016x}", p.checksum),
+                p.effort.expanded.to_string(),
+                p.effort.soft_routes.to_string(),
+                p.effort.rips.to_string(),
             ]
         })
         .collect();
-    let header = ["router", "mode", "total ms", "nets/sec", "nets", "complete", "checksum"];
+    let header = [
+        "router", "mode", "total ms", "nets/sec", "nets", "complete", "checksum", "expanded",
+        "soft", "rips",
+    ];
     println!("{}", table::render(&header, &rows));
-    println!("all modes checksum-verified bit-identical per router.");
+    println!("all modes verified bit-identical, with equal effort counters, per router.");
 
     let speedup = mighty_speedup(&points);
     println!("\nmighty buckets-bits vs heap-bits: {speedup:.2}x routed-nets/sec");
@@ -86,6 +94,9 @@ fn main() {
             );
             std::process::exit(1);
         }
-        println!("gate passed: buckets {speedup:.2}x heap nets/sec");
+        println!(
+            "gate passed: buckets {speedup:.2}x heap nets/sec; checksums and effort counters \
+             identical across frontiers"
+        );
     }
 }

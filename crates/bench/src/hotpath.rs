@@ -6,9 +6,10 @@
 //! * `heap-bits` — the binary-heap reference frontier.
 //! * `buckets-bits` — the bucket-queue frontier: the default.
 //!
-//! Every mode must produce **bit-identical** databases — the sweep
-//! panics on any checksum divergence, so the throughput table doubles
-//! as the frontier-equivalence check. Both the sequential Lee baseline
+//! Every mode must produce **bit-identical** databases and spend the
+//! same search effort — the sweep panics on any divergence in checksum
+//! or in [`Effort`] counters, so the throughput table doubles as the
+//! frontier-equivalence check. Both the sequential Lee baseline
 //! (`route_all_in`) and the rip-up router (`route_warm`) are measured;
 //! the speed gate compares the rip-up router's `buckets-bits` and
 //! `heap-bits` rows. The end-to-end baseline is the recorded pre-PR
@@ -56,7 +57,27 @@ pub struct HotpathPoint {
     pub complete: usize,
     /// XOR of all per-instance database checksums (mode-invariant).
     pub checksum: u64,
+    /// Search effort per repetition of the batch (mode-invariant).
+    pub effort: Effort,
 }
+
+/// A router's effort counters over one repetition of the batch. The
+/// frontiers pop the same sequence, so every mode must report the same
+/// counters; the Lee baseline never searches softly or rips, so only
+/// its `expanded` is non-zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Effort {
+    /// Search nodes settled, found and failed searches alike.
+    pub expanded: u64,
+    /// Connections that needed an interference (soft) path.
+    pub soft_routes: u64,
+    /// Strong modifications: victim traces ripped and re-enqueued.
+    pub rips: u64,
+}
+
+/// What one repetition of the batch produced: routed nets, complete
+/// instances, the XOR of checksums and the effort spent.
+type Tally = (usize, usize, u64, Effort);
 
 /// The standard measurement batch: the channel suite replicated to
 /// `instances` grid problems.
@@ -69,22 +90,23 @@ fn run_lee(problems: &[Problem], mode: HotpathMode, reps: usize) -> HotpathPoint
     // Untimed warm-up pass: grows the arena to the largest grid.
     let _ = measure_lee(problems, &mut arena);
     let start = Instant::now();
-    let mut tally = (0usize, 0usize, 0u64);
+    let mut tally = Tally::default();
     for _ in 0..reps {
         tally = measure_lee(problems, &mut arena);
     }
     point("lee", mode, start.elapsed().as_secs_f64(), reps, tally)
 }
 
-fn measure_lee(problems: &[Problem], arena: &mut SearchArena) -> (usize, usize, u64) {
-    let (mut nets, mut complete, mut checksum) = (0usize, 0usize, 0u64);
+fn measure_lee(problems: &[Problem], arena: &mut SearchArena) -> Tally {
+    let (mut nets, mut complete, mut checksum, mut effort) = Tally::default();
     for p in problems {
         let out = route_all_in(p, CostModel::default(), arena);
         nets += p.nets().len() - out.failed.len();
         complete += usize::from(out.is_complete());
         checksum ^= out.db.checksum();
+        effort.expanded += out.stats.expanded as u64;
     }
-    (nets, complete, checksum)
+    (nets, complete, checksum, effort)
 }
 
 fn run_mighty(problems: &[Problem], mode: HotpathMode, reps: usize) -> HotpathPoint {
@@ -92,26 +114,26 @@ fn run_mighty(problems: &[Problem], mode: HotpathMode, reps: usize) -> HotpathPo
     let mut arena = SearchArena::with_frontier(mode.frontier);
     let _ = measure_mighty(&router, problems, &mut arena);
     let start = Instant::now();
-    let mut tally = (0usize, 0usize, 0u64);
+    let mut tally = Tally::default();
     for _ in 0..reps {
         tally = measure_mighty(&router, problems, &mut arena);
     }
     point("mighty", mode, start.elapsed().as_secs_f64(), reps, tally)
 }
 
-fn measure_mighty(
-    router: &MightyRouter,
-    problems: &[Problem],
-    arena: &mut SearchArena,
-) -> (usize, usize, u64) {
-    let (mut nets, mut complete, mut checksum) = (0usize, 0usize, 0u64);
+fn measure_mighty(router: &MightyRouter, problems: &[Problem], arena: &mut SearchArena) -> Tally {
+    let (mut nets, mut complete, mut checksum, mut effort) = Tally::default();
     for p in problems {
         let out = router.route_warm(p, arena);
         nets += p.nets().len() - out.failed().len();
         complete += usize::from(out.is_complete());
         checksum ^= out.db().checksum();
+        let stats = out.stats();
+        effort.expanded += stats.expanded;
+        effort.soft_routes += stats.soft_routes;
+        effort.rips += stats.rips;
     }
-    (nets, complete, checksum)
+    (nets, complete, checksum, effort)
 }
 
 fn point(
@@ -119,7 +141,7 @@ fn point(
     mode: HotpathMode,
     seconds: f64,
     reps: usize,
-    (nets, complete, checksum): (usize, usize, u64),
+    (nets, complete, checksum, effort): Tally,
 ) -> HotpathPoint {
     HotpathPoint {
         router,
@@ -129,6 +151,7 @@ fn point(
         nets_routed: nets,
         complete,
         checksum,
+        effort,
     }
 }
 
@@ -137,10 +160,10 @@ fn point(
 ///
 /// # Panics
 ///
-/// Panics when any mode's per-batch checksum diverges from the
-/// heap mode of the same router: the frontiers are defined to be
-/// bit-identical, so a divergence is a correctness bug,
-/// not a measurement artifact.
+/// Panics when any mode's per-batch checksum or [`Effort`] counters
+/// diverge from the heap mode of the same router: the frontiers are
+/// defined to pop the same sequence, so a divergence is a correctness
+/// bug, not a measurement artifact.
 pub fn hotpath_sweep(problems: &[Problem], reps: usize) -> Vec<HotpathPoint> {
     let mut points = Vec::new();
     for (label, run) in [
@@ -152,6 +175,11 @@ pub fn hotpath_sweep(problems: &[Problem], reps: usize) -> Vec<HotpathPoint> {
             assert_eq!(
                 row.checksum, rows[0].checksum,
                 "{label} mode {} diverged from {}: the modes must be bit-identical",
+                row.mode, rows[0].mode,
+            );
+            assert_eq!(
+                row.effort, rows[0].effort,
+                "{label} mode {} spent other effort than {}: the modes must search alike",
                 row.mode, rows[0].mode,
             );
         }
@@ -268,6 +296,9 @@ pub fn hotpath_json(instances: usize, reps: usize, points: &[HotpathPoint]) -> J
                     ("nets_routed", Json::from(p.nets_routed)),
                     ("complete", Json::from(p.complete)),
                     ("checksum", Json::str(format!("{:016x}", p.checksum))),
+                    ("expanded", Json::from(p.effort.expanded)),
+                    ("soft_routes", Json::from(p.effort.soft_routes)),
+                    ("rips", Json::from(p.effort.rips)),
                 ])
             })),
         ),
@@ -289,7 +320,8 @@ mod tests {
         let problems = hotpath_batch(2);
         let points = hotpath_sweep(&problems, 1);
         assert_eq!(points.len(), 2 * MODES.len());
-        assert!(points.iter().all(|p| p.nets_routed > 0));
+        assert!(points.iter().all(|p| p.nets_routed > 0 && p.effort.expanded > 0));
+        assert!(points.iter().any(|p| p.router == "mighty" && p.effort.soft_routes > 0));
         assert!(mighty_speedup(&points) > 0.0);
     }
 }

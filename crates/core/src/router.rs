@@ -1,7 +1,9 @@
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
-use route_geom::{Layer, Point, Rect};
-use route_maze::search::{find_path_observed, find_path_soft_observed, Query, SearchArena};
+use route_geom::{Layer, Point, Rect, NUM_LAYERS};
+use route_maze::search::{
+    find_path_observed, find_path_soft_observed, node_index, Query, SearchArena,
+};
 use route_model::{
     NetId, NopObserver, Problem, RouteDb, RouteError, RouteObserver, SlotIndex, Step, Trace,
     TraceId,
@@ -221,8 +223,9 @@ struct Run<'a> {
     attempts: Vec<u32>,
     rips: Vec<u32>,
     failed: Vec<bool>,
-    /// Pin slots of every net: never passable in interference search.
-    pin_slots: HashSet<(Point, Layer)>,
+    /// Pin slots of every net, one bit per slot indexed like
+    /// [`node_index`]: never passable in interference search.
+    pin_plane: Vec<u64>,
     max_events: usize,
     /// Set when the event budget runs out: modification is disabled and
     /// the queue drains with one hard-only attempt per net.
@@ -253,11 +256,15 @@ impl<'a> Run<'a> {
         obs: &'a mut dyn RouteObserver,
     ) -> Self {
         let n = problem.nets().len();
-        let pin_slots = problem
-            .nets()
-            .iter()
-            .flat_map(|net| net.pins.iter().map(|p| (p.at, p.layer)))
-            .collect();
+        let grid = db.grid();
+        let n_nodes = grid.width() as usize * grid.height() as usize * NUM_LAYERS;
+        let mut pin_plane = vec![0u64; n_nodes.div_ceil(64)];
+        for pin in problem.nets().iter().flat_map(|net| &net.pins) {
+            if grid.in_bounds(pin.at) {
+                let bit = node_index(grid, pin.at, pin.layer);
+                pin_plane[bit / 64] |= 1 << (bit % 64);
+            }
+        }
         let max_events = if cfg.max_events == 0 { 64 * n + 256 } else { cfg.max_events };
 
         let mut order: Vec<NetId> = problem.nets().iter().map(|net| net.id).collect();
@@ -316,7 +323,7 @@ impl<'a> Run<'a> {
             attempts: vec![0; n],
             rips: vec![0; n],
             failed: vec![false; n],
-            pin_slots,
+            pin_plane,
             max_events,
             exhausted: false,
             best: None,
@@ -445,11 +452,15 @@ impl<'a> Run<'a> {
 
             // Interference search: foreign pins and over-ripped nets are
             // impassable; everything else pays the escalating penalty.
-            let pin_slots = &self.pin_slots;
+            let pin_plane = &self.pin_plane;
+            let grid = self.db.grid();
             let rips = &self.rips;
             let cfg = self.cfg;
             let soft_cost = move |p: Point, l: Layer, owner: NetId| -> Option<u64> {
-                if pin_slots.contains(&(p, l)) || rips[owner.index()] >= cfg.max_attempts {
+                let bit = node_index(grid, p, l);
+                if pin_plane[bit / 64] & 1 << (bit % 64) != 0
+                    || rips[owner.index()] >= cfg.max_attempts
+                {
                     None
                 } else {
                     Some(cfg.penalty(rips[owner.index()]))
@@ -863,6 +874,64 @@ mod tests {
             let report = verify(&p, out.db());
             assert!(report.is_legal_but_incomplete(), "seed {seed}: {report}");
         }
+    }
+
+    /// Routes `p`, whose net `a` is walled in by foreign pins on every
+    /// layer, and checks that interference search never crosses a pin:
+    /// `a` fails, the database stays legal and every soft search comes
+    /// back empty.
+    fn assert_pins_wall_in(p: &Problem, a: NetId) {
+        let mut log = route_model::EventLog::new();
+        let out = default_router().route_observed(p, &mut log);
+        assert_eq!(out.failed(), [a]);
+        let report = verify(p, out.db());
+        assert!(report.is_legal_but_incomplete(), "{report}");
+        assert_eq!(out.stats().soft_routes, 0, "a soft path crossed a pin: {}", out.stats());
+        let soft: Vec<bool> = log
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                route_model::RouteEvent::SearchDone {
+                    kind: route_model::SearchKind::Soft,
+                    probe,
+                    ..
+                } => Some(probe.found),
+                _ => None,
+            })
+            .collect();
+        assert!(!soft.is_empty(), "the walled net must reach interference search");
+        assert!(soft.iter().all(|&found| !found), "a soft search crossed a pin");
+    }
+
+    #[test]
+    fn foreign_pins_stay_walls_in_soft_search() {
+        let layers = [Layer::M1, Layer::M2, Layer::M3];
+        // A full column of pin stacks, M1 to M3, edge rows included.
+        let mut b = ProblemBuilder::switchbox(7, 5);
+        b.layers(3);
+        b.net("a").pin_at(Point::new(0, 2), Layer::M1).pin_at(Point::new(6, 2), Layer::M1);
+        for y in 0..5 {
+            let mut wall = b.net(format!("w{y}"));
+            for l in layers {
+                wall.pin_at(Point::new(3, y), l);
+            }
+        }
+        let p = b.build().unwrap();
+        assert_pins_wall_in(&p, p.nets()[0].id);
+
+        // A pin in the last cell of the grid, fenced by the pin stacks
+        // of its two edge neighbours: the plane's final bits.
+        let mut b = ProblemBuilder::switchbox(6, 6);
+        b.layers(3);
+        b.net("a").pin_at(Point::new(0, 0), Layer::M1).pin_at(Point::new(5, 5), Layer::M1);
+        let mut fence = b.net("c");
+        for at in [Point::new(4, 5), Point::new(5, 4)] {
+            for l in layers {
+                fence.pin_at(at, l);
+            }
+        }
+        let p = b.build().unwrap();
+        assert_pins_wall_in(&p, p.nets()[0].id);
     }
 
     #[test]

@@ -110,18 +110,28 @@ impl Frontier for HeapFrontier {
 /// A Dial-style bucket frontier.
 ///
 /// Keys `f < BUCKET_SPAN` land in `buckets[f]`, a flat calendar walked
-/// by a monotone cursor; each bucket is kept sorted descending by
-/// `(g, idx)` (entries are unique — a node re-pushed with a smaller `g`
-/// lands in a smaller-`f` bucket), so the minimum pops off the back in
-/// `O(1)`. Keys `f >= BUCKET_SPAN` go to an overflow heap, popped only
-/// when the calendar is empty. A push below the cursor rewinds it, so
-/// the pop order is the global `(f, g, idx)` minimum even if a caller's
-/// heuristic is not consistent.
+/// by a monotone cursor; each bucket holds one packed word
+/// `g << 32 | idx` per entry, kept sorted descending (entries are
+/// unique — a node re-pushed with a smaller `g` lands in a smaller-`f`
+/// bucket), so the minimum pops off the back in `O(1)`. The packing is
+/// lossless while `g < 2^32`, and comparing the words compares
+/// `(g, idx)`. Keys `f >= BUCKET_SPAN` go to an overflow heap, popped
+/// only when the calendar is empty. A push below the cursor rewinds it,
+/// so the pop order is the global `(f, g, idx)` minimum even if a
+/// caller's heuristic is not consistent.
+///
+/// A calendar entry's `g` must fit in 32 bits (checked in debug
+/// builds). Every A* key does: `h >= 0` gives `g <= f < BUCKET_SPAN`;
+/// so does the tile planner's Dijkstra, whose `g` slot holds a `u32`
+/// column.
+/// Such an entry may not be sent to the spill instead, because the
+/// spill pops only once the calendar is empty.
 #[derive(Debug)]
 pub struct BucketFrontier {
-    /// `buckets[f]` holds the `(g, idx)` entries with that exact `f`,
-    /// sorted descending (the minimum is last).
-    buckets: Vec<Vec<(u64, u32)>>,
+    /// `buckets[f]` holds the packed `g << 32 | idx` words of the
+    /// entries with that exact `f`, sorted descending (the minimum is
+    /// last).
+    buckets: Vec<Vec<u64>>,
     /// One bit per calendar bucket, set iff the bucket is non-empty —
     /// the cursor skips runs of empty buckets with `trailing_zeros`
     /// instead of probing them one by one.
@@ -179,9 +189,14 @@ impl Frontier for BucketFrontier {
                 self.touched.push(fi as u32);
                 self.occ[fi >> 6] |= 1 << (fi & 63);
             }
+            debug_assert!(
+                g <= u64::from(u32::MAX),
+                "calendar entry g = {g} needs more than 32 bits"
+            );
+            let key = g << 32 | u64::from(idx);
             // Descending insert keeps the bucket minimum at the back.
-            let at = bucket.partition_point(|&e| e > (g, idx));
-            bucket.insert(at, (g, idx));
+            let at = bucket.partition_point(|&e| e > key);
+            bucket.insert(at, key);
             if fi < self.cur {
                 self.cur = fi;
             }
@@ -205,12 +220,12 @@ impl Frontier for BucketFrontier {
         }
         self.cur = (w << 6) | bits.trailing_zeros() as usize;
         let bucket = &mut self.buckets[self.cur];
-        let (g, idx) = bucket.pop().expect("occupancy bit set implies a non-empty bucket");
+        let key = bucket.pop().expect("occupancy bit set implies a non-empty bucket");
         if bucket.is_empty() {
             self.occ[self.cur >> 6] &= !(1 << (self.cur & 63));
         }
         self.ringed -= 1;
-        Some((self.cur as u64, g, idx))
+        Some((self.cur as u64, key >> 32, key as u32))
     }
 
     #[inline]

@@ -133,10 +133,9 @@ pub struct SearchArena {
     target_mask: Vec<bool>,
     /// Node indices written since the last reset (dist/prev/target_mask).
     touched: Vec<u32>,
-    /// Memoized heuristic per *cell* (the heuristic is layer-blind).
-    h_cache: Vec<u64>,
-    /// Cell indices written to `h_cache` since the last reset.
-    h_touched: Vec<u32>,
+    /// The current search's distinct target points, sorted: the
+    /// heuristic's domain (it is layer-blind).
+    target_points: Vec<Point>,
     frontier: FrontierStore,
     /// Pocket-flood marks: node `i` is flooded iff
     /// `pocket_mark[i] == pocket_stamp`.
@@ -187,8 +186,7 @@ impl SearchArena {
             prev: Vec::new(),
             target_mask: Vec::new(),
             touched: Vec::new(),
-            h_cache: Vec::new(),
-            h_touched: Vec::new(),
+            target_points: Vec::new(),
             frontier,
             pocket_mark: Vec::new(),
             pocket_stamp: 0,
@@ -204,8 +202,8 @@ impl SearchArena {
     }
 
     /// Clears the previous search's marks and guarantees capacity for
-    /// `n_nodes` nodes (`n_cells` = `n_nodes / NUM_LAYERS`).
-    fn reset(&mut self, n_nodes: usize, n_cells: usize) {
+    /// `n_nodes` nodes.
+    fn reset(&mut self, n_nodes: usize) {
         for &idx in &self.touched {
             let idx = idx as usize;
             self.dist[idx] = u64::MAX;
@@ -213,10 +211,7 @@ impl SearchArena {
             self.target_mask[idx] = false;
         }
         self.touched.clear();
-        for &cell in &self.h_touched {
-            self.h_cache[cell as usize] = u64::MAX;
-        }
-        self.h_touched.clear();
+        self.target_points.clear();
         match &mut self.frontier {
             FrontierStore::Heap(f) => f.clear(),
             FrontierStore::Buckets(f) => f.clear(),
@@ -225,9 +220,6 @@ impl SearchArena {
             self.dist.resize(n_nodes, u64::MAX);
             self.prev.resize(n_nodes, NO_PREV);
             self.target_mask.resize(n_nodes, false);
-        }
-        if self.h_cache.len() < n_cells {
-            self.h_cache.resize(n_cells, u64::MAX);
         }
         // A new generation unmarks every node at once; only the wrap
         // back to 0 pays for a sweep.
@@ -330,8 +322,12 @@ pub fn find_path_soft_observed(
 
 const NO_PREV: u32 = u32::MAX;
 
+/// The index of slot `(p, layer)` in every node-indexed array of a
+/// search over `grid`: row-major cells, [`NUM_LAYERS`] slots per cell.
+/// Callers that keep their own per-slot planes (the rip-up router's
+/// foreign-pin bits) index them the same way.
 #[inline]
-fn node_index(grid: &Grid, p: Point, layer: Layer) -> usize {
+pub fn node_index(grid: &Grid, p: Point, layer: Layer) -> usize {
     (p.y as usize * grid.width() as usize + p.x as usize) * NUM_LAYERS + layer.index()
 }
 
@@ -369,8 +365,7 @@ struct Scratch<'a> {
     prev: &'a mut [u32],
     target_mask: &'a mut [bool],
     touched: &'a mut Vec<u32>,
-    h_cache: &'a mut [u64],
-    h_touched: &'a mut Vec<u32>,
+    target_points: &'a mut Vec<Point>,
     pocket: Pocket<'a>,
 }
 
@@ -421,22 +416,20 @@ fn run(
     soft: Option<&dyn Fn(Point, Layer, NetId) -> Option<u64>>,
 ) -> (Option<SoftPath>, SearchStats) {
     let grid = query.grid;
-    let n_cells = grid.width() as usize * grid.height() as usize;
-    arena.reset(n_cells * NUM_LAYERS, n_cells);
+    arena.reset(grid.width() as usize * grid.height() as usize * NUM_LAYERS);
     let SearchArena {
         dist,
         prev,
         target_mask,
         touched,
-        h_cache,
-        h_touched,
+        target_points,
         frontier,
         pocket_mark,
         pocket_stamp,
         pocket_stack,
     } = arena;
     let pocket = Pocket { mark: pocket_mark, stamp: *pocket_stamp, stack: pocket_stack };
-    let scratch = Scratch { dist, prev, target_mask, touched, h_cache, h_touched, pocket };
+    let scratch = Scratch { dist, prev, target_mask, touched, target_points, pocket };
     match frontier {
         FrontierStore::Heap(f) => run_core(query, soft, scratch, f),
         FrontierStore::Buckets(f) => run_core(query, soft, scratch, f),
@@ -450,37 +443,32 @@ fn run_core<F: Frontier>(
     frontier: &mut F,
 ) -> (Option<SoftPath>, SearchStats) {
     let grid = query.grid;
-    let Scratch { dist, prev, target_mask, touched, h_cache, h_touched, mut pocket } = scratch;
+    let Scratch { dist, prev, target_mask, touched, target_points, mut pocket } = scratch;
     let mut stats = SearchStats::default();
 
     let usable = |s: &Step| grid.admits(s.at, s.layer, query.net);
-    let targets: Vec<Step> = query.targets.iter().filter(|s| usable(s)).copied().collect();
-    if targets.is_empty() {
-        return (None, stats);
-    }
-    for t in &targets {
+    let targets = query.targets.iter().filter(|s| usable(s));
+    for t in targets.clone() {
         let idx = node_index(grid, t.at, t.layer);
         target_mask[idx] = true;
         touched.push(idx as u32);
+        target_points.push(t.at);
     }
-    let w = grid.width() as usize;
+    if target_points.is_empty() {
+        return (None, stats);
+    }
+    // Min-manhattan-to-any-target heuristic. It is layer-blind, so it
+    // ranges over the distinct target points only: slots stacked on one
+    // point, and the same slot listed twice, count once.
+    target_points.sort_unstable();
+    target_points.dedup();
     let step_w = query.cost.step as u64;
-    // Min-manhattan-to-any-target heuristic, memoized per cell (it is
-    // layer-blind). Memoization changes where the value is computed,
-    // never the value, so results stay bit-identical.
-    let mut heuristic = |p: Point| -> u64 {
-        let cell = p.y as usize * w + p.x as usize;
-        let cached = h_cache[cell];
-        if cached != u64::MAX {
-            return cached;
-        }
-        let h = targets.iter().map(|t| p.manhattan(t.at) as u64 * step_w).min().unwrap_or(0);
-        h_cache[cell] = h;
-        h_touched.push(cell as u32);
-        h
+    let heuristic = |p: Point| -> u64 {
+        target_points.iter().map(|&t| p.manhattan(t) as u64 * step_w).min().unwrap_or(0)
     };
 
-    // Open list keyed by f = g + h; tiebreak on g to prefer settled depth.
+    // Open list keyed by f = g + h. Among equal f, both frontiers pop
+    // the smallest g first: the shallowest node, nearest the sources.
     let mut any_source = false;
     for s in query.sources.iter().filter(|s| usable(s)) {
         let idx = node_index(grid, s.at, s.layer);
@@ -498,13 +486,14 @@ fn run_core<F: Frontier>(
     // Seed the pocket flood with the targets, now that every source
     // carries its distance.
     let mut flooding = true;
-    for t in &targets {
+    for t in targets {
         if pocket.enter(node_index(grid, t.at, t.layer), dist) == Flood::Met {
             flooding = false;
         }
     }
 
     let view = grid.occupancy_view();
+    let w = grid.width() as usize;
     // Node-index deltas for a wire step, in Dir::ALL order; only applied
     // after the neighbor is proven in bounds.
     let node_delta: [i64; 4] = [

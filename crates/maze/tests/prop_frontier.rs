@@ -128,3 +128,55 @@ fn clear_resets_both_impls_to_the_same_state() {
 fn buckets_are_the_default_kind() {
     assert_eq!(FrontierKind::default(), FrontierKind::Buckets);
 }
+
+#[test]
+fn packed_keys_pop_identically_at_their_boundaries() {
+    // The calendar packs `(g, idx)` into one word. Drive it where the
+    // packing could break: `g == f`, `g` up to `BUCKET_SPAN - 1`, `idx`
+    // near `u32::MAX`, and keys straddling `BUCKET_SPAN` into the spill.
+    let span = BUCKET_SPAN as u64;
+    let mut rng = Rng(0xB0DA);
+    let mut heap = HeapFrontier::new();
+    let mut buckets = BucketFrontier::new();
+    let mut push = |f: u64, g: u64, idx: u32| {
+        heap.push(f, g, idx);
+        buckets.push(f, g, idx);
+        assert_eq!(buckets.len(), heap.len());
+    };
+    for (f, g, idx) in [
+        (span - 1, span - 1, u32::MAX),
+        (span - 1, span - 1, u32::MAX - 1),
+        (span - 1, span - 2, u32::MAX),
+        (span - 1, 0, 0),
+        (span, span, u32::MAX),
+        (span, span - 1, u32::MAX),
+        (0, 0, u32::MAX),
+        (0, 0, 0),
+    ] {
+        push(f, g, idx);
+    }
+    for _ in 0..3000 {
+        let f = span - 48 + rng.below(96);
+        let g = match rng.below(3) {
+            0 => f,
+            1 => f.min(span - 1) - rng.below(4),
+            _ => rng.below(span),
+        };
+        let idx =
+            if rng.below(2) == 0 { u32::MAX - rng.below(16) as u32 } else { rng.below(16) as u32 };
+        push(f, g, idx);
+    }
+    let mut popped = 0;
+    while let Some(e) = heap.pop() {
+        assert_eq!(buckets.pop(), Some(e), "pop {popped} diverged");
+        popped += 1;
+        // Interleave re-pushes below the cursor and into the spill.
+        if popped % 7 == 0 {
+            let f = e.0.saturating_sub(rng.below(8));
+            heap.push(f, f, u32::MAX - popped);
+            buckets.push(f, f, u32::MAX - popped);
+        }
+    }
+    assert_eq!(buckets.pop(), None);
+    assert!(buckets.is_empty());
+}
