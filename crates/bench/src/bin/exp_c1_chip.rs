@@ -1,5 +1,5 @@
 //! Experiment C1: chip-scale hierarchical flow — parallel per-tile
-//! detail routing with seam stitching vs flat single-grid routing.
+//! detail routing with seam repair vs flat single-grid routing.
 //!
 //! ```text
 //! cargo run --release -p route-bench --bin exp_c1_chip [-- --quick]

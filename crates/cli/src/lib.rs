@@ -59,7 +59,7 @@ COMMANDS:
   gen       Generate a random instance and print it to stdout
   chip      Generate a seeded synthetic chip (macro obstacles, mostly-local
             nets) and route it hierarchically: tile-graph planning, parallel
-            per-tile detail routing on the batch engine, seam stitching,
+            per-tile detail routing on the batch engine, seam repair,
             then the flat fallback; --jobs never changes the checksum
   fuzz      Differentially fuzz every router over seeded generator sweeps
             (oracles: independent DRC/claim verification, rip-up vs Lee
@@ -128,11 +128,11 @@ SUPERVISED RECOVERY (batch instances, chip tiles):
   budget and timed-out attempts feed the salvage snapshot. Not
   combinable with --metrics/--trace.
   chip: --retries/--fallback select supervision; --journal works with
-  or without them. Seam repair always escalates on its own: widened
-  band, re-anchored fresh band, then the edge's stubborn nets ripped
-  and the whole die rerouted incrementally.
-  VROUTE_FAULT targets tiles (`panic@tile:3`) or seam rungs
-  (`fail@seam`).
+  or without them. Seam repair always runs: for each seam whose
+  crossing nets are still open, those nets are ripped and the whole
+  die is rerouted incrementally.
+  VROUTE_FAULT targets tiles (`panic@tile:3`) or seam repairs
+  (`fail@seam`; a faulted seam is skipped).
 
 ENVIRONMENT:
   VROUTE_FUZZ_FAULT  Inject a deliberate router bug into `fuzz` runs for
@@ -141,7 +141,7 @@ ENVIRONMENT:
                      `chip` and `serve` runs: KIND[@TARGETS[@ATTEMPTS]]
                      with KIND one of panic | fail | delay-MS, and
                      TARGETS instances (`fail@1,4@1`), tiles
-                     (`panic@tile:3`), or seam rungs (`fail@seam`);
+                     (`panic@tile:3`), or seam repairs (`fail@seam`);
                      `serve` targets its N-th admitted job as instance N
                      (`delay-800` stalls every job)
   An empty value counts as unset for each of these.

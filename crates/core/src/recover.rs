@@ -18,7 +18,7 @@
 //!   completed-net count and a legality lint report from
 //!   `route-analyze`, instead of discarding real metal.
 //! * [`FaultPlan`] injects panics, delays and spurious failures into
-//!   chosen instances, tiles, seam rungs and attempts, so tests (and
+//!   chosen instances, tiles, seam repairs and attempts, so tests (and
 //!   the `VROUTE_FAULT` environment hook in the CLI) can prove every
 //!   recovery path fires.
 //! * [`guarded`] is the one attempt guard: it injects the planned
@@ -222,12 +222,13 @@ pub enum FaultSite {
     Instance(usize),
     /// A chip tile.
     Tile(usize),
-    /// A chip seam repair; its attempts are the escalation rungs.
+    /// A chip seam repair. It has one attempt (attempt 0), so a seam
+    /// plan's `ATTEMPTS` beyond 1 changes nothing.
     Seam,
 }
 
 /// The sites a [`FaultPlan`] targets: every instance and tile (never
-/// the seam stage), listed instances, listed tiles, or seam rungs.
+/// the seam stage), listed instances, listed tiles, or seam repairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum FaultTarget {
     All,
@@ -247,18 +248,20 @@ enum FaultTarget {
 ///   batch indices (`0,2`), a comma-separated list of chip tiles
 ///   (`tile:3,tile:7`), or the chip seam stage (`seam`). Defaults to
 ///   `*`. Index lists target only batch instances; `tile:` lists
-///   target only chip tiles; `seam` targets only seam-repair rungs —
-///   a bare or `*` plan hits batch instances *and* tiles, but never
-///   the seam stage (the seam ladder must be opted into explicitly).
+///   target only chip tiles; `seam` targets only seam repairs — a
+///   bare or `*` plan hits batch instances *and* tiles, but never the
+///   seam stage (seam faults must be opted into explicitly).
 /// * `ATTEMPTS` — inject into the first this-many attempts of each
-///   target (counted across retries *and* fallbacks; for `seam`,
-///   across the escalation-ladder rungs of each seam). Defaults to
-///   `1`, so the first attempt fails and recovery runs.
+///   target (counted across retries *and* fallbacks). Defaults to `1`,
+///   so the first attempt fails and recovery runs. A seam repair has
+///   one attempt, so `fail@seam@2` behaves like `fail@seam`: the
+///   faulted seam is skipped and its nets are left to later seams and
+///   the flat fallback.
 ///
 /// `panic@0,2@1` panics the first attempt of instances 0 and 2;
 /// `delay-200@*@2` delays the first two attempts of every instance;
-/// `panic@tile:3` panics tile 3's first attempt; `fail@seam@2` fails
-/// the first two rungs of every seam repair. The service targets its
+/// `panic@tile:3` panics tile 3's first attempt; `fail@seam` fails
+/// every seam repair. The service targets its
 /// jobs as instances, in admission order, each with one attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -327,8 +330,8 @@ impl FaultPlan {
     }
 
     /// The fault to inject into attempt `attempt` (0-based, counted
-    /// across the whole recovery chain; for [`FaultSite::Seam`], the
-    /// escalation rung) at `site`, if the plan targets it (see the
+    /// across the whole recovery chain; always 0 for
+    /// [`FaultSite::Seam`]) at `site`, if the plan targets it (see the
     /// type's `TARGETS`).
     pub fn at(&self, site: FaultSite, attempt: u32) -> Option<EngineFault> {
         let hit = match (&self.target, site) {
@@ -838,7 +841,7 @@ mod tests {
 
         let plan = FaultPlan::parse("fail@seam@2").unwrap();
         assert!(plan.at(Seam, 0).is_some() && plan.at(Seam, 1).is_some());
-        assert!(plan.at(Seam, 2).is_none(), "rung past the window");
+        assert!(plan.at(Seam, 2).is_none(), "attempt past the window");
         assert!(plan.at(Instance(0), 0).is_none() && plan.at(Tile(0), 0).is_none());
 
         // Bare plans hit batch instances and tiles, never seams.

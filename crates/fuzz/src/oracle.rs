@@ -74,7 +74,7 @@ pub enum OracleKind {
     /// and binary-heap frontiers; they are defined to pop identically.
     FrontierDivergence,
     /// The hierarchical chip flow (tile planning, per-tile detail,
-    /// seam stitching) produced an illegal database, lied about its
+    /// seam repair) produced an illegal database, lied about its
     /// failed nets or its rip-up accounting, lost to the flat router,
     /// or panicked.
     ChipStitch,

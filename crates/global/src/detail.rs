@@ -1,5 +1,5 @@
 //! Crossing assignment, parallel per-tile detailed routing, seam
-//! stitching and trace paste-back.
+//! repair and trace paste-back.
 //!
 //! There is one tile stage: every tile routes through a
 //! [`mighty::Supervisor`] built from the caller's [`ChipSupervision`] —
@@ -11,16 +11,14 @@
 //! are persisted as they finish, so a killed run resumes without
 //! re-routing finished tiles.
 //!
-//! Tiles and seam bands are both `Window`s: one builder cuts the
-//! sub-problem out of the chip, one paste commits its wiring back.
+//! Tiles are `Window`s: one builder cuts the sub-problem out of the
+//! chip, one paste commits its wiring back.
 //!
-//! Seam repair always runs as an escalation ladder per edge: a band of
-//! `STITCH_BAND` cells first, then a widened band, then a widened band
-//! with the net's in-band wiring discarded (re-anchor). The last rung
-//! rips the edge's stubborn nets wholesale and reroutes the whole die
-//! incrementally — every net still incomplete anywhere on it, not just
-//! this edge's — so it usually finishes the chip before the whole-die
-//! fallback runs.
+//! Seam repair is one rung per edge: the edge's stubborn crossing nets
+//! are ripped wholesale and the whole die is rerouted incrementally —
+//! every net still incomplete anywhere on it, not just this edge's — so
+//! one repair usually finishes the chip before the whole-die fallback
+//! runs.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -31,8 +29,8 @@ use mighty::{
 use route_geom::{Layer, Point, Rect};
 use route_maze::SearchArena;
 use route_model::{
-    EventSink, Grid, NetId, NopObserver, Occupant, Pin, Problem, ProblemBuilder, ProblemError,
-    RouteDb, RouteEvent, RouteObserver, Routing, Step, TileEdge, TileGrid, TileId, Trace, TraceId,
+    NetId, NopObserver, Occupant, Pin, Problem, ProblemBuilder, RouteDb, RouteObserver, Routing,
+    Step, TileEdge, TileGrid, TileId, Trace, TraceId,
 };
 
 use crate::plan::plan_with;
@@ -56,12 +54,8 @@ pub struct GlobalStats {
     pub fallback_completed: usize,
 }
 
-/// Half-width of a seam band, in cells on each side of the tile
-/// boundary, at the ladder's first rung.
-const STITCH_BAND: u32 = 3;
-
 /// Chip-flow counters of a hierarchical run: the tile batch, the seam
-/// repairs, and the post-stitch cleanup.
+/// repairs, and the post-repair cleanup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChipStats {
     /// Tiles the tile stage routed (complete or not).
@@ -80,18 +74,19 @@ pub struct ChipStats {
     /// attempt per tile salvages too. The snapshot feeds the seam stage,
     /// so a salvaged tile is never an empty tile.
     pub tiles_salvaged: usize,
-    /// Seam-repair escalation rungs taken beyond each seam's first
-    /// attempt (widened band, re-anchor, whole-die reroute).
+    /// Repaired seams whose crossing nets were still disconnected after
+    /// their own whole-die reroute (left to a later seam's reroute or
+    /// the fallback).
     pub seam_escalations: usize,
     /// Tile edges carrying at least one assigned crossing.
     pub seams: usize,
-    /// Seams that entered the repair ladder: at least one of their
-    /// crossing nets was still incomplete when the stitch pass reached
-    /// them.
+    /// Seams the repair stage reached with at least one of their
+    /// crossing nets still disconnected.
     pub seams_repaired: usize,
-    /// Strong rip-ups performed by the rip-up router inside seam bands.
+    /// Strong rip-ups performed by the seam repairs' whole-die reroutes
+    /// (exactly the `strong_ripup` events they stream to the observer).
     pub seam_ripups: usize,
-    /// Nets the stitch pass completed.
+    /// Nets the seam repair stage completed.
     pub seam_completed: usize,
     /// Concrete boundary-cell crossing pairs assigned to nets.
     pub crossing_pins: usize,
@@ -164,28 +159,10 @@ impl GlobalOutcome {
     }
 }
 
-/// Forwards band-local router events to the caller's observer with net
-/// ids translated back to the global namespace, counting rip-ups.
-struct SeamObserver<'a> {
-    /// Band-local net index to global id: the band window's nets.
-    map: &'a [NetId],
-    inner: &'a mut dyn RouteObserver,
-    ripups: usize,
-}
-
-impl EventSink for SeamObserver<'_> {
-    fn event(&mut self, event: RouteEvent) {
-        if let RouteEvent::StrongRipup { .. } = event {
-            self.ripups += 1;
-        }
-        event.map_nets(|id| self.map[id.index()]).replay(self.inner);
-    }
-}
-
-/// A sub-problem cut out of the chip — a tile or a seam band. Local
-/// coordinates are chip coordinates minus `origin`, and local net
-/// `NetId(i)` is the chip's `nets[i]`, because the problem builder
-/// numbers nets in declaration order.
+/// A tile sub-problem cut out of the chip. Local coordinates are chip
+/// coordinates minus `origin`, and local net `NetId(i)` is the chip's
+/// `nets[i]`, because the problem builder numbers nets in declaration
+/// order.
 struct Window {
     origin: Point,
     nets: Vec<NetId>,
@@ -200,7 +177,7 @@ impl Window {
         rect: Rect,
         blocked: impl IntoIterator<Item = (Point, Layer)>,
         nets: impl IntoIterator<Item = (NetId, P)>,
-    ) -> Result<(Window, Problem), ProblemError> {
+    ) -> (Window, Problem) {
         let mut window = Window { origin: rect.min(), nets: Vec::new() };
         let mut builder = ProblemBuilder::switchbox(rect.width(), rect.height());
         builder.layers(problem.layers());
@@ -214,7 +191,7 @@ impl Window {
             }
             window.nets.push(id);
         }
-        Ok((window, builder.build()?))
+        (window, builder.build().expect("tile sub-problems are valid by construction"))
     }
 
     /// `p` moved into chip coordinates (`sign` 1) or out of them (-1).
@@ -222,28 +199,24 @@ impl Window {
         Point::new(p.x + sign * self.origin.x, p.y + sign * self.origin.y)
     }
 
-    /// `trace` moved into chip coordinates (`sign` 1) or out of them (-1).
-    fn shift(&self, trace: &Trace, sign: i32) -> Trace {
-        let steps = trace.steps().iter().map(|s| Step::new(self.at(s.at, sign), s.layer));
-        Trace::from_steps(steps.collect()).expect("translation preserves contiguity")
-    }
-
     /// Commits the sub-problem's wiring into the chip database, net by
-    /// net in local order. Live and journal-replayed tiles and repaired
-    /// bands all paste through here, which keeps resumed databases
-    /// byte-identical.
+    /// net in local order, moved into chip coordinates. Live and
+    /// journal-replayed tiles both paste through here, which keeps
+    /// resumed databases byte-identical.
     fn paste(&self, sub_db: &RouteDb, db: &mut RouteDb) {
         for (i, &id) in self.nets.iter().enumerate() {
             for (_, trace) in sub_db.traces(NetId(i as u32)) {
-                db.commit(id, self.shift(trace, 1))
-                    .expect("a window's wiring respects the chip wiring around it");
+                let steps = trace.steps().iter().map(|s| Step::new(self.at(s.at, 1), s.layer));
+                let trace =
+                    Trace::from_steps(steps.collect()).expect("translation preserves contiguity");
+                db.commit(id, trace).expect("a window's wiring respects the chip wiring around it");
             }
         }
     }
 }
 
 /// Routes `problem` hierarchically: plan over tiles, assign crossings,
-/// detail-route every tile concurrently, stitch the seams, and
+/// detail-route every tile concurrently, repair the seams, and
 /// (optionally) repair the leftovers flat. See the [crate docs](crate)
 /// for the pipeline.
 ///
@@ -260,10 +233,13 @@ pub fn route_hierarchical(problem: &Problem, cfg: &GlobalConfig) -> GlobalOutcom
     route_hierarchical_observed(problem, cfg, &mut NopObserver)
 }
 
-/// [`route_hierarchical`] with an observer attached to the seam-stitch
-/// repair pass: band-local events are forwarded with global net ids.
-/// The tile batch itself is unobserved — its sub-problems renumber nets
-/// per tile, so per-net events there would be meaningless to the caller.
+/// [`route_hierarchical`] with an observer attached to the seam
+/// repairs: each repair is a whole-die reroute, so its events already
+/// carry global net ids. The tile batch and the flat fallback are
+/// unobserved — tile sub-problems renumber nets per tile, so per-net
+/// events there would be meaningless to the caller, and the fallback's
+/// rip-ups are not seam rip-ups ([`ChipStats::seam_ripups`] equals the
+/// observed `strong_ripup` events).
 ///
 /// # Panics
 ///
@@ -343,7 +319,7 @@ fn route_chip(
     let mut dropped: BTreeSet<NetId> = global_plan.unplanned().iter().copied().collect();
     dropped.extend(precertified.iter().copied());
     let mut crossing_pins: HashMap<(TileId, NetId), Vec<Pin>> = HashMap::new();
-    let mut edge_cross: HashMap<(TileEdge, NetId), (Point, Point, Layer)> = HashMap::new();
+    let mut edge_cross: BTreeSet<(TileEdge, NetId)> = BTreeSet::new();
     for (&edge, nets) in &edge_nets {
         let (layer, pairs) = tiles.edge_cells(edge, &base);
         let usable: Vec<(Point, Point)> = pairs
@@ -379,19 +355,12 @@ fn route_chip(
             let (pa, pb) = usable[slot];
             crossing_pins.entry((edge.a, id)).or_default().push(Pin::new(pa, layer));
             crossing_pins.entry((edge.b, id)).or_default().push(Pin::new(pb, layer));
-            edge_cross.insert((edge, id), (pa, pb, layer));
+            edge_cross.insert((edge, id));
         }
     }
     // Purge every crossing of dropped nets.
     crossing_pins.retain(|(_, id), _| !dropped.contains(id));
-    edge_cross.retain(|(_, id), _| !dropped.contains(id));
-    // Crossing-cell reservations: seam repair must never route one net
-    // through another net's (possibly still unwired) crossing cell.
-    let mut cross_owner: HashMap<(Point, Layer), NetId> = HashMap::new();
-    for (&(_, id), &(pa, pb, layer)) in &edge_cross {
-        cross_owner.insert((pa, layer), id);
-        cross_owner.insert((pb, layer), id);
-    }
+    edge_cross.retain(|(_, id)| !dropped.contains(id));
 
     // Per-tile nets: real pins plus crossings.
     let mut tile_nets: BTreeMap<TileId, BTreeMap<NetId, Vec<Pin>>> = BTreeMap::new();
@@ -432,7 +401,6 @@ fn route_chip(
                 (!kept.is_empty()).then_some((id, kept))
             });
             Window::build(problem, rect, blocked, members)
-                .expect("tile sub-problems are valid by construction")
         })
         .unzip();
 
@@ -450,7 +418,7 @@ fn route_chip(
 
     let mut chip = ChipStats {
         crossing_pins: edge_cross.len(),
-        seams: edge_cross.keys().map(|(e, _)| *e).collect::<BTreeSet<_>>().len(),
+        seams: edge_cross.iter().map(|(e, _)| *e).collect::<BTreeSet<_>>().len(),
         analyze_certificates,
         certified_nets: precertified.len(),
         ..ChipStats::default()
@@ -472,39 +440,34 @@ fn route_chip(
             }
             _ => {
                 // No attempt left a snapshot: the tile contributes no
-                // wiring and all its nets ride on the stitch and
-                // fallback passes.
+                // wiring and all its nets ride on the seam repair
+                // and the fallback.
                 chip.tiles_errored += 1;
                 tile_failures.extend(window.nets.iter().copied());
             }
         }
     }
 
-    // Incomplete nets after the tile paste, recounted after the stitch
-    // pass.
+    // Incomplete nets after the tile paste, recounted after the seam
+    // repairs.
     let mut incomplete: BTreeSet<NetId> = (0..problem.nets().len() as u32)
         .map(NetId)
         .filter(|&id| !db.is_net_connected(id))
         .collect();
     let after_tiles = incomplete.len();
 
-    // Seam stitching: for every tile edge whose crossing nets are still
-    // disconnected, run the rip-up router on a band around the boundary,
-    // escalating per edge until its nets connect or the ladder is spent:
-    //
-    //   rung 0  base band, in-band wiring replayed         (historical)
-    //   rung 1  band widened 2x, in-band wiring replayed
-    //   rung 2  band widened 4x, in-band wiring discarded  (re-anchor)
-    //   rung 3  the edge's nets ripped, then a whole-die reroute
-    //
-    // A seam whose rung 0 succeeds behaves byte-identically to earlier
-    // releases; the ladder only engages where they failed. Seam faults
-    // (`VROUTE_FAULT=...@seam`) fire at rung entry, before any database
-    // mutation, so a faulted rung escalates instead of corrupting state.
+    // Seam repair, in edge order: for every tile edge whose crossing
+    // nets are still disconnected, rip those nets wholesale so their
+    // broken seam wiring cannot block them, then reroute the whole die
+    // incrementally. The reroute queues every incomplete net on the die,
+    // not just this edge's, so one repair often finishes the chip. A
+    // seam fault (`VROUTE_FAULT=...@seam`) fires before any database
+    // mutation: an injected panic (a real unwind, isolated) or failure
+    // skips the seam, a delay lets it run late.
+    let mut arena = SearchArena::new();
     if cfg.stitch {
-        let seam_fault = supervision.fault.as_ref();
-        let mut arena = SearchArena::new();
-        for (&edge, nets) in &edge_nets {
+        let seam_fault = supervision.fault.as_ref().and_then(|f| f.at(FaultSite::Seam, 0));
+        for nets in edge_nets.values() {
             let repair: Vec<NetId> = nets
                 .iter()
                 .copied()
@@ -514,68 +477,31 @@ fn route_chip(
                 continue;
             }
             chip.seams_repaired += 1;
-            for rung in 0u32..4 {
-                let remaining: Vec<NetId> =
-                    repair.iter().copied().filter(|&id| !db.is_net_connected(id)).collect();
-                if remaining.is_empty() {
-                    break;
+            if let Some(Err(_)) = seam_fault.map(EngineFault::inject) {
+                continue;
+            }
+            for &id in &repair {
+                let tids: Vec<TraceId> = db.traces(id).map(|(tid, _)| tid).collect();
+                for tid in tids {
+                    db.rip_up(tid).expect("listed as live above");
                 }
-                if rung > 0 {
-                    chip.seam_escalations += 1;
-                }
-                // An injected panic (a real unwind, isolated) or failure
-                // loses the rung and the ladder escalates; a delay lets
-                // the rung run late.
-                let fault = seam_fault.and_then(|f| f.at(FaultSite::Seam, rung));
-                if let Some(Err(_)) = fault.map(EngineFault::inject) {
-                    continue;
-                }
-                let (scale, mode) = match rung {
-                    0 | 1 => (1 << rung, StitchMode::Replay),
-                    2 => (4, StitchMode::Fresh),
-                    _ => {
-                        // Last rung: rip each stubborn net wholesale so
-                        // its broken seam wiring cannot block it, then
-                        // reroute flat and incrementally. The reroute
-                        // queues every incomplete net on the die, not
-                        // just this edge's.
-                        for &id in &remaining {
-                            let tids: Vec<TraceId> = db.traces(id).map(|(tid, _)| tid).collect();
-                            for tid in tids {
-                                db.rip_up(tid).expect("listed as live above");
-                            }
-                        }
-                        db = router
-                            .try_route_incremental(problem, db)
-                            .expect("the hierarchical database is built for this problem")
-                            .into_db();
-                        break;
-                    }
-                };
-                stitch_edge(
-                    problem,
-                    &base,
-                    &tiles,
-                    &router,
-                    edge,
-                    &remaining,
-                    &edge_cross,
-                    &cross_owner,
-                    &mut db,
-                    &mut arena,
-                    observer,
-                    &mut chip,
-                    scale,
-                    mode,
-                );
+            }
+            let outcome = router
+                .try_route_incremental_observed_in(problem, db, &mut arena, &mut *observer)
+                .expect("the hierarchical database is built for this problem");
+            chip.seam_ripups += outcome.stats().rips as usize;
+            db = outcome.into_db();
+            if repair.iter().any(|&id| !db.is_net_connected(id)) {
+                chip.seam_escalations += 1;
             }
         }
         incomplete.retain(|&id| !db.is_net_connected(id));
         chip.seam_completed = after_tiles - incomplete.len();
     }
 
-    // Post-stitch checkpoint: a resumed run must reproduce the exact
-    // pre-fallback database, or its replayed tiles were not equivalent.
+    // Post-repair checkpoint (journal stage `stitch`): a resumed run
+    // must reproduce the exact pre-fallback database, or its replayed
+    // tiles were not equivalent.
     let mut journal_error: Option<String> = None;
     checkpoint(journal, "stitch", &db, &mut journal_error);
 
@@ -596,7 +522,7 @@ fn route_chip(
         incomplete.difference(&precertified).copied().collect();
     let mut db = if cfg.fallback && !fallback_candidates.is_empty() {
         let outcome = router
-            .try_route_incremental(problem, db)
+            .try_route_incremental_observed_in(problem, db, &mut arena, &mut NopObserver)
             .expect("the hierarchical database is built for this problem");
         stats.fallback_completed =
             fallback_candidates.iter().filter(|&&id| !outcome.failed().contains(&id)).count();
@@ -820,207 +746,6 @@ fn route_tiles(
     })
 }
 
-/// How a seam repair treats the repair nets' pre-existing in-band
-/// wiring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StitchMode {
-    /// Replay it into the band database as a starting point (the
-    /// rip-up router may still push or rip it).
-    Replay,
-    /// Discard it and re-anchor: only the cut points survive, so wiring
-    /// that painted the band into a corner cannot do so again.
-    Fresh,
-}
-
-/// Repairs one seam: rips the repair nets' wiring inside a band around
-/// `edge` (widened by `scale`), rebuilds it as a sub-problem (foreign
-/// wiring, foreign pins and reserved crossing cells become obstacles;
-/// crossing cells, band pins and the cut points of the net's own wiring
-/// become pins), and re-routes it incrementally with the rip-up router.
-#[allow(clippy::too_many_arguments)]
-fn stitch_edge(
-    problem: &Problem,
-    base: &Grid,
-    tiles: &TileGrid,
-    router: &MightyRouter,
-    edge: TileEdge,
-    repair: &[NetId],
-    edge_cross: &HashMap<(TileEdge, NetId), (Point, Point, Layer)>,
-    cross_owner: &HashMap<(Point, Layer), NetId>,
-    db: &mut RouteDb,
-    arena: &mut SearchArena,
-    observer: &mut dyn RouteObserver,
-    chip: &mut ChipStats,
-    scale: u32,
-    mode: StitchMode,
-) {
-    let ra = tiles.rect(edge.a);
-    let rb = tiles.rect(edge.b);
-    let w = (STITCH_BAND * scale) as i32;
-    let band = if edge.is_horizontal() {
-        let x0 = (ra.max().x - (w - 1)).max(ra.min().x);
-        let x1 = (rb.min().x + (w - 1)).min(rb.max().x);
-        Rect::new(Point::new(x0, ra.min().y), Point::new(x1, ra.max().y))
-    } else {
-        let y0 = (ra.max().y - (w - 1)).max(ra.min().y);
-        let y1 = (rb.min().y + (w - 1)).min(rb.max().y);
-        Rect::new(Point::new(ra.min().x, y0), Point::new(ra.max().x, y1))
-    };
-    let repair_set: BTreeSet<NetId> = repair.iter().copied().collect();
-
-    // Surgery: rip every trace of a repair net that enters the band,
-    // re-commit its out-of-band runs unchanged, keep its in-band runs
-    // for replay, and record the cut points as anchors the repair must
-    // keep connected.
-    let mut kept: BTreeMap<NetId, Vec<Trace>> = BTreeMap::new();
-    let mut anchors: BTreeMap<NetId, BTreeSet<(Point, Layer)>> = BTreeMap::new();
-    for &id in repair {
-        let cut: Vec<TraceId> = db
-            .traces(id)
-            .filter(|(_, t)| t.steps().iter().any(|s| band.contains(s.at)))
-            .map(|(tid, _)| tid)
-            .collect();
-        for tid in cut {
-            let trace = db.rip_up(tid).expect("listed as live above");
-            let steps = trace.steps();
-            let mut run: Vec<Step> = Vec::new();
-            let mut run_inside = band.contains(steps[0].at);
-            for (i, &s) in steps.iter().enumerate() {
-                let inside = band.contains(s.at);
-                if inside != run_inside {
-                    let anchor = if run_inside { steps[i - 1] } else { s };
-                    anchors.entry(id).or_default().insert((anchor.at, anchor.layer));
-                    flush_run(db, &mut kept, id, &mut run, run_inside);
-                    run_inside = inside;
-                }
-                run.push(s);
-            }
-            flush_run(db, &mut kept, id, &mut run, run_inside);
-        }
-    }
-
-    // The band sub-problem: everything the repair nets may not touch is
-    // an obstacle — base blocks, wiring and pins of foreign nets (pins
-    // are grid-marked at construction), and crossing cells reserved for
-    // nets outside the repair set.
-    let mut blocked: BTreeSet<(Point, Layer)> = BTreeSet::new();
-    for p in band.cells() {
-        for layer in Layer::ALL.into_iter().take(problem.layers() as usize) {
-            let foreign_wire = matches!(db.grid().occupant(p, layer), Occupant::Net(n) if !repair_set.contains(&n));
-            let foreign_cross =
-                cross_owner.get(&(p, layer)).is_some_and(|n| !repair_set.contains(n));
-            if base.occupant(p, layer) == Occupant::Blocked || foreign_wire || foreign_cross {
-                blocked.insert((p, layer));
-            }
-        }
-    }
-    let mut members: Vec<(NetId, BTreeSet<(Point, Layer)>)> = Vec::new();
-    for &id in repair {
-        let mut pins: BTreeSet<(Point, Layer)> = BTreeSet::new();
-        let &(pa, pb, layer) = edge_cross.get(&(edge, id)).expect("repair nets cross this edge");
-        pins.insert((pa, layer));
-        pins.insert((pb, layer));
-        for p in &problem.net(id).pins {
-            if band.contains(p.at) {
-                pins.insert((p.at, p.layer));
-            }
-        }
-        if let Some(set) = anchors.get(&id) {
-            pins.extend(set.iter().copied());
-        }
-        members.push((id, pins));
-    }
-    // Foreign wiring can legally sit on a repair net's crossing cell:
-    // the whole-die reroute of an *earlier* edge's rung 3 routes over
-    // the full grid, where reservations do not bind. Such a net cannot
-    // be repaired in this band — restore its ripped wiring and leave it
-    // to this edge's rung 3, the whole-die reroute. Once evicted, the net is foreign to the
-    // band: its restored wiring, its grid-marked pins, and its
-    // reserved crossing cells all join the obstacle set, which may
-    // evict further nets — iterate to a fixpoint before any net is
-    // declared in the band problem.
-    loop {
-        let mut evicted = false;
-        members.retain(|(id, pins)| {
-            if !pins.iter().any(|p| blocked.contains(p)) {
-                return true;
-            }
-            for t in kept.remove(id).into_iter().flatten() {
-                for s in t.steps() {
-                    blocked.insert((s.at, s.layer));
-                }
-                db.commit(*id, t).expect("restoring just-ripped wiring");
-            }
-            blocked.extend(pins.iter().copied());
-            evicted = true;
-            false
-        });
-        if !evicted {
-            break;
-        }
-    }
-    if members.is_empty() {
-        return;
-    }
-    let members = members.iter().map(|(id, pins)| (*id, pins.iter().copied()));
-    let (window, band_problem) = match Window::build(problem, band, blocked, members) {
-        Ok(built) => built,
-        Err(e) => {
-            // A reservation hole would surface here; restore the ripped
-            // wiring and leave the seam to the flat fallback.
-            debug_assert!(false, "seam band problem must build: {e}");
-            for (id, runs) in kept {
-                for t in runs {
-                    db.commit(id, t).expect("restoring just-ripped wiring");
-                }
-            }
-            return;
-        }
-    };
-
-    // Replay the kept in-band runs, then let the rip-up router repair
-    // the band incrementally: it may push or rip the replayed wiring.
-    // In [`StitchMode::Fresh`] the kept runs are discarded instead —
-    // the band starts empty and only the anchors constrain it.
-    let mut band_db = RouteDb::new(&band_problem);
-    if mode == StitchMode::Replay {
-        for (i, id) in window.nets.iter().enumerate() {
-            for t in kept.get(id).into_iter().flatten() {
-                band_db
-                    .commit(NetId(i as u32), window.shift(t, -1))
-                    .expect("kept runs lie in the band, off foreign wiring");
-            }
-        }
-    }
-    let mut seam_obs = SeamObserver { map: &window.nets, inner: observer, ripups: 0 };
-    let outcome = router
-        .try_route_incremental_observed_in(&band_problem, band_db, arena, &mut seam_obs)
-        .expect("the band database is built for the band problem");
-    chip.seam_ripups += seam_obs.ripups;
-    window.paste(outcome.db(), db);
-}
-
-/// Flushes an accumulated sub-path of a ripped trace: out-of-band runs
-/// go straight back into the database, in-band runs are kept for replay
-/// inside the band sub-problem.
-fn flush_run(
-    db: &mut RouteDb,
-    kept: &mut BTreeMap<NetId, Vec<Trace>>,
-    id: NetId,
-    run: &mut Vec<Step>,
-    inside: bool,
-) {
-    if run.is_empty() {
-        return;
-    }
-    let t = Trace::from_steps(std::mem::take(run)).expect("a contiguous sub-path");
-    if inside {
-        kept.entry(id).or_default().push(t);
-    } else {
-        db.commit(id, t).expect("re-committing just-ripped wiring");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1189,9 +914,9 @@ mod tests {
     #[test]
     fn seams_repaired_counts_only_seams_that_enter_the_ladder() {
         // The `vroute chip --width 96 --height 96 --nets 400 --tile 16
-        // --seed 1` instance: one seam's ladder ends in the whole-die
-        // reroute, which completes every other stitch net too, so no
-        // later seam has anything left to repair.
+        // --seed 1` instance: the first seam's whole-die reroute
+        // completes every other crossing net too, so no later seam has
+        // anything left to repair.
         let p =
             ChipGen { width: 96, height: 96, nets: 400, macros: 6, ..ChipGen::small(1) }.build();
         let out = route_hierarchical(&p, &GlobalConfig { tile: 16, ..GlobalConfig::default() });
@@ -1230,6 +955,49 @@ mod tests {
         }
         if observed.chip_stats().seams_repaired > 0 {
             assert!(!log.events().is_empty(), "seam repairs must emit events");
+        }
+        // Rip-up accounting: the stats count exactly the observed rips.
+        assert_eq!(observed.chip_stats().seam_ripups, log.count_kind("strong_ripup"));
+    }
+
+    #[test]
+    fn injected_seam_faults_skip_every_repair_and_stay_honest() {
+        use mighty::FaultPlan;
+        // The CI gate instance (`vroute chip --width 40 --height 40
+        // --nets 70 --macros 2 --seed 3 --tile 10`): its plain run
+        // repairs seams, so the faults below really fire.
+        let p = ChipGen { width: 40, height: 40, nets: 70, macros: 2, ..ChipGen::small(3) }.build();
+        let plain = route_hierarchical(&p, &GlobalConfig { tile: 10, ..GlobalConfig::default() });
+        assert!(plain.chip_stats().seams_repaired > 0, "{:?}", plain.chip_stats());
+        for spec in ["fail@seam", "panic@seam"] {
+            let sup = ChipSupervision {
+                fault: Some(FaultPlan::parse(spec).expect("valid spec")),
+                ..ChipSupervision::none()
+            };
+            let route = |jobs: usize| {
+                let cfg = GlobalConfig { tile: 10, jobs, ..GlobalConfig::default() };
+                route_hierarchical_supervised(&p, &cfg, &sup, None)
+            };
+            let one = route(1);
+            let report = verify(&p, one.db());
+            assert!(report.is_clean() || report.is_legal_but_incomplete(), "{spec}: {report}");
+            let disconnected: BTreeSet<NetId> = report
+                .violations()
+                .iter()
+                .filter_map(|v| match v {
+                    route_verify::Violation::Disconnected { net, .. } => Some(*net),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(one.failed(), disconnected.into_iter().collect::<Vec<_>>(), "{spec}");
+            let chip = one.chip_stats();
+            assert!(chip.seams_repaired > 0, "{spec}: {chip:?}");
+            assert_eq!(chip.seam_completed, 0, "{spec}: a faulted seam repairs nothing");
+            let two = route(2);
+            assert_eq!(one.db().checksum(), two.db().checksum(), "{spec}");
+            assert_eq!(one.failed(), two.failed(), "{spec}");
+            assert_eq!(one.stats(), two.stats(), "{spec}");
+            assert_eq!(one.chip_stats(), two.chip_stats(), "{spec}");
         }
     }
 

@@ -24,18 +24,19 @@
 //!    tile under a `mighty::Supervisor` (panic isolation, optional
 //!    retry, fallback and salvage); the resulting traces are translated
 //!    back and committed into one global database.
-//! 5. **Seam stitching**: nets still disconnected after paste-back are
-//!    repaired by the rip-up router on narrow bands around the tile
-//!    boundaries they cross — foreign wiring is frozen, the net's own
-//!    seam wiring is ripped up and replayed incrementally.
+//! 5. **Seam repair**: for each tile boundary, in edge order, whose
+//!    crossing nets are still disconnected after paste-back, those nets
+//!    are ripped wholesale and the whole die is rerouted incrementally
+//!    by the rip-up router — the "partially routed area" mode — which
+//!    queues every net still incomplete anywhere on the die.
 //! 6. **Fallback**: nets that remain incomplete are re-attempted flat
 //!    on the full grid with the incremental router, and wiring left in
 //!    components that touch no pin is pruned.
 //!
 //! The final database verifies through `route-verify` like any flat
 //! result: a routed crossing needs no seam wiring because crossing
-//! cells of adjacent tiles are grid-adjacent on the same layer — the
-//! stitch pass exists for the crossings some tile *failed* to reach.
+//! cells of adjacent tiles are grid-adjacent on the same layer — seam
+//! repair exists for the crossings some tile *failed* to reach.
 //!
 //! # Examples
 //!
@@ -92,8 +93,9 @@ pub struct GlobalConfig {
     /// [`PlanOrder::Features`] orders by the static congestion
     /// estimate. Either way the result is `jobs`-independent.
     pub order: PlanOrder,
-    /// Repair incomplete crossing nets with the rip-up router on seam
-    /// bands before (or instead of) the flat fallback.
+    /// Repair each seam whose crossing nets are still incomplete after
+    /// the tile stage: rip those nets and reroute the whole die
+    /// incrementally, before (or instead of) the flat fallback.
     pub stitch: bool,
 }
 
@@ -131,7 +133,7 @@ pub struct ChipSupervision {
     /// `seed ^ tile`).
     pub seed: u64,
     /// Fault-injection plan for tiles (`tile:`-targeted or bare specs)
-    /// and seam rungs (`@seam` specs); see `mighty::FaultPlan`.
+    /// and seam repairs (`@seam` specs); see `mighty::FaultPlan`.
     pub fault: Option<FaultPlan>,
 }
 

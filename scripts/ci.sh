@@ -261,6 +261,25 @@ grep -q '"legal": true' "$SMOKE/chip1.json" || {
 grep -q '"complete": true' "$SMOKE/chip1.json" || {
   echo "ci: the chip gate instance did not route completely" >&2; exit 1; }
 
+# Seam-fault smoke: fail, then panic, every seam repair of the gate
+# instance. Each faulted seam is skipped before it touches the
+# database, so the flat fallback must still finish the chip legally,
+# and the report must show that no seam repair completed anything.
+for fault in fail@seam panic@seam; do
+  echo "==> $VROUTE chip (VROUTE_FAULT=$fault)"
+  VROUTE_FAULT="$fault" \
+    "$VROUTE" chip --width 40 --height 40 --nets 70 --macros 2 --seed 3 \
+    --tile 10 --jobs 2 --retries 0 --json "$SMOKE/chipseam.json" > /dev/null 2>&1 || {
+    echo "ci: the chip run under $fault failed" >&2; exit 1; }
+  for want in '"legal": true' '"complete": true' '"seam_completed": 0'; do
+    grep -q "$want" "$SMOKE/chipseam.json" || {
+      echo "ci: the chip run under $fault lacks $want" >&2
+      cat "$SMOKE/chipseam.json" >&2
+      exit 1
+    }
+  done
+done
+
 # Supervised chip crash smoke: SIGKILL a journaled chip run mid-tile
 # (an injected per-tile delay widens the window), resume it, and
 # require the resumed JSON report to be byte-identical to an

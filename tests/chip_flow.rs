@@ -118,6 +118,13 @@ fn chip_flow_accounts_for_every_net_exactly_once() {
     disconnected.sort_unstable();
     disconnected.dedup();
     assert_eq!(failed, disconnected);
+    // Completion floor: golden chip 0 connects at least 253 of its 260
+    // nets, so no repair-stage change may silently lose nets.
+    assert!(
+        nets - out.failed().len() >= 253,
+        "golden chip 0 connected {}/{nets}, below the 253 floor",
+        nets - out.failed().len()
+    );
 }
 
 #[test]
