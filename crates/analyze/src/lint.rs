@@ -426,40 +426,18 @@ pub fn lint_salvage(problem: &Problem, db: &RouteDb, declared_failed: &[NetId]) 
 /// Chip-aware salvage lint for hierarchical (tiled) results.
 ///
 /// Runs everything [`lint_salvage`] runs, plus the two warning rules a
-/// seam stitch can trip — dead wire (`L008`) and anchor orphans
-/// (`L009`) — *without* excusing the seam bands: an `L009` on a
-/// declared-failed net is forgiven only when the pin sits outside every
-/// band of half-width `band` around a tile boundary of pitch `tile`.
-/// An anchor the seam prune stranded inside a band is exactly the
-/// artifact this report exists to surface; it stays a warning, so
+/// stitched chip can trip — dead wire (`L008`) and anchor orphans
+/// (`L009`). Every anchor orphan is reported, on declared-failed nets
+/// too: a pin whose wiring was pruned away from it is exactly the
+/// artifact this report exists to surface. Both stay warnings, so
 /// [`LintReport::is_legal`] is unaffected.
-pub fn lint_salvage_chip(
-    problem: &Problem,
-    db: &RouteDb,
-    declared_failed: &[NetId],
-    tile: u32,
-    band: u32,
-) -> LintReport {
-    let near = |v: i32, extent: u32| {
-        if tile == 0 || v < 0 {
-            return false;
-        }
-        let v = v as u32;
-        (1..extent.div_ceil(tile)).any(|k| {
-            let boundary = k * tile;
-            v + band >= boundary && v < boundary + band
-        })
-    };
-    let in_band = |p: Point| near(p.x, problem.width()) || near(p.y, problem.height());
+pub fn lint_salvage_chip(problem: &Problem, db: &RouteDb, declared_failed: &[NetId]) -> LintReport {
     let full = lint_db_with(problem, db, rules());
     let findings: Vec<LintFinding> = full
         .findings
         .iter()
         .filter(|f| match f {
             LintFinding::Disconnected { net, .. } => !declared_failed.contains(net),
-            LintFinding::AnchorOrphan { net, at, .. } => {
-                !declared_failed.contains(net) || in_band(*at)
-            }
             LintFinding::StackedVia { .. } | LintFinding::AdjacentVias { .. } => false,
             _ => true,
         })
@@ -920,17 +898,16 @@ mod tests {
     }
 
     #[test]
-    fn salvage_chip_excuses_orphans_outside_the_seam_band_only() {
-        // A 10-wide box at tile 5, band 1: the seam band is x in {4, 5}.
+    fn salvage_chip_reports_every_anchor_orphan() {
         let mut b = ProblemBuilder::switchbox(10, 4);
-        b.net("in").pin_at(Point::new(5, 1), Layer::M1).pin_at(Point::new(5, 3), Layer::M1);
-        b.net("out").pin_at(Point::new(0, 1), Layer::M1).pin_at(Point::new(2, 3), Layer::M1);
+        b.net("a").pin_at(Point::new(5, 1), Layer::M1).pin_at(Point::new(5, 3), Layer::M1);
+        b.net("b").pin_at(Point::new(0, 1), Layer::M1).pin_at(Point::new(2, 3), Layer::M1);
         let p = b.build().unwrap();
-        let (inband, outside) = (p.nets()[0].id, p.nets()[1].id);
+        let (a, bnet) = (p.nets()[0].id, p.nets()[1].id);
         let mut db = RouteDb::new(&p);
         // Each net gets one stub that strands its second pin.
         db.commit(
-            inband,
+            a,
             Trace::from_steps(vec![
                 Step::new(Point::new(5, 1), Layer::M1),
                 Step::new(Point::new(6, 1), Layer::M1),
@@ -939,7 +916,7 @@ mod tests {
         )
         .unwrap();
         db.commit(
-            outside,
+            bnet,
             Trace::from_steps(vec![
                 Step::new(Point::new(0, 1), Layer::M1),
                 Step::new(Point::new(1, 1), Layer::M1),
@@ -947,11 +924,12 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let failed = [inband, outside];
+        let failed = [a, bnet];
         // Plain salvage is clean: both nets are declared failed.
         assert!(lint_salvage(&p, &db, &failed).is_clean());
-        // Chip-aware salvage keeps the in-band orphan as a warning.
-        let report = lint_salvage_chip(&p, &db, &failed, 5, 1);
+        // Chip-aware salvage keeps both orphans, wherever they sit, as
+        // warnings.
+        let report = lint_salvage_chip(&p, &db, &failed);
         assert!(report.is_legal());
         let orphans: Vec<&LintFinding> = report
             .findings()
@@ -960,14 +938,17 @@ mod tests {
             .collect();
         assert_eq!(
             orphans,
-            [&LintFinding::AnchorOrphan { net: inband, at: Point::new(5, 3), layer: Layer::M1 }]
+            [
+                &LintFinding::AnchorOrphan { net: bnet, at: Point::new(2, 3), layer: Layer::M1 },
+                &LintFinding::AnchorOrphan { net: a, at: Point::new(5, 3), layer: Layer::M1 },
+            ]
         );
-        // An undeclared orphan survives regardless of position.
-        let undeclared = lint_salvage_chip(&p, &db, &[inband], 5, 1);
+        // An undeclared orphan is reported too.
+        let undeclared = lint_salvage_chip(&p, &db, &[a]);
         assert!(undeclared
             .findings()
             .iter()
-            .any(|f| matches!(f, LintFinding::AnchorOrphan { net, .. } if *net == outside)));
+            .any(|f| matches!(f, LintFinding::AnchorOrphan { net, .. } if *net == bnet)));
     }
 
     #[test]

@@ -24,7 +24,14 @@ mod criterion_benches {
     use route_benchdata::gen::{ChannelGen, ObstructedGen, SwitchboxGen};
     use route_benchdata::{burstein_class, deutsch_class};
     use route_channel::{dogleg, greedy, lea, yacr};
-    use route_maze::{sequential, CostModel};
+    use route_maze::{sequential, CostModel, SearchArena, SequentialOutcome};
+    use route_model::{NopObserver, Problem};
+
+    /// The sequential baseline in a fresh arena, as every caller builds it.
+    fn lee(problem: &Problem) -> SequentialOutcome {
+        let mut arena = SearchArena::new();
+        sequential::route_all(&mut arena, problem, CostModel::default(), &mut NopObserver)
+    }
 
     fn bench_channels(c: &mut Criterion) {
         let spec =
@@ -51,9 +58,7 @@ mod criterion_benches {
         let problem = burstein_class();
         let mut group = c.benchmark_group("switchbox");
         group.sample_size(20);
-        group.bench_function("sequential", |b| {
-            b.iter(|| black_box(sequential::route_all(&problem, CostModel::default())))
-        });
+        group.bench_function("sequential", |b| b.iter(|| black_box(lee(&problem))));
         let router = MightyRouter::new(RouterConfig::default());
         group.bench_function("ripup", |b| b.iter(|| black_box(router.route(&problem))));
         group.finish();
@@ -93,9 +98,7 @@ mod criterion_benches {
             ObstructedGen { width: 20, height: 20, nets: 12, obstacle_pct: 15, seed: 3 }.build();
         let mut group = c.benchmark_group("obstacles");
         group.sample_size(20);
-        group.bench_function("sequential", |b| {
-            b.iter(|| black_box(sequential::route_all(&problem, CostModel::default())))
-        });
+        group.bench_function("sequential", |b| b.iter(|| black_box(lee(&problem))));
         let router = MightyRouter::new(RouterConfig::default());
         group.bench_function("ripup", |b| b.iter(|| black_box(router.route(&problem))));
         group.finish();

@@ -13,8 +13,7 @@ use mighty::engine::{EngineConfig, RouteEngine};
 use mighty::{MightyRouter, RouterConfig};
 use route_benchdata::suite::channel_suite;
 use route_model::{Problem, RouteError};
-
-use crate::json::Json;
+use route_proto::Json;
 
 /// Tracks of slack above density each suite channel gets, so the batch
 /// measures routing throughput rather than infeasibility handling.

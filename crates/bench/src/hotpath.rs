@@ -10,7 +10,7 @@
 //! same search effort — the sweep panics on any divergence in checksum
 //! or in [`Effort`] counters, so the throughput table doubles as the
 //! frontier-equivalence check. Both the sequential Lee baseline
-//! (`route_all_in`) and the rip-up router (`route_warm`) are measured;
+//! (`sequential::route_all`) and the rip-up router (`route_warm`) are measured;
 //! the speed gate compares the rip-up router's `buckets-bits` and
 //! `heap-bits` rows. The end-to-end baseline is the recorded pre-PR
 //! binary ([`PRE_PR`]).
@@ -18,12 +18,11 @@
 use std::time::Instant;
 
 use mighty::MightyRouter;
-use route_maze::sequential::route_all_in;
-use route_maze::{CostModel, FrontierKind, SearchArena};
-use route_model::Problem;
+use route_maze::{sequential, CostModel, FrontierKind, SearchArena};
+use route_model::{NopObserver, Problem};
+use route_proto::Json;
 
 use crate::engine::replicated_channel_batch;
-use crate::json::Json;
 
 /// One frontier configuration of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -100,7 +99,7 @@ fn run_lee(problems: &[Problem], mode: HotpathMode, reps: usize) -> HotpathPoint
 fn measure_lee(problems: &[Problem], arena: &mut SearchArena) -> Tally {
     let (mut nets, mut complete, mut checksum, mut effort) = Tally::default();
     for p in problems {
-        let out = route_all_in(p, CostModel::default(), arena);
+        let out = sequential::route_all(arena, p, CostModel::default(), &mut NopObserver);
         nets += p.nets().len() - out.failed.len();
         complete += usize::from(out.is_complete());
         checksum ^= out.db.checksum();

@@ -167,8 +167,8 @@ pub struct EcoPoint {
 ///
 /// Panics if any routing is illegal.
 pub fn eco_point(side: u32, preplaced: u32, added: u32, seeds: u64) -> EcoPoint {
-    use route_maze::{sequential, CostModel};
-    use route_model::RouteDb;
+    use route_maze::{sequential, CostModel, SearchArena};
+    use route_model::{NopObserver, RouteDb};
 
     let total = preplaced + added;
     let mut frozen_done = 0usize;
@@ -178,8 +178,16 @@ pub fn eco_point(side: u32, preplaced: u32, added: u32, seeds: u64) -> EcoPoint 
     for seed in 0..seeds {
         let problem = SwitchboxGen { width: side, height: side, nets: total, seed }.build();
         let mut db = RouteDb::new(&problem);
+        let mut arena = SearchArena::new();
         for net in problem.nets().iter().take(preplaced as usize) {
-            let _ = sequential::connect_net(&mut db, net.id, CostModel::default());
+            let _ = sequential::connect_net(
+                &mut arena,
+                &mut db,
+                net.id,
+                CostModel::default(),
+                Vec::new(),
+                &mut NopObserver,
+            );
         }
         let pre_traces: u64 = problem
             .nets()

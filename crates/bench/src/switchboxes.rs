@@ -1,8 +1,8 @@
 //! Experiment T2 driver: switchbox completion per router.
 
 use mighty::{MightyRouter, RouterConfig};
-use route_maze::{sequential, CostModel};
-use route_model::Problem;
+use route_maze::{sequential, CostModel, SearchArena};
+use route_model::{NopObserver, Problem};
 use route_verify::verify;
 
 /// What one router achieved on one switchbox.
@@ -37,7 +37,12 @@ impl BoxScore {
 ///
 /// Panics if the baseline produces an illegal routing.
 pub fn score_sequential(problem: &Problem) -> BoxScore {
-    let out = sequential::route_all(problem, CostModel::default());
+    let out = sequential::route_all(
+        &mut SearchArena::new(),
+        problem,
+        CostModel::default(),
+        &mut NopObserver,
+    );
     let report = verify(problem, &out.db);
     assert!(
         report.is_clean() || report.is_legal_but_incomplete(),

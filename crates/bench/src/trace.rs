@@ -33,8 +33,7 @@
 
 use route_model::RouteEvent;
 
-use crate::json::Json;
-use route_proto::event_pairs;
+use route_proto::{event_pairs, Json};
 
 /// Renders `events` as line-delimited JSON, one record per line, each
 /// tagged with `instance`.

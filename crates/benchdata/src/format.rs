@@ -522,10 +522,12 @@ net b 0 8 M1  3 10 M1
 
     #[test]
     fn routes_round_trip_through_routing() {
-        use route_maze::{sequential, CostModel};
+        use route_maze::{sequential, CostModel, SearchArena};
+        use route_model::NopObserver;
         use route_verify::verify;
         let p = parse_problem(SB).unwrap();
-        let out = sequential::route_all(&p, CostModel::default());
+        let mut arena = SearchArena::new();
+        let out = sequential::route_all(&mut arena, &p, CostModel::default(), &mut NopObserver);
         assert!(out.is_complete());
         let text = write_routes(&p, &out.db);
         assert!(text.starts_with("routes\n"));

@@ -438,9 +438,11 @@ mod tests {
 
     #[test]
     fn routable_switchbox_is_routable_by_construction() {
-        use route_maze::{sequential, CostModel};
+        use route_maze::{sequential, CostModel, SearchArena};
+        use route_model::NopObserver;
         let p = routable_switchbox(10, 8, 5, 42);
-        let out = sequential::route_all(&p, CostModel::default());
+        let mut arena = SearchArena::new();
+        let out = sequential::route_all(&mut arena, &p, CostModel::default(), &mut NopObserver);
         assert!(out.is_complete());
     }
 }

@@ -21,9 +21,9 @@
 use std::collections::BTreeMap;
 
 use route_geom::{Layer, Point};
-use route_maze::sequential::connect_net_seeded;
-use route_maze::CostModel;
-use route_model::{Problem, RouteDb, Step, Trace};
+use route_maze::sequential::connect_net;
+use route_maze::{CostModel, SearchArena};
+use route_model::{NopObserver, Problem, RouteDb, Step, Trace};
 
 use crate::{ChannelSpec, RouteError};
 
@@ -83,17 +83,21 @@ fn attempt(spec: &ChannelSpec, tracks: usize) -> Option<YacrSolution> {
     // column's pins.
     let strict = CostModel { step: 1, via: 2, wrong_way: 4, bend: 0 };
     let relaxed = CostModel::default();
+    let mut arena = SearchArena::new();
+    let mut connect = |db: &mut RouteDb, nid, cost, seed| {
+        connect_net(&mut arena, db, nid, cost, seed, &mut NopObserver).is_ok()
+    };
     for &net in &ids {
         let nid = problem.net_by_name(&net.to_string()).expect("net exists").id;
         let spine_y = track_row(track_of[&net]);
         let (x0, x1) = spec.span(net).expect("net from spec");
         let seed: Vec<Step> =
             (x0..=x1).map(|x| Step::new(Point::new(x as i32, spine_y), Layer::M1)).collect();
-        if connect_net_seeded(&mut db, nid, strict, seed.clone()).is_err() {
-            // Second chance with the relaxed cost model: the remaining
-            // pins may need a wrong-way wander the strict discipline
-            // would never take (YACR's maze2/maze3 escalation).
-            connect_net_seeded(&mut db, nid, relaxed, seed).ok()?;
+        // Second chance with the relaxed cost model: the remaining pins
+        // may need a wrong-way wander the strict discipline would never
+        // take (YACR's maze2/maze3 escalation).
+        if !connect(&mut db, nid, strict, seed.clone()) && !connect(&mut db, nid, relaxed, seed) {
+            return None;
         }
     }
     Some(YacrSolution { tracks, track_of, problem, db })

@@ -17,10 +17,10 @@ use route_benchdata::format::{self, ParseError};
 use route_benchdata::gen::{ChannelGen, ChipGen, SwitchboxGen};
 use route_channel::{dogleg, greedy, lea, yacr, RouteError};
 use route_global::{ChipSupervision, GlobalConfig};
-use route_maze::{sequential, CostModel, LeeRouter};
+use route_maze::{sequential, CostModel, LeeRouter, SearchArena};
 use route_model::{
-    render_layers, render_svg, DetailedRouter, EventLog, MetricsRecorder, Problem, RouteDb,
-    RouteObserver,
+    render_layers, render_svg, DetailedRouter, EventLog, MetricsRecorder, NopObserver, Problem,
+    RouteDb, RouteObserver,
 };
 use route_opt::{cleanup, OptimizeConfig};
 use route_proto::{metrics_json, versioned_doc, Json, RouteOutcomeReport};
@@ -420,11 +420,9 @@ fn execute_route(a: &RouteArgs, out: &mut dyn fmt::Write) -> Result<bool, Execut
             complete
         }
         SwitchRouterKind::Lee => {
-            let outcome = if observing {
-                sequential::route_all_observed(&problem, CostModel::default(), &mut log)
-            } else {
-                sequential::route_all(&problem, CostModel::default())
-            };
+            let obs: &mut dyn RouteObserver = if observing { &mut log } else { &mut NopObserver };
+            let mut arena = SearchArena::new();
+            let outcome = sequential::route_all(&mut arena, &problem, CostModel::default(), obs);
             let complete = outcome.is_complete();
             writeln!(out, "router: sequential lee").expect("writing");
             db = outcome.db;

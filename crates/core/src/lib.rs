@@ -49,7 +49,6 @@
 mod config;
 pub mod engine;
 pub mod journal;
-mod net_graph;
 pub mod recover;
 mod router;
 pub mod serve;

@@ -1,15 +1,12 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use route_geom::{Layer, Point, Rect, NUM_LAYERS};
-use route_maze::search::{
-    find_path_observed, find_path_soft_observed, node_index, Query, SearchArena,
-};
+use route_maze::search::{find_path, find_path_soft, node_index, Query, SearchArena};
 use route_model::{
     NetId, NopObserver, Problem, RouteDb, RouteError, RouteObserver, SlotIndex, Step, Trace,
     TraceId,
 };
 
-use crate::net_graph::{is_connected, pin_components};
 use crate::{NetOrder, RouterConfig, RouterStats};
 
 /// The incremental rip-up/reroute detailed router.
@@ -190,7 +187,7 @@ impl MightyRouter {
         }
         db.release_checkpoint();
         let failed: Vec<NetId> =
-            (0..db.net_count() as u32).map(NetId).filter(|&id| !is_connected(&db, id)).collect();
+            (0..db.net_count() as u32).map(NetId).filter(|&id| !db.is_net_connected(id)).collect();
         Ok(RouteOutcome { db, failed, stats: run.stats })
     }
 }
@@ -306,7 +303,7 @@ impl<'a> Run<'a> {
         let queue: VecDeque<NetId> = order
             .into_iter()
             .filter(|&id| {
-                let connected = is_connected(&db, id);
+                let connected = db.is_net_connected(id);
                 conn[id.index()] = connected;
                 if !connected {
                     queued[id.index()] = true;
@@ -344,11 +341,9 @@ impl<'a> Run<'a> {
     /// Number of fully connected nets in the run's database, re-walking
     /// only the nets whose wiring changed since the last call.
     fn connected_count(&mut self) -> usize {
-        // Same predicate as `pin_components(db, id).len() <= 1`, without
-        // materializing the component slot lists.
         for i in 0..self.conn.len() {
             if self.conn_dirty[i] {
-                self.conn[i] = is_connected(&self.db, NetId(i as u32));
+                self.conn[i] = self.db.is_net_connected(NetId(i as u32));
                 self.conn_dirty[i] = false;
             }
         }
@@ -428,7 +423,7 @@ impl<'a> Run<'a> {
     /// hard search first and the modification machinery when blocked.
     fn connect_fully(&mut self, net: NetId) -> ConnectResult {
         loop {
-            let mut comps = pin_components(&self.db, net);
+            let mut comps = self.db.pin_components(net);
             if comps.len() <= 1 {
                 return ConnectResult::Connected;
             }
@@ -437,7 +432,7 @@ impl<'a> Run<'a> {
             let targets: Vec<Step> = comps[1..].iter().flatten().copied().collect();
             let query = Query { grid: self.db.grid(), net, sources, targets, cost: self.cfg.cost };
 
-            let (found, searched) = find_path_observed(self.arena, &query, &mut *self.obs);
+            let (found, searched) = find_path(self.arena, &query, &mut *self.obs);
             self.stats.expanded += searched.expanded as u64;
             if let Some(found) = found {
                 self.stats.hard_routes += 1;
@@ -466,8 +461,7 @@ impl<'a> Run<'a> {
                     Some(cfg.penalty(rips[owner.index()]))
                 }
             };
-            let (soft, searched) =
-                find_path_soft_observed(self.arena, &query, &soft_cost, &mut *self.obs);
+            let (soft, searched) = find_path_soft(self.arena, &query, &soft_cost, &mut *self.obs);
             self.stats.expanded += searched.expanded as u64;
             let Some(soft) = soft else {
                 return ConnectResult::Stuck;
@@ -582,7 +576,7 @@ impl<'a> Run<'a> {
     fn reconnect_hard(&mut self, victim: NetId) -> Result<Vec<TraceId>, Vec<TraceId>> {
         let mut committed = Vec::new();
         loop {
-            let mut comps = pin_components(&self.db, victim);
+            let mut comps = self.db.pin_components(victim);
             if comps.len() <= 1 {
                 return Ok(committed);
             }
@@ -591,7 +585,7 @@ impl<'a> Run<'a> {
             let targets: Vec<Step> = comps[1..].iter().flatten().copied().collect();
             let query =
                 Query { grid: self.db.grid(), net: victim, sources, targets, cost: self.cfg.cost };
-            let (found, searched) = find_path_observed(self.arena, &query, &mut *self.obs);
+            let (found, searched) = find_path(self.arena, &query, &mut *self.obs);
             self.stats.expanded += searched.expanded as u64;
             match found {
                 Some(found) => {

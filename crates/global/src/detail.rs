@@ -14,11 +14,11 @@
 //! Tiles are `Window`s: one builder cuts the sub-problem out of the
 //! chip, one paste commits its wiring back.
 //!
-//! Seam repair is one rung per edge: the edge's stubborn crossing nets
-//! are ripped wholesale and the whole die is rerouted incrementally —
-//! every net still incomplete anywhere on it, not just this edge's — so
-//! one repair usually finishes the chip before the whole-die fallback
-//! runs.
+//! Seam repair visits each tile edge whose crossing nets are still
+//! disconnected: those nets are ripped wholesale and the whole die is
+//! rerouted incrementally — every net still incomplete anywhere on it,
+//! not just this edge's — so one repair usually finishes the chip before
+//! the whole-die fallback runs.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 

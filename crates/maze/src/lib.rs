@@ -13,16 +13,24 @@
 //!   is the information a rip-up/reroute router needs to decide what to
 //!   push aside (weak modification) or rip up (strong modification).
 //!
+//! Each is one call. It runs in the caller's [`SearchArena`] (reused
+//! scratch buffers and the open list), reports itself to the caller's
+//! [`RouteObserver`](route_model::RouteObserver), and returns its effort
+//! counters whether or not a path was found. A fresh arena and a
+//! [`NopObserver`](route_model::NopObserver) give the plain search.
+//!
 //! The [`sequential`] module builds a complete baseline router out of the
 //! hard search: nets are routed one at a time in a fixed order with no
 //! modification of earlier nets — the classic sequential Lee router whose
-//! failure on congested switchboxes motivates rip-up and reroute.
+//! failure on congested switchboxes motivates rip-up and reroute. Its
+//! [`sequential::connect_net`] is the pin-attachment step other flows
+//! reuse.
 //!
 //! # Examples
 //!
 //! ```
-//! use route_model::{ProblemBuilder, PinSide, RouteDb};
-//! use route_maze::{sequential, CostModel};
+//! use route_model::{NopObserver, ProblemBuilder, PinSide};
+//! use route_maze::{sequential, CostModel, SearchArena};
 //! use route_verify::verify;
 //!
 //! let mut b = ProblemBuilder::switchbox(8, 8);
@@ -30,7 +38,9 @@
 //! b.net("b").pin_side(PinSide::Bottom, 2).pin_side(PinSide::Top, 6);
 //! let problem = b.build()?;
 //!
-//! let outcome = sequential::route_all(&problem, CostModel::default());
+//! let mut arena = SearchArena::new();
+//! let outcome =
+//!     sequential::route_all(&mut arena, &problem, CostModel::default(), &mut NopObserver);
 //! assert!(outcome.failed.is_empty());
 //! assert!(verify(&problem, &outcome.db).is_clean());
 //! # Ok::<(), route_model::ProblemError>(())
@@ -45,5 +55,5 @@ pub mod sequential;
 
 pub use cost::CostModel;
 pub use frontier::{BucketFrontier, Frontier, FrontierKind, HeapFrontier, BUCKET_SPAN};
-pub use search::{FoundPath, SearchArena, SearchStats, SoftPath};
+pub use search::{FoundPath, SearchArena, SearchStats};
 pub use sequential::{LeeRouter, SequentialOutcome};

@@ -53,30 +53,19 @@ impl SearchStats {
     }
 }
 
-/// A successful hard search: a committable [`Trace`] and its cost.
+/// A successful search: a [`Trace`], its cost, and every foreign slot
+/// it crosses.
 #[derive(Debug, Clone)]
 pub struct FoundPath {
     /// The path, from a source to a target.
     pub trace: Trace,
-    /// Total path cost under the query's [`CostModel`].
-    pub cost: u64,
-    /// Effort counters.
-    pub stats: SearchStats,
-}
-
-/// A successful interference (soft) search: the path plus every foreign
-/// slot it crosses.
-#[derive(Debug, Clone)]
-pub struct SoftPath {
-    /// The path, from a source to a target.
-    pub trace: Trace,
-    /// Total path cost including interference penalties.
+    /// Total path cost under the query's [`CostModel`], interference
+    /// penalties included.
     pub cost: u64,
     /// Foreign slots on the path, with their owning net at search time.
-    /// Empty means the path is committable as-is.
+    /// Always empty for a hard search; empty means the path is
+    /// committable as-is.
     pub crossings: Vec<(NetId, Step)>,
-    /// Effort counters.
-    pub stats: SearchStats,
 }
 
 /// Reusable scratch memory for repeated searches.
@@ -88,10 +77,10 @@ pub struct SoftPath {
 /// search are reset — so the per-call cost is proportional to the search
 /// frontier, not the grid.
 ///
-/// Results are bit-identical to the allocation-per-call entry points
-/// ([`find_path`] / [`find_path_soft`]): the arena changes where the
-/// buffers live, never what the search computes. One arena may serve
-/// grids of different sizes; it grows to the largest seen.
+/// A warm arena searches bit-identically to a fresh one: the arena
+/// changes where the buffers live, never what [`find_path`] or
+/// [`find_path_soft`] computes. One arena may serve grids of different
+/// sizes; it grows to the largest seen.
 ///
 /// The arena also owns the open list, and it is the one place that
 /// list is chosen: [`SearchArena::new`] uses the bucket queue, and
@@ -106,14 +95,13 @@ pub struct SoftPath {
 ///
 /// ```
 /// use route_maze::{search, CostModel, SearchArena};
-/// use route_model::{ProblemBuilder, PinSide, RouteDb, Step};
+/// use route_model::{NopObserver, ProblemBuilder, PinSide, RouteDb, Step};
 /// use route_geom::{Layer, Point};
 ///
 /// let mut b = ProblemBuilder::switchbox(8, 8);
 /// b.net("a").pin_side(PinSide::Left, 3).pin_side(PinSide::Right, 3);
 /// let problem = b.build()?;
 /// let db = RouteDb::new(&problem);
-/// let mut arena = SearchArena::new();
 /// let q = search::Query {
 ///     grid: db.grid(),
 ///     net: problem.nets()[0].id,
@@ -121,9 +109,12 @@ pub struct SoftPath {
 ///     targets: vec![Step::new(Point::new(7, 3), Layer::M1)],
 ///     cost: CostModel::default(),
 /// };
-/// let fresh = search::find_path(&q).unwrap();
-/// let reused = search::find_path_in(&mut arena, &q).unwrap();
-/// assert_eq!(fresh.cost, reused.cost);
+/// let (fresh, fresh_stats) = search::find_path(&mut SearchArena::new(), &q, &mut NopObserver);
+/// let mut warm = SearchArena::new();
+/// search::find_path(&mut warm, &q, &mut NopObserver);
+/// let (reused, reused_stats) = search::find_path(&mut warm, &q, &mut NopObserver);
+/// assert_eq!(fresh.unwrap().trace, reused.unwrap().trace);
+/// assert_eq!(fresh_stats, reused_stats);
 /// # Ok::<(), route_model::ProblemError>(())
 /// ```
 #[derive(Debug)]
@@ -236,10 +227,13 @@ impl SearchArena {
 }
 
 /// Finds a minimum-cost path using only cells that are free or already
-/// owned by the queried net.
+/// owned by the queried net, in the scratch buffers (and frontier) of
+/// `arena`.
 ///
 /// Returns `None` when no such path exists (or the source/target sets are
-/// empty after dropping unusable slots).
+/// empty after dropping unusable slots). The effort counters come back
+/// either way, and the search is reported to `obs` via
+/// [`RouteObserver::on_search_done`]; the observer only watches.
 ///
 /// A failed search costs about the smaller of its two sides. Alongside the A*
 /// from the sources, a flood from the targets crosses one slot for each
@@ -248,76 +242,30 @@ impl SearchArena {
 /// targets sit in a pocket no source can reach and the search returns
 /// `None` at once. The flood never writes the A*'s distances, so every
 /// path and cost is the one a plain A* returns; only the effort
-/// counters of failed searches shrink. Both entry points, and both
+/// counters of failed searches shrink. Both searches, and both
 /// frontiers, share this one core.
-pub fn find_path(query: &Query<'_>) -> Option<FoundPath> {
-    find_path_in(&mut SearchArena::new(), query)
-}
-
-/// Like [`find_path`], but runs in the scratch buffers (and frontier) of
-/// `arena` instead of allocating per call — the hot-path entry point for
-/// routers.
-pub fn find_path_in(arena: &mut SearchArena, query: &Query<'_>) -> Option<FoundPath> {
-    let (found, _) = run(arena, query, None);
-    let found = found?;
-    Some(FoundPath { trace: found.trace, cost: found.cost, stats: found.stats })
-}
-
-/// Like [`find_path_in`], but reports the search to `obs` via
-/// [`RouteObserver::on_search_done`] and returns its effort counters
-/// alongside the result — including the effort spent on *failed*
-/// searches, which the un-observed entry points discard.
-///
-/// The observer only watches: results are bit-identical to
-/// [`find_path_in`].
-pub fn find_path_observed(
+pub fn find_path(
     arena: &mut SearchArena,
     query: &Query<'_>,
     obs: &mut dyn RouteObserver,
 ) -> (Option<FoundPath>, SearchStats) {
-    let (found, stats) = run(arena, query, None);
-    obs.on_search_done(query.net, SearchKind::Hard, stats.probe(found.is_some()));
-    let found = found.map(|f| FoundPath { trace: f.trace, cost: f.cost, stats: f.stats });
-    (found, stats)
+    run(arena, query, None, obs)
 }
 
-/// Finds a minimum-cost path that may additionally cross slots occupied
-/// by other nets, paying `soft(point, layer, owner)` extra per crossed
+/// Like [`find_path`], but the path may also cross slots occupied by
+/// other nets, paying `soft(point, layer, owner)` extra per crossed
 /// slot. A return of `None` from the closure marks that slot impassable
 /// (e.g. a foreign pin, which can never be moved out of the way).
 ///
-/// The returned [`SoftPath::crossings`] lists every foreign slot on the
+/// The returned [`FoundPath::crossings`] lists every foreign slot on the
 /// chosen path — the candidates for weak or strong modification.
 pub fn find_path_soft(
-    query: &Query<'_>,
-    soft: &dyn Fn(Point, Layer, NetId) -> Option<u64>,
-) -> Option<SoftPath> {
-    find_path_soft_in(&mut SearchArena::new(), query, soft)
-}
-
-/// Like [`find_path_soft`], but runs in the scratch buffers (and
-/// frontier) of `arena`.
-pub fn find_path_soft_in(
-    arena: &mut SearchArena,
-    query: &Query<'_>,
-    soft: &dyn Fn(Point, Layer, NetId) -> Option<u64>,
-) -> Option<SoftPath> {
-    run(arena, query, Some(soft)).0
-}
-
-/// Like [`find_path_soft_in`], but reports the search (found or not)
-/// to `obs` via [`RouteObserver::on_search_done`] and returns its
-/// effort counters alongside the result. Results are bit-identical to
-/// [`find_path_soft_in`].
-pub fn find_path_soft_observed(
     arena: &mut SearchArena,
     query: &Query<'_>,
     soft: &dyn Fn(Point, Layer, NetId) -> Option<u64>,
     obs: &mut dyn RouteObserver,
-) -> (Option<SoftPath>, SearchStats) {
-    let (found, stats) = run(arena, query, Some(soft));
-    obs.on_search_done(query.net, SearchKind::Soft, stats.probe(found.is_some()));
-    (found, stats)
+) -> (Option<FoundPath>, SearchStats) {
+    run(arena, query, Some(soft), obs)
 }
 
 const NO_PREV: u32 = u32::MAX;
@@ -405,8 +353,8 @@ impl Pocket<'_> {
     }
 }
 
-/// The search core: always returns the effort counters, even when no
-/// path exists, so observed entry points can report failed searches.
+/// The search core: returns the effort counters even when no path
+/// exists, and reports every search, found or not, to `obs`.
 ///
 /// Dispatches once on the arena's frontier store, so the inner loop is
 /// monomorphic — no virtual calls per push/pop.
@@ -414,7 +362,8 @@ fn run(
     arena: &mut SearchArena,
     query: &Query<'_>,
     soft: Option<&dyn Fn(Point, Layer, NetId) -> Option<u64>>,
-) -> (Option<SoftPath>, SearchStats) {
+    obs: &mut dyn RouteObserver,
+) -> (Option<FoundPath>, SearchStats) {
     let grid = query.grid;
     arena.reset(grid.width() as usize * grid.height() as usize * NUM_LAYERS);
     let SearchArena {
@@ -430,10 +379,13 @@ fn run(
     } = arena;
     let pocket = Pocket { mark: pocket_mark, stamp: *pocket_stamp, stack: pocket_stack };
     let scratch = Scratch { dist, prev, target_mask, touched, target_points, pocket };
-    match frontier {
+    let (found, stats) = match frontier {
         FrontierStore::Heap(f) => run_core(query, soft, scratch, f),
         FrontierStore::Buckets(f) => run_core(query, soft, scratch, f),
-    }
+    };
+    let kind = if soft.is_some() { SearchKind::Soft } else { SearchKind::Hard };
+    obs.on_search_done(query.net, kind, stats.probe(found.is_some()));
+    (found, stats)
 }
 
 fn run_core<F: Frontier>(
@@ -441,7 +393,7 @@ fn run_core<F: Frontier>(
     soft: Option<&dyn Fn(Point, Layer, NetId) -> Option<u64>>,
     scratch: Scratch<'_>,
     frontier: &mut F,
-) -> (Option<SoftPath>, SearchStats) {
+) -> (Option<FoundPath>, SearchStats) {
     let grid = query.grid;
     let Scratch { dist, prev, target_mask, touched, target_points, mut pocket } = scratch;
     let mut stats = SearchStats::default();
@@ -603,7 +555,7 @@ fn run_core<F: Frontier>(
         })
         .collect();
     let trace = Trace::from_steps(steps_rev).expect("search paths are contiguous");
-    (Some(SoftPath { trace, cost, crossings, stats }), stats)
+    (Some(FoundPath { trace, cost, crossings }), stats)
 }
 
 /// Advances the pocket flood by one slot: pops a flooded slot and
@@ -668,7 +620,7 @@ fn flood_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use route_model::{PinSide, ProblemBuilder, RouteDb};
+    use route_model::{NopObserver, PinSide, ProblemBuilder, RouteDb};
 
     fn grid_with(problem: &route_model::Problem) -> RouteDb {
         RouteDb::new(problem)
@@ -679,6 +631,16 @@ mod tests {
         b.net("a").pin_side(PinSide::Left, 3).pin_side(PinSide::Right, 3);
         b.net("b").pin_side(PinSide::Bottom, 4).pin_side(PinSide::Top, 4);
         b.build().unwrap()
+    }
+
+    /// A hard search in a fresh arena.
+    fn hard(q: &Query<'_>) -> Option<FoundPath> {
+        find_path(&mut SearchArena::new(), q, &mut NopObserver).0
+    }
+
+    /// An interference search in a fresh arena.
+    fn soft(q: &Query<'_>, rule: &dyn Fn(Point, Layer, NetId) -> Option<u64>) -> Option<FoundPath> {
+        find_path_soft(&mut SearchArena::new(), q, rule, &mut NopObserver).0
     }
 
     fn query<'a>(grid: &'a Grid, net: NetId, from: Step, to: Step) -> Query<'a> {
@@ -696,7 +658,7 @@ mod tests {
             Step::new(Point::new(0, 3), Layer::M1),
             Step::new(Point::new(7, 3), Layer::M1),
         );
-        let found = find_path(&q).expect("path exists");
+        let found = hard(&q).expect("path exists");
         assert_eq!(found.cost, 7); // 7 unit steps on the preferred axis
         assert_eq!(found.trace.steps().len(), 8);
         assert_eq!(found.trace.via_points().count(), 0);
@@ -718,7 +680,7 @@ mod tests {
             Step::new(Point::new(0, 3), Layer::M1),
             Step::new(Point::new(7, 3), Layer::M1),
         );
-        assert!(find_path(&q).is_none(), "full wall is impassable");
+        assert!(hard(&q).is_none(), "full wall is impassable");
     }
 
     #[test]
@@ -736,7 +698,7 @@ mod tests {
             Step::new(Point::new(0, 3), Layer::M1),
             Step::new(Point::new(7, 3), Layer::M1),
         );
-        let found = find_path(&q).expect("detour through the gap");
+        let found = hard(&q).expect("detour through the gap");
         assert!(found.cost > 7);
         assert!(found.trace.steps().iter().any(|s| s.at.y == 7), "passes the gap");
     }
@@ -755,7 +717,7 @@ mod tests {
             Step::new(Point::new(1, 0), Layer::M1),
             Step::new(Point::new(1, 9), Layer::M1),
         );
-        let found = find_path(&q).expect("path exists");
+        let found = hard(&q).expect("path exists");
         // 9 wrong-way M1 steps would cost 18; two vias (6) + 9 M2 steps = 15.
         assert_eq!(found.trace.via_points().count(), 2);
         assert_eq!(found.cost, 15);
@@ -778,7 +740,7 @@ mod tests {
             Step::new(Point::new(4, 0), Layer::M2),
             Step::new(Point::new(4, 7), Layer::M2),
         );
-        assert!(find_path(&q).is_none(), "both layers of row 3 are walls");
+        assert!(hard(&q).is_none(), "both layers of row 3 are walls");
     }
 
     #[test]
@@ -796,7 +758,7 @@ mod tests {
             Step::new(Point::new(4, 0), Layer::M2),
             Step::new(Point::new(4, 7), Layer::M2),
         );
-        let soft = find_path_soft(&q, &|_, _, _| Some(10)).expect("soft path exists");
+        let soft = soft(&q, &|_, _, _| Some(10)).expect("soft path exists");
         assert!(!soft.crossings.is_empty());
         assert!(soft.crossings.iter().all(|(owner, _)| *owner == a));
         assert!(soft.cost >= 10, "penalty paid");
@@ -818,7 +780,7 @@ mod tests {
             Step::new(Point::new(4, 0), Layer::M2),
             Step::new(Point::new(4, 7), Layer::M2),
         );
-        assert!(find_path_soft(&q, &|_, _, _| None).is_none());
+        assert!(soft(&q, &|_, _, _| None).is_none());
     }
 
     #[test]
@@ -839,7 +801,7 @@ mod tests {
             ],
             cost: CostModel::default(),
         };
-        let found = find_path(&q).unwrap();
+        let found = hard(&q).unwrap();
         // Best pairing: (0,7) -> (2,7), cost 2.
         assert_eq!(found.cost, 2);
     }
@@ -851,7 +813,7 @@ mod tests {
         let net = p.nets()[0].id;
         let s = Step::new(Point::new(0, 3), Layer::M1);
         let q = query(db.grid(), net, s, s);
-        let found = find_path(&q).unwrap();
+        let found = hard(&q).unwrap();
         assert_eq!(found.cost, 0);
         assert_eq!(found.trace.steps(), &[s]);
     }
@@ -868,7 +830,7 @@ mod tests {
             Step::new(Point::new(0, 3), Layer::M1),
             Step::new(Point::new(4, 0), Layer::M2),
         );
-        assert!(find_path(&q).is_none());
+        assert!(hard(&q).is_none());
     }
 
     #[test]
@@ -920,14 +882,14 @@ mod tests {
         ];
         for (db, net, from, to) in cases {
             let q = query(db.grid(), net, from, to);
-            let fresh = find_path(&q);
-            let reused = find_path_in(&mut arena, &q);
+            let (fresh, fresh_stats) = find_path(&mut SearchArena::new(), &q, &mut NopObserver);
+            let (reused, reused_stats) = find_path(&mut arena, &q, &mut NopObserver);
+            assert_eq!(fresh_stats, reused_stats);
             match (fresh, reused) {
                 (None, None) => {}
                 (Some(f), Some(r)) => {
                     assert_eq!(f.cost, r.cost);
                     assert_eq!(f.trace.steps(), r.trace.steps());
-                    assert_eq!(f.stats, r.stats);
                 }
                 (f, r) => panic!("fresh {:?} vs reused {:?}", f.is_some(), r.is_some()),
             }
@@ -945,8 +907,9 @@ mod tests {
             Step::new(Point::new(0, 3), Layer::M1),
             Step::new(Point::new(7, 3), Layer::M1),
         );
-        let found = find_path(&q).unwrap();
-        assert!(found.stats.expanded >= 8);
-        assert!(found.stats.relaxed >= found.stats.expanded);
+        let (found, stats) = find_path(&mut SearchArena::new(), &q, &mut NopObserver);
+        assert!(found.is_some());
+        assert!(stats.expanded >= 8);
+        assert!(stats.relaxed >= stats.expanded);
     }
 }

@@ -9,7 +9,7 @@
 use route_geom::Rect;
 use route_model::{NetId, NopObserver, Problem, RouteDb, RouteObserver, Step, TraceId};
 
-use crate::search::{find_path_observed, Query, SearchArena, SearchStats};
+use crate::search::{find_path, Query, SearchArena, SearchStats};
 use crate::CostModel;
 
 /// Result of a sequential routing run.
@@ -31,33 +31,20 @@ impl SequentialOutcome {
 }
 
 /// Routes every net of `problem` in ascending bounding-box size order
-/// (small nets first — the conventional sequential heuristic).
-pub fn route_all(problem: &Problem, cost: CostModel) -> SequentialOutcome {
-    route_all_observed(problem, cost, &mut NopObserver)
-}
-
-/// Like [`route_all`], but reusing the caller's [`SearchArena`] — the
-/// warm entry point for benches and services that want to pick a
-/// frontier and keep search scratch allocated across problems. The
-/// result is bit-identical to [`route_all`].
-pub fn route_all_in(
-    problem: &Problem,
-    cost: CostModel,
+/// (small nets first — the conventional sequential heuristic), with
+/// every search in `arena`.
+///
+/// Streams [`RouteObserver`] events — one `on_net_scheduled` per net in
+/// routing order, `on_search_done` per pin-attachment search, and a
+/// terminal `on_net_committed` / `on_net_failed`. Neither the arena's
+/// history nor the observer changes the result.
+pub fn route_all(
     arena: &mut SearchArena,
-) -> SequentialOutcome {
-    route_in_order_observed_in(problem, cost, &sorted_order(problem), &mut NopObserver, arena)
-}
-
-/// Like [`route_all`], but streams [`RouteObserver`] events — one
-/// `on_net_scheduled` per net in routing order, `on_search_done` per
-/// pin-attachment search, and a terminal `on_net_committed` /
-/// `on_net_failed`. Observation never changes the result.
-pub fn route_all_observed(
     problem: &Problem,
     cost: CostModel,
     obs: &mut dyn RouteObserver,
 ) -> SequentialOutcome {
-    route_in_order_observed(problem, cost, &sorted_order(problem), obs)
+    route_in_order(arena, problem, cost, &sorted_order(problem), obs)
 }
 
 /// The sequential heuristic order: ascending bounding-box half-perimeter,
@@ -73,100 +60,43 @@ fn sorted_order(problem: &Problem) -> Vec<NetId> {
     order
 }
 
-/// Routes nets in the caller-specified order.
-pub fn route_in_order(problem: &Problem, cost: CostModel, order: &[NetId]) -> SequentialOutcome {
-    route_in_order_observed(problem, cost, order, &mut NopObserver)
-}
-
-/// Like [`route_in_order`], but streams [`RouteObserver`] events.
-pub fn route_in_order_observed(
-    problem: &Problem,
-    cost: CostModel,
-    order: &[NetId],
-    obs: &mut dyn RouteObserver,
-) -> SequentialOutcome {
-    // One arena for the whole run: every net's searches reuse it.
-    route_in_order_observed_in(problem, cost, order, obs, &mut SearchArena::new())
-}
-
-/// Like [`route_in_order_observed`], but reusing the caller's
-/// [`SearchArena`].
-pub fn route_in_order_observed_in(
-    problem: &Problem,
-    cost: CostModel,
-    order: &[NetId],
-    obs: &mut dyn RouteObserver,
+/// Like [`route_all`], but routes nets in the caller-specified order.
+pub fn route_in_order(
     arena: &mut SearchArena,
+    problem: &Problem,
+    cost: CostModel,
+    order: &[NetId],
+    obs: &mut dyn RouteObserver,
 ) -> SequentialOutcome {
     let mut db = RouteDb::new(problem);
     let mut failed = Vec::new();
     let mut stats = SearchStats::default();
     for &net in order {
         obs.on_net_scheduled(net);
-        match connect_net_observed_in(arena, &mut db, net, cost, obs) {
-            Ok(s) => {
-                stats.expanded += s.expanded;
-                stats.relaxed += s.relaxed;
-                obs.on_net_committed(net);
-            }
-            Err(s) => {
-                stats.expanded += s.expanded;
-                stats.relaxed += s.relaxed;
-                failed.push(net);
-                obs.on_net_failed(net);
-            }
+        let (ok, s) = match connect_net(arena, &mut db, net, cost, Vec::new(), obs) {
+            Ok((_, s)) => (true, s),
+            Err((_, s)) => (false, s),
+        };
+        stats.expanded += s.expanded;
+        stats.relaxed += s.relaxed;
+        if ok {
+            obs.on_net_committed(net);
+        } else {
+            failed.push(net);
+            obs.on_net_failed(net);
         }
     }
     SequentialOutcome { db, failed, stats }
 }
 
-/// Incrementally connects all pins of `net` inside `db` using hard search.
+/// Incrementally connects all pins of `net` inside `db` using hard
+/// search, reporting each pin-attachment search to `obs`.
 ///
-/// Pins are attached one at a time to the growing connected component
-/// (the first pin seeds it). Wiring committed by earlier calls — for this
-/// or other nets — is respected.
-///
-/// # Errors
-///
-/// Returns the accumulated search stats as the error payload when some
-/// pin cannot be attached; wiring committed for earlier pins of the net
-/// is left in place.
-pub fn connect_net(
-    db: &mut RouteDb,
-    net: NetId,
-    cost: CostModel,
-) -> Result<SearchStats, SearchStats> {
-    connect_net_in(&mut SearchArena::new(), db, net, cost)
-}
-
-/// Like [`connect_net`], but reusing the caller's [`SearchArena`].
-pub fn connect_net_in(
-    arena: &mut SearchArena,
-    db: &mut RouteDb,
-    net: NetId,
-    cost: CostModel,
-) -> Result<SearchStats, SearchStats> {
-    connect_net_observed_in(arena, db, net, cost, &mut NopObserver)
-}
-
-/// Like [`connect_net_in`], but reports each pin-attachment search to
-/// `obs` via [`RouteObserver::on_search_done`].
-pub fn connect_net_observed_in(
-    arena: &mut SearchArena,
-    db: &mut RouteDb,
-    net: NetId,
-    cost: CostModel,
-    obs: &mut dyn RouteObserver,
-) -> Result<SearchStats, SearchStats> {
-    match connect_net_seeded_obs(arena, db, net, cost, Vec::new(), obs) {
-        Ok((_, stats)) => Ok(stats),
-        Err((_, stats)) => Err(stats),
-    }
-}
-
-/// Like [`connect_net`], but the connected component starts from `seed`
-/// slots (e.g. a pre-committed trunk) in addition to the first pin, and
-/// the committed trace ids are returned so callers can roll back.
+/// Pins are attached one at a time to the growing connected component,
+/// which starts from the `seed` slots (e.g. a pre-committed trunk) or,
+/// when `seed` is empty, from the first pin. Wiring committed by earlier
+/// calls — for this or other nets — is respected. The committed trace
+/// ids are returned so callers can roll back.
 ///
 /// This is the shared pin-attachment engine: the sequential baseline,
 /// the YACR-style patch-up and the optimization passes all build on it.
@@ -174,36 +104,10 @@ pub fn connect_net_observed_in(
 /// # Errors
 ///
 /// Returns the trace ids committed so far (for rollback) plus the
-/// accumulated stats when some pin cannot be attached.
+/// accumulated stats when some pin cannot be attached; that wiring is
+/// left in place.
 #[allow(clippy::type_complexity)]
-pub fn connect_net_seeded(
-    db: &mut RouteDb,
-    net: NetId,
-    cost: CostModel,
-    seed: Vec<Step>,
-) -> Result<(Vec<TraceId>, SearchStats), (Vec<TraceId>, SearchStats)> {
-    connect_net_seeded_in(&mut SearchArena::new(), db, net, cost, seed)
-}
-
-/// Like [`connect_net_seeded`], but reusing the caller's [`SearchArena`].
-///
-/// # Errors
-///
-/// Returns the trace ids committed so far (for rollback) plus the
-/// accumulated stats when some pin cannot be attached.
-#[allow(clippy::type_complexity)]
-pub fn connect_net_seeded_in(
-    arena: &mut SearchArena,
-    db: &mut RouteDb,
-    net: NetId,
-    cost: CostModel,
-    seed: Vec<Step>,
-) -> Result<(Vec<TraceId>, SearchStats), (Vec<TraceId>, SearchStats)> {
-    connect_net_seeded_obs(arena, db, net, cost, seed, &mut NopObserver)
-}
-
-#[allow(clippy::type_complexity)]
-fn connect_net_seeded_obs(
+pub fn connect_net(
     arena: &mut SearchArena,
     db: &mut RouteDb,
     net: NetId,
@@ -230,7 +134,7 @@ fn connect_net_seeded_obs(
         }
         let query =
             Query { grid: db.grid(), net, sources: connected.clone(), targets: vec![pin], cost };
-        let (found, searched) = find_path_observed(arena, &query, obs);
+        let (found, searched) = find_path(arena, &query, obs);
         stats.expanded += searched.expanded;
         stats.relaxed += searched.relaxed;
         match found {
@@ -264,8 +168,7 @@ impl route_model::DetailedRouter for LeeRouter {
     }
 
     fn route(&self, problem: &Problem) -> route_model::RouteResult {
-        let out = route_all(problem, self.cost);
-        Ok(route_model::Routing { db: out.db, failed: out.failed })
+        self.route_observed(problem, &mut NopObserver)
     }
 
     fn route_observed(
@@ -273,7 +176,7 @@ impl route_model::DetailedRouter for LeeRouter {
         problem: &Problem,
         observer: &mut dyn RouteObserver,
     ) -> route_model::RouteResult {
-        let out = route_all_observed(problem, self.cost, observer);
+        let out = route_all(&mut SearchArena::new(), problem, self.cost, observer);
         Ok(route_model::Routing { db: out.db, failed: out.failed })
     }
 }
@@ -285,13 +188,18 @@ mod tests {
     use route_model::{DetailedRouter, PinSide, ProblemBuilder};
     use route_verify::verify;
 
+    /// The sequential baseline in a fresh arena, unobserved.
+    fn lee(p: &Problem) -> SequentialOutcome {
+        route_all(&mut SearchArena::new(), p, CostModel::default(), &mut NopObserver)
+    }
+
     #[test]
     fn routes_crossing_nets_on_two_layers() {
         let mut b = ProblemBuilder::switchbox(9, 9);
         b.net("h").pin_side(PinSide::Left, 4).pin_side(PinSide::Right, 4);
         b.net("v").pin_side(PinSide::Bottom, 4).pin_side(PinSide::Top, 4);
         let p = b.build().unwrap();
-        let out = route_all(&p, CostModel::default());
+        let out = lee(&p);
         assert!(out.is_complete());
         assert!(verify(&p, &out.db).is_clean());
     }
@@ -305,7 +213,7 @@ mod tests {
             .pin_side(PinSide::Top, 4)
             .pin_side(PinSide::Bottom, 4);
         let p = b.build().unwrap();
-        let out = route_all(&p, CostModel::default());
+        let out = lee(&p);
         assert!(out.is_complete());
         assert!(verify(&p, &out.db).is_clean());
     }
@@ -323,7 +231,7 @@ mod tests {
             .pin_at(Point::new(0, 0), route_geom::Layer::M1)
             .pin_at(Point::new(2, 2), route_geom::Layer::M1);
         let p = b.build().unwrap();
-        let out = route_all(&p, CostModel::default());
+        let out = lee(&p);
         // Not asserting failure (the maze may still find a way through
         // M2); assert legality either way.
         let report = verify(&p, &out.db);
@@ -339,7 +247,7 @@ mod tests {
         }
         b.net("a").pin_side(PinSide::Left, 2).pin_side(PinSide::Right, 2);
         let p = b.build().unwrap();
-        let out = route_all(&p, CostModel::default());
+        let out = lee(&p);
         assert_eq!(out.failed, vec![p.nets()[0].id]);
         assert!(!out.is_complete());
     }
@@ -349,7 +257,7 @@ mod tests {
         let mut b = ProblemBuilder::switchbox(9, 9);
         b.net("h").pin_side(PinSide::Left, 4).pin_side(PinSide::Right, 4);
         let p = b.build().unwrap();
-        let out = route_all(&p, CostModel::default());
+        let out = lee(&p);
         assert!(out.stats.expanded > 0);
     }
 
@@ -362,7 +270,7 @@ mod tests {
         let router = LeeRouter::default();
         assert_eq!(router.name(), "lee");
         let routing = router.route(&p).unwrap();
-        let direct = route_all(&p, CostModel::default());
+        let direct = lee(&p);
         assert_eq!(routing.failed, direct.failed);
         assert_eq!(routing.db.checksum(), direct.db.checksum());
     }
@@ -375,9 +283,9 @@ mod tests {
         b.net("v").pin_side(PinSide::Bottom, 4).pin_side(PinSide::Top, 4);
         let p = b.build().unwrap();
 
-        let plain = route_all(&p, CostModel::default());
+        let plain = lee(&p);
         let mut log = EventLog::new();
-        let observed = route_all_observed(&p, CostModel::default(), &mut log);
+        let observed = route_all(&mut SearchArena::new(), &p, CostModel::default(), &mut log);
         assert_eq!(plain.db.checksum(), observed.db.checksum());
         assert_eq!(plain.stats, observed.stats);
 
@@ -402,9 +310,9 @@ mod tests {
         }
         b.net("a").pin_side(PinSide::Left, 2).pin_side(PinSide::Right, 2);
         let p = b.build().unwrap();
-        let plain = route_all(&p, CostModel::default());
+        let plain = lee(&p);
         let mut log = EventLog::new();
-        let observed = route_all_observed(&p, CostModel::default(), &mut log);
+        let observed = route_all(&mut SearchArena::new(), &p, CostModel::default(), &mut log);
         assert_eq!(plain.stats, observed.stats);
         assert_eq!(plain.failed, vec![p.nets()[0].id]);
         let mut metrics = MetricsRecorder::new();
@@ -424,7 +332,7 @@ mod tests {
         b.net("a").pin_side(PinSide::Left, 2).pin_side(PinSide::Right, 2);
         let p = b.build().unwrap();
         let mut log = EventLog::new();
-        let out = route_all_observed(&p, CostModel::default(), &mut log);
+        let out = route_all(&mut SearchArena::new(), &p, CostModel::default(), &mut log);
         assert!(!out.is_complete());
         assert_eq!(log.count_kind("net_failed"), 1);
         // The failed search still reports the nodes it expanded.
@@ -448,7 +356,13 @@ mod tests {
         b.net("v").pin_side(PinSide::Bottom, 4).pin_side(PinSide::Top, 4);
         let p = b.build().unwrap();
         let order: Vec<NetId> = p.nets().iter().rev().map(|n| n.id).collect();
-        let out = route_in_order(&p, CostModel::default(), &order);
+        let out = route_in_order(
+            &mut SearchArena::new(),
+            &p,
+            CostModel::default(),
+            &order,
+            &mut NopObserver,
+        );
         assert!(out.is_complete());
     }
 }

@@ -7,8 +7,8 @@ use std::collections::{HashMap, VecDeque};
 
 use route_geom::{Layer, Point};
 use route_maze::search::{find_path, Query};
-use route_maze::CostModel;
-use route_model::{NetId, ProblemBuilder, RouteDb, Step};
+use route_maze::{CostModel, SearchArena};
+use route_model::{NetId, NopObserver, ProblemBuilder, RouteDb, Step};
 
 const SIDE: i32 = 9;
 
@@ -103,7 +103,8 @@ fn uniform_astar_matches_bfs() {
             targets: vec![to],
             cost: CostModel::uniform(),
         };
-        let astar = find_path(&query).map(|f| f.cost);
+        let (found, _) = find_path(&mut SearchArena::new(), &query, &mut NopObserver);
+        let astar = found.map(|f| f.cost);
         let bfs = if db.grid().admits(to.at, to.layer, net) {
             bfs_distance(&db, net, from, to)
         } else {

@@ -9,10 +9,14 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use route_geom::{Dir, Layer, Point, NUM_LAYERS};
-use route_maze::search::{find_path, find_path_observed, find_path_soft, find_path_soft_observed};
-use route_maze::search::{Query, SearchArena, SearchStats};
-use route_maze::{CostModel, FrontierKind};
+use route_maze::search::{find_path, find_path_soft, Query, SearchArena, SearchStats};
+use route_maze::{CostModel, FoundPath, FrontierKind};
 use route_model::{Grid, NetId, NopObserver, Occupant, ProblemBuilder, RouteDb, Step, Trace};
+
+/// A hard search in a fresh arena, unobserved.
+fn hard(query: &Query<'_>) -> Option<FoundPath> {
+    find_path(&mut SearchArena::new(), query, &mut NopObserver).0
+}
 
 const SIDE: i32 = 10;
 
@@ -96,7 +100,7 @@ fn found_paths_are_legal() {
             targets: vec![dst],
             cost: CostModel::default(),
         };
-        if let Some(found) = find_path(&query) {
+        if let Some(found) = hard(&query) {
             let steps = found.trace.steps();
             assert_eq!(steps[0], src);
             assert_eq!(*steps.last().expect("nonempty"), dst);
@@ -136,9 +140,9 @@ fn obstacles_never_decrease_cost() {
             targets: vec![Step::new(to, Layer::M1)],
             cost: CostModel::default(),
         };
-        let base = find_path(&q_empty);
-        let hard = find_path(&q_walled);
-        if let (Some(b), Some(h)) = (base, hard) {
+        let base = hard(&q_empty);
+        let walled = hard(&q_walled);
+        if let (Some(b), Some(h)) = (base, walled) {
             assert!(h.cost >= b.cost, "obstacles reduced cost: {} < {}", h.cost, b.cost);
         }
     }
@@ -161,9 +165,9 @@ fn soft_subsumes_hard() {
             targets: vec![Step::new(to, Layer::M2)],
             cost: CostModel::default(),
         };
-        let hard = find_path(&query);
-        let soft = find_path_soft(&query, &|_, _, _| Some(0));
-        if let Some(h) = hard {
+        let (soft, _) =
+            find_path_soft(&mut SearchArena::new(), &query, &|_, _, _| Some(0), &mut NopObserver);
+        if let Some(h) = hard(&query) {
             let s = soft.expect("soft must find a path when hard does");
             assert!(s.cost <= h.cost);
         }
@@ -401,10 +405,10 @@ fn search(arena: &mut SearchArena, case: &PocketCase, soft: bool) -> Outcome {
     let query = case.query();
     if soft {
         let rule = |p: Point, l: Layer, n: NetId| case.soft_cost(p, l, n);
-        let (found, stats) = find_path_soft_observed(arena, &query, &rule, &mut NopObserver);
+        let (found, stats) = find_path_soft(arena, &query, &rule, &mut NopObserver);
         (found.map(|f| (f.trace.steps().to_vec(), f.cost)), stats)
     } else {
-        let (found, stats) = find_path_observed(arena, &query, &mut NopObserver);
+        let (found, stats) = find_path(arena, &query, &mut NopObserver);
         (found.map(|f| (f.trace.steps().to_vec(), f.cost)), stats)
     }
 }

@@ -292,48 +292,72 @@ impl RouteDb {
     ///
     /// This is the routers' completion test; the independent checker in
     /// `route-verify` deliberately re-implements connectivity rather
-    /// than trusting this method.
+    /// than trusting this method. It agrees with
+    /// `pin_components(net).len() <= 1` but builds no slot lists.
     pub fn is_net_connected(&self, net: NetId) -> bool {
-        let state = &self.nets[net.index()];
-        let Some(first) = state.pins.first() else { return true };
-        // Slot membership is read off the grid (occupant == `Net(net)`
-        // iff the slot is in `state.occ` — the commit/rip paths keep the
-        // two coherent) and visited marks live in a dense bitmap, so
-        // the completion test performs no hashing.
-        let w = self.grid.width() as usize;
-        let node = |p: Point, l: Layer| (p.y as usize * w + p.x as usize) * NUM_LAYERS + l.index();
-        let mut seen = vec![0u64; (w * self.grid.height() as usize * NUM_LAYERS).div_ceil(64)];
-        let owns = |p: Point, l: Layer| {
-            self.grid.in_bounds(p) && self.grid.occupant(p, l) == Occupant::Net(net)
-        };
-        let mut queue = std::collections::VecDeque::from([(first.at, first.layer)]);
-        let start = node(first.at, first.layer);
-        seen[start >> 6] |= 1 << (start & 63);
-        while let Some((p, layer)) = queue.pop_front() {
-            for n in p.neighbors() {
-                if owns(n, layer) {
-                    let key = node(n, layer);
-                    if seen[key >> 6] >> (key & 63) & 1 == 0 {
-                        seen[key >> 6] |= 1 << (key & 63);
-                        queue.push_back((n, layer));
-                    }
+        let pins = self.pins(net);
+        let Some(first) = pins.first() else { return true };
+        let mut seen = SlotSet::new(&self.grid);
+        self.flood(net, &mut seen, Step::new(first.at, first.layer), |_| {});
+        pins.iter().all(|pin| seen.contains(Step::new(pin.at, pin.layer)))
+    }
+
+    /// The connected components of `net`'s occupancy that contain at
+    /// least one pin, as slot lists. A fully routed net has exactly one.
+    ///
+    /// Components come in the order of their first pin in
+    /// [`pins`](RouteDb::pins), and each lists its slots in breadth-first
+    /// order from that pin: same-layer neighbours in
+    /// [`Point::neighbors`] order, then vias to the adjacent layers. The
+    /// rip-up router derives its search sources and targets from this
+    /// order, so it is part of the routed result.
+    pub fn pin_components(&self, net: NetId) -> Vec<Vec<Step>> {
+        let mut seen = SlotSet::new(&self.grid);
+        let mut components = Vec::new();
+        for pin in self.pins(net) {
+            let start = Step::new(pin.at, pin.layer);
+            if !seen.contains(start) {
+                let mut members = Vec::new();
+                self.flood(net, &mut seen, start, |s| members.push(s));
+                components.push(members);
+            }
+        }
+        components
+    }
+
+    /// The one connectivity walk: floods `net`'s occupancy breadth-first
+    /// from `start` over same-layer adjacency and the net's own vias,
+    /// marking each reached slot in `seen` and handing it to `visit`.
+    /// Slots already in `seen` are not entered again.
+    ///
+    /// Slot membership is read straight off the grid (occupant ==
+    /// `Net(net)` iff the slot is in the net's refcounts — the commit and
+    /// rip paths keep the two coherent), so the walk performs no hashing.
+    fn flood(&self, net: NetId, seen: &mut SlotSet, start: Step, mut visit: impl FnMut(Step)) {
+        let grid = &self.grid;
+        let owns =
+            |p: Point, l: Layer| grid.in_bounds(p) && grid.occupant(p, l) == Occupant::Net(net);
+        if !seen.insert(start) {
+            return;
+        }
+        let mut queue = std::collections::VecDeque::from([start]);
+        while let Some(s) = queue.pop_front() {
+            visit(s);
+            for n in s.at.neighbors() {
+                if owns(n, s.layer) && seen.insert(Step::new(n, s.layer)) {
+                    queue.push_back(Step::new(n, s.layer));
                 }
             }
-            for adj in layer.adjacent() {
-                let lower = layer.via_pair_with(adj).expect("adjacent layers pair");
-                if self.grid.via_between(p, lower) == Some(net) && owns(p, adj) {
-                    let key = node(p, adj);
-                    if seen[key >> 6] >> (key & 63) & 1 == 0 {
-                        seen[key >> 6] |= 1 << (key & 63);
-                        queue.push_back((p, adj));
-                    }
+            for adj in s.layer.adjacent() {
+                let lower = s.layer.via_pair_with(adj).expect("adjacent layers pair");
+                if grid.via_between(s.at, lower) == Some(net)
+                    && owns(s.at, adj)
+                    && seen.insert(Step::new(s.at, adj))
+                {
+                    queue.push_back(Step::new(s.at, adj));
                 }
             }
         }
-        state.pins.iter().all(|pin| {
-            let key = node(pin.at, pin.layer);
-            seen[key >> 6] >> (key & 63) & 1 == 1
-        })
     }
 
     /// Number of vias currently owned by `net`.
@@ -351,54 +375,16 @@ impl RouteDb {
     /// tile, a ripped seam) leave fragments that hold no pin and only
     /// waste capacity.
     pub fn prune_dangling(&mut self, net: NetId) -> usize {
-        let pins = self.nets[net.index()].pins.clone();
+        let pins = self.pins(net);
         if pins.is_empty() {
             return 0;
         }
-        let w = self.grid.width() as usize;
-        let node = |p: Point, l: Layer| (p.y as usize * w + p.x as usize) * NUM_LAYERS + l.index();
-        let mut seen = vec![0u64; (w * self.grid.height() as usize * NUM_LAYERS).div_ceil(64)];
-        let owns = |p: Point, l: Layer| {
-            self.grid.in_bounds(p) && self.grid.occupant(p, l) == Occupant::Net(net)
-        };
-        let mut queue = std::collections::VecDeque::new();
-        for pin in &pins {
-            let key = node(pin.at, pin.layer);
-            if seen[key >> 6] >> (key & 63) & 1 == 0 {
-                seen[key >> 6] |= 1 << (key & 63);
-                queue.push_back((pin.at, pin.layer));
-            }
+        let mut seen = SlotSet::new(&self.grid);
+        for pin in pins {
+            self.flood(net, &mut seen, Step::new(pin.at, pin.layer), |_| {});
         }
-        while let Some((p, layer)) = queue.pop_front() {
-            for n in p.neighbors() {
-                if owns(n, layer) {
-                    let key = node(n, layer);
-                    if seen[key >> 6] >> (key & 63) & 1 == 0 {
-                        seen[key >> 6] |= 1 << (key & 63);
-                        queue.push_back((n, layer));
-                    }
-                }
-            }
-            for adj in layer.adjacent() {
-                let lower = layer.via_pair_with(adj).expect("adjacent layers pair");
-                if self.grid.via_between(p, lower) == Some(net) && owns(p, adj) {
-                    let key = node(p, adj);
-                    if seen[key >> 6] >> (key & 63) & 1 == 0 {
-                        seen[key >> 6] |= 1 << (key & 63);
-                        queue.push_back((p, adj));
-                    }
-                }
-            }
-        }
-        let dead: Vec<TraceId> = self
-            .traces(net)
-            .filter(|(_, t)| {
-                let s = t.steps()[0];
-                let key = node(s.at, s.layer);
-                seen[key >> 6] >> (key & 63) & 1 == 0
-            })
-            .map(|(id, _)| id)
-            .collect();
+        let dead: Vec<TraceId> =
+            self.traces(net).filter(|(_, t)| !seen.contains(t.start())).map(|(id, _)| id).collect();
         let mut ripped = 0;
         for id in dead {
             if let Some(t) = self.rip_up(id) {
@@ -650,6 +636,40 @@ impl RouteDb {
             }
         }
         h
+    }
+}
+
+/// One bit per `(point, layer)` slot of a grid: the visited set of
+/// [`RouteDb::flood`], indexed row-major with [`NUM_LAYERS`] slots per
+/// cell.
+struct SlotSet {
+    width: usize,
+    bits: Vec<u64>,
+}
+
+impl SlotSet {
+    fn new(grid: &Grid) -> Self {
+        let width = grid.width() as usize;
+        let slots = width * grid.height() as usize * NUM_LAYERS;
+        SlotSet { width, bits: vec![0; slots.div_ceil(64)] }
+    }
+
+    fn index(&self, s: Step) -> usize {
+        (s.at.y as usize * self.width + s.at.x as usize) * NUM_LAYERS + s.layer.index()
+    }
+
+    fn contains(&self, s: Step) -> bool {
+        let i = self.index(s);
+        self.bits[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Marks `s`, returning whether it was unmarked.
+    fn insert(&mut self, s: Step) -> bool {
+        let i = self.index(s);
+        let (word, bit) = (&mut self.bits[i / 64], 1 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
 }
 
@@ -931,5 +951,50 @@ mod tests {
         db.commit(net, spur).unwrap();
         assert_eq!(db.prune_dangling(net), 0, "via-linked wiring is live");
         assert_eq!(db.traces(net).count(), 2);
+    }
+
+    #[test]
+    fn components_merge_as_wiring_lands() {
+        let p = one_net_problem();
+        let net = p.nets()[0].id;
+        let mut db = RouteDb::new(&p);
+        assert_eq!(db.pin_components(net).len(), 2);
+        assert!(!db.is_net_connected(net));
+        db.commit(net, straight_m1(1, 0, 4)).unwrap();
+        assert_eq!(db.pin_components(net).len(), 1);
+        assert!(db.is_net_connected(net));
+    }
+
+    #[test]
+    fn components_list_slots_breadth_first_from_each_pin() {
+        let p = one_net_problem();
+        let net = p.nets()[0].id;
+        let mut db = RouteDb::new(&p);
+        // Left pin (0,1) wired to (2,1); the right pin (4,1) stands alone.
+        db.commit(net, straight_m1(1, 0, 2)).unwrap();
+        let row = |xs: &[i32]| -> Vec<Step> {
+            xs.iter().map(|&x| Step::new(Point::new(x, 1), Layer::M1)).collect()
+        };
+        assert_eq!(db.pin_components(net), vec![row(&[0, 1, 2]), row(&[4])]);
+    }
+
+    #[test]
+    fn via_required_to_bridge_layers() {
+        let mut b = ProblemBuilder::switchbox(3, 3);
+        b.net("a").pin_at(Point::new(0, 0), Layer::M1).pin_at(Point::new(0, 0), Layer::M2);
+        let p = b.build().unwrap();
+        let net = p.nets()[0].id;
+        let mut db = RouteDb::new(&p);
+        // Stacked pins, no via: two components.
+        assert_eq!(db.pin_components(net).len(), 2);
+        assert!(!db.is_net_connected(net));
+        let via = Trace::from_steps(vec![
+            Step::new(Point::new(0, 0), Layer::M1),
+            Step::new(Point::new(0, 0), Layer::M2),
+        ])
+        .unwrap();
+        db.commit(net, via).unwrap();
+        assert_eq!(db.pin_components(net).len(), 1);
+        assert!(db.is_net_connected(net));
     }
 }

@@ -40,11 +40,11 @@
 
 #![warn(missing_docs)]
 
-use route_maze::sequential::connect_net_seeded;
-use route_maze::CostModel;
+use route_maze::sequential::connect_net;
+use route_maze::{CostModel, SearchArena};
 #[cfg(test)]
 use route_model::Step;
-use route_model::{NetId, Problem, RouteDb, RouteStats, Trace};
+use route_model::{NetId, NopObserver, Problem, RouteDb, RouteStats, Trace};
 
 /// Configuration of the re-routing passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,8 +104,13 @@ fn net_cost(db: &RouteDb, net: NetId, via_weight: u64) -> u64 {
 /// Re-routes one net from scratch through the current database with the
 /// hard search. On failure nothing stays committed (partial commits are
 /// rolled back here).
-fn reroute_net(db: &mut RouteDb, net: NetId, cost: CostModel) -> Option<()> {
-    match connect_net_seeded(db, net, cost, Vec::new()) {
+fn reroute_net(
+    arena: &mut SearchArena,
+    db: &mut RouteDb,
+    net: NetId,
+    cost: CostModel,
+) -> Option<()> {
+    match connect_net(arena, db, net, cost, Vec::new(), &mut NopObserver) {
         Ok(_) => Some(()),
         Err((ids, _)) => {
             for id in ids {
@@ -127,6 +132,7 @@ pub fn optimize(problem: &Problem, db: &mut RouteDb, cfg: &OptimizeConfig) -> Pa
     let before = db.stats();
     let mut improved_total = 0usize;
     let mut passes = 0u32;
+    let mut arena = SearchArena::new();
     while passes < cfg.max_passes {
         passes += 1;
         let mut improved_this_pass = 0usize;
@@ -150,7 +156,7 @@ pub fn optimize(problem: &Problem, db: &mut RouteDb, cfg: &OptimizeConfig) -> Pa
                     db.commit(net, t).expect("restoring previous wiring succeeds");
                 }
             };
-            match reroute_net(db, net, cfg.cost) {
+            match reroute_net(&mut arena, db, net, cfg.cost) {
                 Some(()) => {
                     let new_cost = net_cost(db, net, cfg.via_weight);
                     // A re-route that completes a previously broken net

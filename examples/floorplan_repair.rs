@@ -11,9 +11,9 @@
 //! ```
 
 use vlsi_route::geom::{Point, Rect};
-use vlsi_route::maze::{sequential, CostModel};
+use vlsi_route::maze::{sequential, CostModel, SearchArena};
 use vlsi_route::mighty::{MightyRouter, RouterConfig};
-use vlsi_route::model::{render_layers, PinSide, ProblemBuilder, RouteDb};
+use vlsi_route::model::{render_layers, NopObserver, PinSide, ProblemBuilder, RouteDb};
 use vlsi_route::verify::verify;
 
 fn main() {
@@ -33,10 +33,12 @@ fn main() {
     // Phase 1: route the original nets with the plain sequential router,
     // leaving the late nets untouched.
     let mut db = RouteDb::new(&problem);
+    let mut arena = SearchArena::new();
     let original = ["bus0", "bus1", "clk"];
     for name in original {
         let net = problem.net_by_name(name).expect("declared above").id;
-        sequential::connect_net(&mut db, net, CostModel::default())
+        let cost = CostModel::default();
+        sequential::connect_net(&mut arena, &mut db, net, cost, Vec::new(), &mut NopObserver)
             .unwrap_or_else(|_| panic!("original net {name} routes in the empty region"));
     }
     println!("after initial routing:\n{}", render_layers(&db));

@@ -7,9 +7,9 @@
 //! ```
 
 use vlsi_route::benchdata::{burstein_class_width, BURSTEIN_WIDTH};
-use vlsi_route::maze::{sequential, CostModel};
+use vlsi_route::maze::{sequential, CostModel, SearchArena};
 use vlsi_route::mighty::{MightyRouter, RouterConfig};
-use vlsi_route::model::render_layers;
+use vlsi_route::model::{render_layers, NopObserver};
 use vlsi_route::verify::verify;
 
 fn main() {
@@ -22,7 +22,9 @@ fn main() {
             problem.nets().len()
         );
 
-        let seq = sequential::route_all(&problem, CostModel::default());
+        let mut arena = SearchArena::new();
+        let seq =
+            sequential::route_all(&mut arena, &problem, CostModel::default(), &mut NopObserver);
         println!(
             "sequential maze:  {}/{} nets",
             problem.nets().len() - seq.failed.len(),

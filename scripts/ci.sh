@@ -344,13 +344,17 @@ fi
 # Benchmark build gate: vbench/ is its own workspace with path
 # dependencies on the router crates it measures, so the workspace build
 # above never compiles it. Build and test it against the current crates
-# and run every workload once in quick mode; each must exit 0.
+# and run every workload once in quick mode; each must exit 0. Quick
+# mode only type-checks it, which still catches a router API change
+# that breaks the benchmark.
 if [[ "$QUICK" == 0 ]]; then
   run cargo test --release --offline --quiet --manifest-path vbench/Cargo.toml
   for workload in maze flat chip serve; do
     run cargo run --release --offline --quiet --manifest-path vbench/Cargo.toml \
       --bin vbench -- --workload "$workload" --quick
   done
+else
+  run cargo check --offline --all-targets --manifest-path vbench/Cargo.toml
 fi
 
 echo "ci: all checks passed"

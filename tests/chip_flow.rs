@@ -1,8 +1,9 @@
 //! Golden chip-flow tests: fixed-seed synthetic chips routed through
 //! the full hierarchical pipeline (plan → parallel per-tile detail →
-//! seam stitch → fallback) must be bit-for-bit deterministic across
-//! worker counts, and the stitched database must hold up under the
-//! independent verifier and the whole-database lint registry.
+//! seam repair by whole-die reroute → fallback) must be bit-for-bit
+//! deterministic across worker counts, and the pasted-back database
+//! must hold up under the independent verifier and the whole-database
+//! lint registry.
 
 use vlsi_route::analyze::{lint_db, lint_salvage_chip};
 use vlsi_route::benchdata::gen::ChipGen;
@@ -64,14 +65,13 @@ fn stitched_databases_pass_verifier_and_lints() {
         let report = verify(&problem, out.db());
         assert!(report.is_clean() || report.is_legal_but_incomplete(), "chip {i}: {report}");
         // The whole-database lint registry (L001..L009) over the
-        // stitched result, chip-aware: every error rule must pass once
-        // honestly declared failures are excused (L004 fires on
-        // *undeclared* disconnections only). Orphaned anchor stubs are
-        // excused only *outside* the seam bands, so any L009 warning
-        // that survives marks a pin the seam surgery itself stranded —
-        // those must all belong to nets the flow honestly reported
-        // failed, never to nets it claims routed.
-        let salvage = lint_salvage_chip(&problem, out.db(), out.failed(), cfg.tile, 3);
+        // pasted-back result, chip-aware: every error rule must pass
+        // once honestly declared failures are excused (L004 fires on
+        // *undeclared* disconnections only). Every orphaned anchor stub
+        // is reported as an L009 warning, and each marks a pin the seam
+        // repair left stranded — those must all belong to nets the flow
+        // honestly reported failed, never to nets it claims routed.
+        let salvage = lint_salvage_chip(&problem, out.db(), out.failed());
         assert!(salvage.is_legal(), "chip {i}: lint errors: {:?}", salvage.diagnostics());
         let failed: std::collections::BTreeSet<_> = out.failed().iter().copied().collect();
         for finding in salvage.findings().iter().filter(|f| f.rule().code == "L009") {
@@ -130,11 +130,11 @@ fn chip_flow_accounts_for_every_net_exactly_once() {
 #[test]
 fn seed_727_stitch_finding_routes_to_completion() {
     // Regression for the fuzz finding at switchbox seed 727: the
-    // tiled flow left one crossing net disconnected after the stitch
-    // pass until the seam-repair escalation ladder (widened band,
-    // re-anchored band, per-net flat reroute) was added. The shrunk
-    // case lives in tests/corpus/stitch-727.case; this test pins the
-    // hierarchical flow itself completing it.
+    // tiled flow once left one crossing net disconnected after the
+    // seam pass. Seam repair now reroutes the whole die incrementally,
+    // which completes it. The shrunk case lives in
+    // tests/corpus/stitch-727.case; this test pins the hierarchical
+    // flow itself completing it.
     let text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/corpus/stitch-727.case"

@@ -5,9 +5,9 @@ use vlsi_route::benchdata::format::{parse_channel, parse_problem, write_channel,
 use vlsi_route::benchdata::gen::{ChannelGen, ObstructedGen, SwitchboxGen};
 use vlsi_route::benchdata::{burstein_class, burstein_class_width, deutsch_class, BURSTEIN_WIDTH};
 use vlsi_route::channel::{dogleg, greedy, lea, yacr};
-use vlsi_route::maze::{sequential, CostModel};
+use vlsi_route::maze::{sequential, CostModel, SearchArena};
 use vlsi_route::mighty::{MightyRouter, RouterConfig};
-use vlsi_route::model::RouteDb;
+use vlsi_route::model::{NopObserver, RouteDb};
 use vlsi_route::verify::verify;
 
 #[test]
@@ -30,7 +30,12 @@ fn burstein_class_headline_result() {
         assert!(verify(&problem, out.db()).is_clean());
     }
     let nominal = burstein_class();
-    let seq = sequential::route_all(&nominal, CostModel::default());
+    let seq = sequential::route_all(
+        &mut SearchArena::new(),
+        &nominal,
+        CostModel::default(),
+        &mut NopObserver,
+    );
     assert!(!seq.is_complete(), "the baseline is expected to fail this box");
 }
 
@@ -124,8 +129,16 @@ fn incremental_repair_respects_existing_wiring() {
     // the incremental router for the rest.
     let problem = SwitchboxGen { width: 14, height: 12, nets: 10, seed: 12 }.build();
     let mut db = RouteDb::new(&problem);
+    let mut arena = SearchArena::new();
     for net in problem.nets().iter().take(5) {
-        let _ = sequential::connect_net(&mut db, net.id, CostModel::default());
+        let _ = sequential::connect_net(
+            &mut arena,
+            &mut db,
+            net.id,
+            CostModel::default(),
+            Vec::new(),
+            &mut NopObserver,
+        );
     }
     let out = MightyRouter::new(RouterConfig::default())
         .try_route_incremental(&problem, db)

@@ -8,10 +8,9 @@
 //! through [`SearchArena::with_frontier`].
 
 use vlsi_route::fuzz::{case_for_seed, FuzzCase};
-use vlsi_route::maze::sequential::route_all_in;
-use vlsi_route::maze::{CostModel, FrontierKind, SearchArena};
+use vlsi_route::maze::{sequential, CostModel, FrontierKind, SearchArena};
 use vlsi_route::mighty::MightyRouter;
-use vlsi_route::model::{EventLog, Problem};
+use vlsi_route::model::{EventLog, NopObserver, Problem};
 
 fn corpus_problems() -> Vec<(String, Problem)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
@@ -84,8 +83,11 @@ fn lee_baseline_matches_across_frontiers() {
     // The sequential Lee router consumes the arena directly: the
     // default arena must route exactly as the heap reference does.
     for (name, problem) in corpus_problems() {
-        let want = route_all_in(&problem, CostModel::default(), &mut heap_arena());
-        let got = route_all_in(&problem, CostModel::default(), &mut SearchArena::new());
+        let lee = |arena: &mut SearchArena| {
+            sequential::route_all(arena, &problem, CostModel::default(), &mut NopObserver)
+        };
+        let want = lee(&mut heap_arena());
+        let got = lee(&mut SearchArena::new());
         assert_eq!(got.db.checksum(), want.db.checksum(), "{name}: lee buckets diverged");
         assert_eq!(got.failed, want.failed, "{name}: lee failed-set parity");
     }
