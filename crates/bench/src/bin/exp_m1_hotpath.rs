@@ -15,19 +15,21 @@
 //! configuration).
 //!
 //! With `--gate`, exits nonzero if the modes of a router differ in
-//! checksum or effort counters (the sweep panics), or if the default
-//! bucket-queue mode is slower than the binary-heap mode on the rip-up
-//! router — the regression guard `scripts/ci.sh` runs.
+//! checksum or effort counters (the sweep panics), if a router's
+//! checksum leaves its pinned value (the pre-PR databases for the full
+//! batch, [`QUICK_CHECKSUMS`](route_bench::hotpath::QUICK_CHECKSUMS) for
+//! `--quick`), or if the default bucket-queue mode is slower than the
+//! binary-heap mode on the rip-up router — the regression guard
+//! `scripts/ci.sh` runs.
 
 use route_bench::hotpath::{
-    hotpath_batch, hotpath_json, hotpath_sweep, mighty_speedup, pre_pr_comparison, MODES,
-    PRE_PR_COMMIT,
+    checksum_matches, hotpath_batch, hotpath_json, hotpath_sweep, mighty_speedup, pre_pr_speedup,
+    MODES, PRE_PR_COMMIT, QUICK_INSTANCES, QUICK_PIN_COMMIT,
 };
 use route_bench::table;
 
 const INSTANCES: usize = 64;
 const REPS: usize = 5;
-const QUICK_INSTANCES: usize = 12;
 const QUICK_REPS: usize = 2;
 
 fn main() {
@@ -70,13 +72,19 @@ fn main() {
 
     let speedup = mighty_speedup(&points);
     println!("\nmighty buckets-bits vs heap-bits: {speedup:.2}x routed-nets/sec");
+    let mut diverged = Vec::new();
     for router in ["lee", "mighty"] {
-        if let Some((vs_pre, matches)) = pre_pr_comparison(&points, instances, router) {
-            println!(
+        let Some(matches) = checksum_matches(&points, instances, router) else { continue };
+        let verdict = if matches { "bit-identical" } else { "DIVERGED" };
+        match pre_pr_speedup(&points, instances, router) {
+            Some(vs_pre) => println!(
                 "{router} buckets-bits vs pre-PR binary ({PRE_PR_COMMIT}): {vs_pre:.2}x, \
-                 checksum {}",
-                if matches { "bit-identical" } else { "DIVERGED" }
-            );
+                 checksum {verdict}"
+            ),
+            None => println!("{router} checksum vs {QUICK_PIN_COMMIT}: {verdict}"),
+        }
+        if !matches {
+            diverged.push(router);
         }
     }
 
@@ -88,6 +96,10 @@ fn main() {
     }
 
     if gate {
+        if !diverged.is_empty() {
+            eprintln!("GATE FAILED: {} left the pinned checksum", diverged.join(" and "));
+            std::process::exit(1);
+        }
         if speedup < 1.0 {
             eprintln!(
                 "GATE FAILED: bucket frontier is slower than the binary heap ({speedup:.2}x)"
@@ -95,8 +107,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "gate passed: buckets {speedup:.2}x heap nets/sec; checksums and effort counters \
-             identical across frontiers"
+            "gate passed: buckets {speedup:.2}x heap nets/sec; checksums pinned, and checksums \
+             and effort counters identical across frontiers"
         );
     }
 }

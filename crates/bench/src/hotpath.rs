@@ -217,21 +217,45 @@ pub const PRE_PR: [PrePrBaseline; 2] = [
     PrePrBaseline { router: "mighty", nets_per_sec: 1499.0, checksum: 0x5885ea8bf97260bd },
 ];
 
+/// Commit the `--quick` batch's checksums were pinned at.
+pub const QUICK_PIN_COMMIT: &str = "a2c90d7";
+/// Batch size of the `--quick` smoke run, the one `scripts/ci.sh --quick`
+/// gates.
+pub const QUICK_INSTANCES: usize = 12;
+/// XOR of per-instance `RouteDb::checksum()` over the `--quick` batch,
+/// per router, as [`QUICK_PIN_COMMIT`] routed it.
+pub const QUICK_CHECKSUMS: [(&str, u64); 2] =
+    [("lee", 0x893e44053dee8fc8), ("mighty", 0xb097d41bd72dea08)];
+
+/// The pinned checksum of `router` over a batch of `instances`: the
+/// pre-PR binary's for the full batch, [`QUICK_CHECKSUMS`] for the quick
+/// one, `None` for any other size.
+pub fn pinned_checksum(instances: usize, router: &str) -> Option<u64> {
+    match instances {
+        PRE_PR_INSTANCES => PRE_PR.iter().find(|b| b.router == router).map(|b| b.checksum),
+        QUICK_INSTANCES => QUICK_CHECKSUMS.iter().find(|(r, _)| *r == router).map(|&(_, c)| c),
+        _ => None,
+    }
+}
+
+/// Whether `router`'s default `buckets-bits` row reproduces its pinned
+/// checksum ([`pinned_checksum`]); `None` when the batch size has no pin.
+pub fn checksum_matches(points: &[HotpathPoint], instances: usize, router: &str) -> Option<bool> {
+    let pin = pinned_checksum(instances, router)?;
+    let now = points.iter().find(|p| p.router == router && p.mode == "buckets-bits")?;
+    Some(now.checksum == pin)
+}
+
 /// Speedup of a router's default `buckets-bits` mode over the recorded
-/// pre-PR binary, plus whether this run's checksum reproduces the
-/// pre-PR database bit-for-bit. Checksum verification requires the
-/// full [`PRE_PR_INSTANCES`] batch; `None` otherwise.
-pub fn pre_pr_comparison(
-    points: &[HotpathPoint],
-    instances: usize,
-    router: &str,
-) -> Option<(f64, bool)> {
+/// pre-PR binary; it compares like with like only on the full
+/// [`PRE_PR_INSTANCES`] batch, so `None` otherwise.
+pub fn pre_pr_speedup(points: &[HotpathPoint], instances: usize, router: &str) -> Option<f64> {
     if instances != PRE_PR_INSTANCES {
         return None;
     }
     let base = PRE_PR.iter().find(|b| b.router == router)?;
     let now = points.iter().find(|p| p.router == router && p.mode == "buckets-bits")?;
-    Some((now.nets_per_sec / base.nets_per_sec, now.checksum == base.checksum))
+    Some(now.nets_per_sec / base.nets_per_sec)
 }
 
 /// The measured speedup of the rip-up router's default mode over the
@@ -272,13 +296,16 @@ pub fn hotpath_json(instances: usize, reps: usize, points: &[HotpathPoint]) -> J
                 (
                     "rows",
                     Json::arr(PRE_PR.iter().map(|b| {
-                        let cmp = pre_pr_comparison(points, instances, b.router);
+                        let speedup = pre_pr_speedup(points, instances, b.router);
+                        let matches = (instances == PRE_PR_INSTANCES)
+                            .then(|| checksum_matches(points, instances, b.router))
+                            .flatten();
                         Json::obj([
                             ("router", Json::str(b.router)),
                             ("nets_per_sec", Json::from(b.nets_per_sec)),
                             ("checksum", Json::str(format!("{:016x}", b.checksum))),
-                            ("speedup", cmp.map_or(Json::Null, |(s, _)| Json::from(s))),
-                            ("checksum_match", cmp.map_or(Json::Null, |(_, m)| Json::from(m))),
+                            ("speedup", speedup.map_or(Json::Null, Json::from)),
+                            ("checksum_match", matches.map_or(Json::Null, Json::from)),
                         ])
                     })),
                 ),
@@ -322,5 +349,15 @@ mod tests {
         assert!(points.iter().all(|p| p.nets_routed > 0 && p.effort.expanded > 0));
         assert!(points.iter().any(|p| p.router == "mighty" && p.effort.soft_routes > 0));
         assert!(mighty_speedup(&points) > 0.0);
+        assert_eq!(checksum_matches(&points, 2, "mighty"), None, "no pin for two instances");
+    }
+
+    #[test]
+    fn every_router_has_a_pin_at_both_gated_sizes() {
+        for router in ["lee", "mighty"] {
+            assert!(pinned_checksum(PRE_PR_INSTANCES, router).is_some());
+            assert!(pinned_checksum(QUICK_INSTANCES, router).is_some());
+        }
+        assert_eq!(pinned_checksum(7, "lee"), None);
     }
 }

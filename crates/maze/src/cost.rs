@@ -7,6 +7,11 @@ use route_geom::{Axis, Layer};
 /// wire steps, vias three times as expensive as a step, and a mild
 /// penalty for wiring against a layer's preferred direction.
 ///
+/// `step` and `via` must be at least 1, so that every move costs
+/// something: the search reads its path back from the distance field,
+/// where a distance of 0 must mean "source". Every model in the
+/// workspace meets this; a debug build asserts it on each search.
+///
 /// # Examples
 ///
 /// ```

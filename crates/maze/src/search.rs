@@ -1,6 +1,6 @@
 //! Weighted A* path search over the multi-layer occupancy grid.
 
-use route_geom::{Dir, Layer, Point, NUM_LAYERS};
+use route_geom::{Axis, Dir, Layer, Point, NUM_LAYERS};
 use route_model::{
     Grid, NetId, OccupancyView, Occupant, RouteObserver, SearchKind, SearchProbe, Step, Trace,
 };
@@ -51,6 +51,15 @@ impl SearchStats {
             found,
         }
     }
+
+    /// Folds another search's counters into these, for a caller that
+    /// runs several: the effort adds up, and the open list's peak is the
+    /// larger of the two.
+    pub fn absorb(&mut self, other: SearchStats) {
+        self.expanded += other.expanded;
+        self.relaxed += other.relaxed;
+        self.heap_peak = self.heap_peak.max(other.heap_peak);
+    }
 }
 
 /// A successful search: a [`Trace`], its cost, and every foreign slot
@@ -70,12 +79,12 @@ pub struct FoundPath {
 
 /// Reusable scratch memory for repeated searches.
 ///
-/// A single A* call over a `W x H` grid allocates three node-indexed
-/// arrays plus a heap; a router makes thousands of such calls over the
-/// same grid. The arena keeps the buffers alive between calls and clears
-/// them *sparsely* — only the nodes actually touched by the previous
-/// search are reset — so the per-call cost is proportional to the search
-/// frontier, not the grid.
+/// A single A* call over a `W x H` grid needs node-indexed distances and
+/// marks plus an open list; a router makes thousands of such calls over
+/// the same grid. The arena keeps the buffers alive between calls and
+/// clears them *sparsely* — only the nodes actually touched by the
+/// previous search are reset — so the per-call cost is proportional to
+/// the search frontier, not the grid.
 ///
 /// A warm arena searches bit-identically to a fresh one: the arena
 /// changes where the buffers live, never what [`find_path`] or
@@ -87,9 +96,13 @@ pub struct FoundPath {
 /// [`SearchArena::with_frontier`] builds the binary-heap reference that
 /// parity tests and the fuzzer compare the default against.
 ///
-/// It also holds the target-side pocket flood (see [`find_path`]): one
-/// generation-stamped mark per node and the flood's stack, so proving a
-/// search hopeless allocates nothing once the arena is warm.
+/// It keeps no predecessor links: a found path is read back from the
+/// distances alone (see [`find_path`]). What it holds besides are the
+/// floods that prune and bound a search: one generation-stamped mark
+/// per node for the target-side flood that proves a search hopeless,
+/// one for the hard pockets of an interference search (see
+/// [`find_path_soft`]), and their stacks, so neither allocates once the
+/// arena is warm.
 ///
 /// # Examples
 ///
@@ -120,23 +133,34 @@ pub struct FoundPath {
 #[derive(Debug)]
 pub struct SearchArena {
     dist: Vec<u64>,
-    prev: Vec<u32>,
     target_mask: Vec<bool>,
-    /// Node indices written since the last reset (dist/prev/target_mask).
+    /// Node indices written since the last reset (dist/target_mask).
     touched: Vec<u32>,
-    /// The current search's distinct target points, sorted: the
-    /// heuristic's domain (it is layer-blind).
-    target_points: Vec<Point>,
+    /// The current search's distinct target points, sorted, each with
+    /// its target layers: the domain of both bounds.
+    goals: Vec<Goal>,
     frontier: FrontierStore,
     /// Pocket-flood marks: node `i` is flooded iff
-    /// `pocket_mark[i] == pocket_stamp`.
+    /// `pocket_mark[i] == stamp`.
     pocket_mark: Vec<u32>,
-    /// The current search's generation; never 0 during a search, so a
-    /// fresh mark of 0 is never flooded.
-    pocket_stamp: u32,
-    /// Flooded nodes whose neighbours are not yet examined.
+    /// Hard-pocket labels: node `i` carries label `k` of [`SOURCE_SIDE`],
+    /// [`TARGET_SIDE`] or [`TARGET_RING`] iff `zone[i] == stamp + k`.
+    zone: Vec<u32>,
+    /// The current search's generation: a multiple of 4, never 0
+    /// during a search, so a fresh mark of 0 carries no label.
+    stamp: u32,
+    /// Flooded nodes whose neighbours are not yet examined: the
+    /// sources' side of the hard-pocket floods, then the target-side
+    /// flood of the A*.
     pocket_stack: Vec<u32>,
+    /// The targets' side of the hard-pocket floods.
+    zone_stack: Vec<u32>,
 }
+
+/// Hard-pocket labels, offsets from the generation stamp.
+const SOURCE_SIDE: u32 = 0;
+const TARGET_SIDE: u32 = 1;
+const TARGET_RING: u32 = 2;
 
 /// The arena-owned open list, one variant per [`FrontierKind`].
 ///
@@ -174,22 +198,23 @@ impl SearchArena {
         };
         SearchArena {
             dist: Vec::new(),
-            prev: Vec::new(),
             target_mask: Vec::new(),
             touched: Vec::new(),
-            target_points: Vec::new(),
+            goals: Vec::new(),
             frontier,
             pocket_mark: Vec::new(),
-            pocket_stamp: 0,
+            zone: Vec::new(),
+            stamp: 0,
             pocket_stack: Vec::new(),
+            zone_stack: Vec::new(),
         }
     }
 
-    /// Sets the pocket flood's generation stamp, so tests can drive an
-    /// arena across the stamp wraparound without running 2^32 searches.
+    /// Sets the flood marks' generation stamp, so tests can drive an
+    /// arena across the stamp wraparound without running 2^30 searches.
     #[doc(hidden)]
     pub fn set_pocket_stamp(&mut self, stamp: u32) {
-        self.pocket_stamp = stamp;
+        self.stamp = stamp;
     }
 
     /// Clears the previous search's marks and guarantees capacity for
@@ -198,30 +223,31 @@ impl SearchArena {
         for &idx in &self.touched {
             let idx = idx as usize;
             self.dist[idx] = u64::MAX;
-            self.prev[idx] = NO_PREV;
             self.target_mask[idx] = false;
         }
         self.touched.clear();
-        self.target_points.clear();
+        self.goals.clear();
         match &mut self.frontier {
             FrontierStore::Heap(f) => f.clear(),
             FrontierStore::Buckets(f) => f.clear(),
         }
         if self.dist.len() < n_nodes {
             self.dist.resize(n_nodes, u64::MAX);
-            self.prev.resize(n_nodes, NO_PREV);
             self.target_mask.resize(n_nodes, false);
         }
         // A new generation unmarks every node at once; only the wrap
         // back to 0 pays for a sweep.
         self.pocket_stack.clear();
-        self.pocket_stamp = self.pocket_stamp.wrapping_add(1);
-        if self.pocket_stamp == 0 {
+        self.zone_stack.clear();
+        self.stamp = self.stamp.wrapping_add(4) & !3;
+        if self.stamp == 0 {
             self.pocket_mark.fill(0);
-            self.pocket_stamp = 1;
+            self.zone.fill(0);
+            self.stamp = 4;
         }
         if self.pocket_mark.len() < n_nodes {
             self.pocket_mark.resize(n_nodes, 0);
+            self.zone.resize(n_nodes, 0);
         }
     }
 }
@@ -235,15 +261,32 @@ impl SearchArena {
 /// either way, and the search is reported to `obs` via
 /// [`RouteObserver::on_search_done`]; the observer only watches.
 ///
+/// **The path is a function of the distances.** Of the cheapest
+/// target slots the path ends at the lowest-indexed one, and from each
+/// slot `v` it steps back to the neighbour `u` with
+/// `dist(u) + c(u→v) = dist(v)` that is least by the reference key
+/// `(dist(u) + h(u), dist(u), index(u))`, where `h` is the layer-blind
+/// Manhattan distance to the nearest target point. That is exactly the
+/// predecessor a plain A* under `h` records, so which nodes this search
+/// settles, and in what order, never shows in its result.
+///
+/// That frees the open list to run under a tighter consistent bound:
+/// wire steps and vias to the nearest target slot, plus the cheaper of
+/// the wrong-way steps and a detour over two vias when the node is on
+/// the target's layer. A tighter bound settles fewer nodes and changes
+/// only the effort counters.
+///
 /// A failed search costs about the smaller of its two sides. Alongside the A*
 /// from the sources, a flood from the targets crosses one slot for each
 /// node the A* settles, over exactly the slots the A* may enter. When
 /// the flood runs dry before it touches a slot the A* has reached, the
 /// targets sit in a pocket no source can reach and the search returns
-/// `None` at once. The flood never writes the A*'s distances, so every
-/// path and cost is the one a plain A* returns; only the effort
-/// counters of failed searches shrink. Both searches, and both
-/// frontiers, share this one core.
+/// `None` at once. Both searches, and both frontiers, share this one
+/// core.
+///
+/// The costs must be positive (`step ≥ 1`, `via ≥ 1`; see
+/// [`CostModel`]): a distance of 0 then marks a source, which is where
+/// reading the path back stops.
 pub fn find_path(
     arena: &mut SearchArena,
     query: &Query<'_>,
@@ -255,10 +298,23 @@ pub fn find_path(
 /// Like [`find_path`], but the path may also cross slots occupied by
 /// other nets, paying `soft(point, layer, owner)` extra per crossed
 /// slot. A return of `None` from the closure marks that slot impassable
-/// (e.g. a foreign pin, which can never be moved out of the way).
+/// (e.g. a foreign pin, which can never be moved out of the way). The
+/// closure must answer the same for the same slot throughout a call.
 ///
 /// The returned [`FoundPath::crossings`] lists every foreign slot on the
 /// chosen path — the candidates for weak or strong modification.
+///
+/// Before the A* starts, two floods over the slots the net may hold
+/// without crossing (free or its own) grow in lockstep from the sources
+/// and from the targets. If they meet, the search runs as
+/// [`find_path`] does. Otherwise the side whose *hard pocket* closes
+/// first prices every path: each must cross that pocket's boundary, so
+/// it pays at least the cheapest crossing `B` on it. The open-list
+/// bound then adds `B` to every node that has yet to cross — inside
+/// the sources' pocket, or outside the targets' pocket and its boundary
+/// ring. A boundary with no slot the closure admits proves the search
+/// hopeless before it settles a node. The floods keep nothing across
+/// calls, and the path is the one [`find_path`]'s reference key picks.
 pub fn find_path_soft(
     arena: &mut SearchArena,
     query: &Query<'_>,
@@ -267,8 +323,6 @@ pub fn find_path_soft(
 ) -> (Option<FoundPath>, SearchStats) {
     run(arena, query, Some(soft), obs)
 }
-
-const NO_PREV: u32 = u32::MAX;
 
 /// The index of slot `(p, layer)` in every node-indexed array of a
 /// search over `grid`: row-major cells, [`NUM_LAYERS`] slots per cell.
@@ -306,15 +360,168 @@ fn enter_cost(
     }
 }
 
+/// One distinct target point of a search and the layers it is a target
+/// on.
+#[derive(Debug, Clone, Copy)]
+struct Goal {
+    at: Point,
+    /// Bit `l` is set iff `(at, Layer l)` is a target slot.
+    on: u8,
+    /// For a node on layer `l`, the least layer cost of ending on this
+    /// point: `via·|Δlayer|` to the nearest target layer other than
+    /// `l`, capped at `2·via` (leave the layer and come back) when `l`
+    /// is a target layer itself.
+    cap: [u64; NUM_LAYERS],
+}
+
+/// Collects the distinct target points of `slots` into `goals`, sorted,
+/// with the layer costs of `cost`.
+fn gather_goals(goals: &mut Vec<Goal>, slots: impl Iterator<Item = Step>, cost: &CostModel) {
+    goals.extend(slots.map(|s| Goal { at: s.at, on: 1 << s.layer.index(), cap: [0; NUM_LAYERS] }));
+    goals.sort_unstable_by_key(|g| g.at);
+    goals.dedup_by(|g, kept| {
+        let same = g.at == kept.at;
+        if same {
+            kept.on |= g.on;
+        }
+        same
+    });
+    let via = u64::from(cost.via);
+    for g in goals.iter_mut() {
+        for (l, cap) in g.cap.iter_mut().enumerate() {
+            let far = (0..NUM_LAYERS)
+                .filter(|&t| t != l && g.on & (1 << t) != 0)
+                .map(|t| via * t.abs_diff(l) as u64)
+                .min()
+                .unwrap_or(u64::MAX);
+            *cap = if g.on & (1 << l) != 0 { far.min(2 * via) } else { far };
+        }
+    }
+}
+
+/// The crossing cost an interference search has yet to pay, read off
+/// the hard pocket that closed first: `inside` for the nodes whose
+/// label lies in `lo..lo + span`, `outside` for every other node.
+#[derive(Debug, Clone, Copy)]
+struct Lift {
+    lo: u32,
+    span: u32,
+    inside: u64,
+    outside: u64,
+}
+
+/// The open-list bound of one search: a lower bound on the cost still
+/// to pay from a node to the nearest target slot, consistent on every
+/// edge the search may take (see [`find_path`], [`find_path_soft`]).
+struct Bound<'a> {
+    goals: &'a [Goal],
+    step: u64,
+    wrong_way: u64,
+    lift: Option<Lift>,
+    zone: &'a [u32],
+}
+
+impl Bound<'_> {
+    /// The bound at node `idx`, the slot `(p, layer)`.
+    #[inline]
+    fn at(&self, p: Point, layer: Layer, idx: usize) -> u64 {
+        let l = layer.index();
+        let across_x = layer.preferred_axis() == Axis::Vertical;
+        let wires = self
+            .goals
+            .iter()
+            .map(|g| {
+                let dx = u64::from(p.x.abs_diff(g.at.x));
+                let dy = u64::from(p.y.abs_diff(g.at.y));
+                let layers = if g.on & (1 << l) != 0 {
+                    let off = if across_x { dx } else { dy };
+                    (self.wrong_way * off).min(g.cap[l])
+                } else {
+                    g.cap[l]
+                };
+                self.step * (dx + dy) + layers
+            })
+            .min()
+            .unwrap_or(0);
+        wires
+            + self.lift.map_or(0, |lift| {
+                if self.zone[idx].wrapping_sub(lift.lo) < lift.span {
+                    lift.inside
+                } else {
+                    lift.outside
+                }
+            })
+    }
+}
+
+/// Node-index deltas for a wire step over `grid`, in `Dir::ALL` order;
+/// only applied after the neighbour is proven in bounds.
+fn node_deltas(grid: &Grid) -> [i64; 4] {
+    let row = (grid.width() as usize * NUM_LAYERS) as i64;
+    [row, -row, NUM_LAYERS as i64, -(NUM_LAYERS as i64)]
+}
+
+/// The open-list bound of `query`, whose usable targets `goals` holds:
+/// for an interference search, after the hard-pocket floods have run
+/// on `zone` with the stamp and stacks of `floods`. `None`
+/// when those floods prove the search hopeless.
+fn key_bound<'a>(
+    query: &Query<'_>,
+    soft: Option<&dyn Fn(Point, Layer, NetId) -> Option<u64>>,
+    view: &OccupancyView<'_>,
+    node_delta: &[i64; 4],
+    goals: &'a [Goal],
+    zone: &'a mut [u32],
+    floods: (u32, &mut Vec<u32>, &mut Vec<u32>),
+) -> Option<Bound<'a>> {
+    let (stamp, source_stack, target_stack) = floods;
+    let mut lift = None;
+    if let Some(rule) = soft {
+        let grid = query.grid;
+        let usable = |s: &&Step| grid.admits(s.at, s.layer, query.net);
+        let mut sides = HardPockets {
+            grid,
+            net: query.net,
+            soft: rule,
+            view,
+            node_delta,
+            zone: &mut *zone,
+            stamp,
+        };
+        let sources = query.sources.iter().filter(usable);
+        match sides.flood(sources, query.targets.iter().filter(usable), source_stack, target_stack)
+        {
+            Pockets::Joined => {}
+            Pockets::Closed(l) => lift = Some(l),
+            Pockets::Sealed => return None,
+        }
+        source_stack.clear();
+    }
+    Some(Bound {
+        goals,
+        step: u64::from(query.cost.step),
+        wrong_way: u64::from(query.cost.wrong_way),
+        lift,
+        zone,
+    })
+}
+
+/// The reference bound that fixes the tie-break: `step` times the
+/// layer-blind Manhattan distance from `p` to the nearest target point.
+fn reference_h(goals: &[Goal], step: u64, p: Point) -> u64 {
+    goals.iter().map(|g| u64::from(p.manhattan(g.at)) * step).min().unwrap_or(0)
+}
+
 /// The mutable node-indexed scratch of one search, destructured out of
 /// the arena so the core can be monomorphized per [`Frontier`].
 struct Scratch<'a> {
     dist: &'a mut [u64],
-    prev: &'a mut [u32],
     target_mask: &'a mut [bool],
     touched: &'a mut Vec<u32>,
-    target_points: &'a mut Vec<Point>,
+    goals: &'a mut Vec<Goal>,
     pocket: Pocket<'a>,
+    zone: &'a mut [u32],
+    zone_stack: &'a mut Vec<u32>,
 }
 
 /// The target-side flood of one search: the marks and stack it borrows
@@ -325,14 +532,16 @@ struct Pocket<'a> {
     stack: &'a mut Vec<u32>,
 }
 
-/// What one step of the pocket flood learned.
+/// What one step of a flood learned.
 #[derive(PartialEq, Eq)]
 enum Flood {
     /// Nothing yet: the flood goes on.
     Open,
-    /// The flood touched a slot the A* has reached: a path exists.
+    /// The flood touched a slot the other side has reached: a path
+    /// exists (the pocket flood), or may cost no crossing (the hard
+    /// pockets).
     Met,
-    /// The flood ran out of slots: no source reaches a target.
+    /// The flood ran out of slots.
     Dry,
 }
 
@@ -368,17 +577,18 @@ fn run(
     arena.reset(grid.width() as usize * grid.height() as usize * NUM_LAYERS);
     let SearchArena {
         dist,
-        prev,
         target_mask,
         touched,
-        target_points,
+        goals,
         frontier,
         pocket_mark,
-        pocket_stamp,
+        zone,
+        stamp,
         pocket_stack,
+        zone_stack,
     } = arena;
-    let pocket = Pocket { mark: pocket_mark, stamp: *pocket_stamp, stack: pocket_stack };
-    let scratch = Scratch { dist, prev, target_mask, touched, target_points, pocket };
+    let pocket = Pocket { mark: pocket_mark, stamp: *stamp, stack: pocket_stack };
+    let scratch = Scratch { dist, target_mask, touched, goals, pocket, zone, zone_stack };
     let (found, stats) = match frontier {
         FrontierStore::Heap(f) => run_core(query, soft, scratch, f),
         FrontierStore::Buckets(f) => run_core(query, soft, scratch, f),
@@ -394,8 +604,13 @@ fn run_core<F: Frontier>(
     scratch: Scratch<'_>,
     frontier: &mut F,
 ) -> (Option<FoundPath>, SearchStats) {
+    debug_assert!(
+        query.cost.step >= 1 && query.cost.via >= 1,
+        "paths are read back from distances, so every move must cost at least 1: {:?}",
+        query.cost
+    );
     let grid = query.grid;
-    let Scratch { dist, prev, target_mask, touched, target_points, mut pocket } = scratch;
+    let Scratch { dist, target_mask, touched, goals, mut pocket, zone, zone_stack } = scratch;
     let mut stats = SearchStats::default();
 
     let usable = |s: &Step| grid.admits(s.at, s.layer, query.net);
@@ -404,35 +619,29 @@ fn run_core<F: Frontier>(
         let idx = node_index(grid, t.at, t.layer);
         target_mask[idx] = true;
         touched.push(idx as u32);
-        target_points.push(t.at);
     }
-    if target_points.is_empty() {
+    gather_goals(goals, targets.clone().copied(), &query.cost);
+    let sources = query.sources.iter().filter(|s| usable(s));
+    if goals.is_empty() || sources.clone().next().is_none() {
         return (None, stats);
     }
-    // Min-manhattan-to-any-target heuristic. It is layer-blind, so it
-    // ranges over the distinct target points only: slots stacked on one
-    // point, and the same slot listed twice, count once.
-    target_points.sort_unstable();
-    target_points.dedup();
-    let step_w = query.cost.step as u64;
-    let heuristic = |p: Point| -> u64 {
-        target_points.iter().map(|&t| p.manhattan(t) as u64 * step_w).min().unwrap_or(0)
+
+    let view = grid.occupancy_view();
+    let node_delta = node_deltas(grid);
+    let floods = (pocket.stamp, &mut *pocket.stack, zone_stack);
+    let Some(bound) = key_bound(query, soft, &view, &node_delta, goals, zone, floods) else {
+        return (None, stats);
     };
 
-    // Open list keyed by f = g + h. Among equal f, both frontiers pop
-    // the smallest g first: the shallowest node, nearest the sources.
-    let mut any_source = false;
-    for s in query.sources.iter().filter(|s| usable(s)) {
+    // Open list keyed by f = g + bound. Among equal f, both frontiers
+    // pop the smallest g first: the shallowest node, nearest the sources.
+    for s in sources {
         let idx = node_index(grid, s.at, s.layer);
         if dist[idx] == u64::MAX {
             dist[idx] = 0;
             touched.push(idx as u32);
-            frontier.push(heuristic(s.at), 0, idx as u32);
+            frontier.push(bound.at(s.at, s.layer, idx), 0, idx as u32);
         }
-        any_source = true;
-    }
-    if !any_source {
-        return (None, stats);
     }
     stats.heap_peak = frontier.len();
     // Seed the pocket flood with the targets, now that every source
@@ -443,17 +652,6 @@ fn run_core<F: Frontier>(
             flooding = false;
         }
     }
-
-    let view = grid.occupancy_view();
-    let w = grid.width() as usize;
-    // Node-index deltas for a wire step, in Dir::ALL order; only applied
-    // after the neighbor is proven in bounds.
-    let node_delta: [i64; 4] = [
-        (w * NUM_LAYERS) as i64,
-        -((w * NUM_LAYERS) as i64),
-        NUM_LAYERS as i64,
-        -(NUM_LAYERS as i64),
-    ];
 
     let mut reached: Option<usize> = None;
     while let Some((_f, g, idx)) = frontier.pop() {
@@ -499,8 +697,7 @@ fn run_core<F: Frontier>(
                     touched.push(nidx as u32);
                 }
                 dist[nidx] = ng;
-                prev[nidx] = idx as u32;
-                frontier.push(ng + heuristic(np), ng, nidx as u32);
+                frontier.push(ng + bound.at(np, layer, nidx), ng, nidx as u32);
                 stats.heap_peak = stats.heap_peak.max(frontier.len());
             }
         }
@@ -522,8 +719,7 @@ fn run_core<F: Frontier>(
                         touched.push(nidx as u32);
                     }
                     dist[nidx] = ng;
-                    prev[nidx] = idx as u32;
-                    frontier.push(ng + heuristic(p), ng, nidx as u32);
+                    frontier.push(ng + bound.at(p, other, nidx), ng, nidx as u32);
                     stats.heap_peak = stats.heap_peak.max(frontier.len());
                 }
             }
@@ -533,29 +729,237 @@ fn run_core<F: Frontier>(
     let Some(end) = reached else {
         return (None, stats);
     };
-    let cost = dist[end];
-
-    // Reconstruct the path source -> target.
-    let mut steps_rev: Vec<Step> = Vec::new();
-    let mut cur = end;
-    loop {
-        let (p, layer) = node_point(grid, cur);
-        steps_rev.push(Step::new(p, layer));
-        if prev[cur] == NO_PREV {
-            break;
-        }
-        cur = prev[cur] as usize;
-    }
-    steps_rev.reverse();
-    let crossings: Vec<(NetId, Step)> = steps_rev
+    let steps = trace_back(query, soft, &view, bound.goals, dist, end);
+    let crossings: Vec<(NetId, Step)> = steps
         .iter()
         .filter_map(|s| match grid.occupant(s.at, s.layer) {
             Occupant::Net(owner) if owner != query.net => Some((owner, *s)),
             _ => None,
         })
         .collect();
-    let trace = Trace::from_steps(steps_rev).expect("search paths are contiguous");
-    (Some(FoundPath { trace, cost, crossings }), stats)
+    let trace = Trace::from_steps(steps).expect("search paths are contiguous");
+    (Some(FoundPath { trace, cost: dist[end], crossings }), stats)
+}
+
+/// Reads the found path back from the distance field, source first.
+///
+/// From `end` it steps to the neighbour `u` the A* could have relaxed
+/// the current slot `v` from with `dist(u) + c(u→v) = dist(v)`, least
+/// by the reference key `(dist(u) + h(u), dist(u), index(u))` of
+/// [`reference_h`], until it reaches a source (distance 0). Every such
+/// `u` was settled: under a consistent bound its key is below `v`'s.
+/// A slot the search touched but did not settle holds at least its true
+/// distance, so it passes the test only when that value is exact and
+/// it was settled after all. The reference A* pops each such `u` in
+/// that key order and keeps the first as `v`'s predecessor, so this is
+/// its path.
+fn trace_back(
+    query: &Query<'_>,
+    soft: Option<&dyn Fn(Point, Layer, NetId) -> Option<u64>>,
+    view: &OccupancyView<'_>,
+    goals: &[Goal],
+    dist: &[u64],
+    end: usize,
+) -> Vec<Step> {
+    let grid = query.grid;
+    let step = u64::from(query.cost.step);
+    let mut steps = Vec::new();
+    let mut cur = end;
+    loop {
+        let (p, layer) = node_point(grid, cur);
+        steps.push(Step::new(p, layer));
+        if dist[cur] == 0 {
+            break;
+        }
+        let extra = if view.is_free(p, layer) {
+            0
+        } else {
+            enter_cost(grid, query.net, p, layer, soft).expect("a reached slot is enterable")
+        };
+        let need = dist[cur] - extra;
+        let mut best: Option<(u64, u64, usize)> = None;
+        let mut offer = |u: usize, at: Point, cost: u64| {
+            if dist[u] != u64::MAX && dist[u] + cost == need {
+                let key = (dist[u] + reference_h(goals, step, at), dist[u], u);
+                best = Some(best.map_or(key, |b| b.min(key)));
+            }
+        };
+        for dir in Dir::ALL {
+            let at = p.step(dir);
+            if grid.in_bounds(at) {
+                let cost = u64::from(query.cost.step_cost(layer, dir.axis()));
+                offer(node_index(grid, at, layer), at, cost);
+            }
+        }
+        for other in layer.adjacent() {
+            offer(node_index(grid, p, other), p, u64::from(query.cost.via));
+        }
+        cur = best.expect("a reached slot has a settled predecessor").2;
+    }
+    steps.reverse();
+    steps
+}
+
+/// What the hard-pocket floods of an interference search found.
+enum Pockets {
+    /// The floods met: a path may cross nothing, so no lift applies.
+    Joined,
+    /// One side's pocket closed; every path pays the lift.
+    Closed(Lift),
+    /// One side's pocket closed with no enterable slot on its boundary:
+    /// no path exists.
+    Sealed,
+}
+
+/// The fixed inputs of the hard-pocket floods.
+struct HardPockets<'a, 'g> {
+    grid: &'g Grid,
+    net: NetId,
+    soft: &'a dyn Fn(Point, Layer, NetId) -> Option<u64>,
+    view: &'a OccupancyView<'g>,
+    node_delta: &'a [i64; 4],
+    zone: &'a mut [u32],
+    stamp: u32,
+}
+
+/// One side of the hard-pocket floods: its label and the other side's,
+/// its stack, the cheapest enterable slot on its boundary so far and,
+/// for the targets' side, the label it gives those slots.
+struct Side<'a> {
+    label: u32,
+    other: u32,
+    stack: &'a mut Vec<u32>,
+    exit: u64,
+    ring: Option<u32>,
+}
+
+impl HardPockets<'_, '_> {
+    /// Grows the sources' and the targets' hard pockets one slot each
+    /// in turn until they meet or one closes.
+    fn flood<'s>(
+        &mut self,
+        sources: impl Iterator<Item = &'s Step>,
+        targets: impl Iterator<Item = &'s Step>,
+        source_stack: &mut Vec<u32>,
+        target_stack: &mut Vec<u32>,
+    ) -> Pockets {
+        let (s_label, t_label) = (self.stamp + SOURCE_SIDE, self.stamp + TARGET_SIDE);
+        let mut from = Side {
+            label: s_label,
+            other: t_label,
+            stack: source_stack,
+            exit: u64::MAX,
+            ring: None,
+        };
+        let mut to = Side {
+            label: t_label,
+            other: s_label,
+            stack: target_stack,
+            exit: u64::MAX,
+            ring: Some(self.stamp + TARGET_RING),
+        };
+        for s in sources {
+            let idx = node_index(self.grid, s.at, s.layer);
+            if self.zone[idx] != from.label {
+                self.zone[idx] = from.label;
+                from.stack.push(idx as u32);
+            }
+        }
+        for t in targets {
+            let idx = node_index(self.grid, t.at, t.layer);
+            if self.enter(&mut to, t.at, t.layer, idx, true) {
+                return Pockets::Joined;
+            }
+        }
+        loop {
+            for side in [&mut from, &mut to] {
+                match self.step(side) {
+                    Flood::Open => {}
+                    Flood::Met => return Pockets::Joined,
+                    Flood::Dry => return self.close(side),
+                }
+            }
+        }
+    }
+
+    /// The verdict on a side whose pocket has closed. The targets'
+    /// side has labelled its boundary ring as it went, and no flood
+    /// labels a slot it cannot hold without crossing, so the ring's
+    /// labels still stand.
+    fn close(&self, side: &Side<'_>) -> Pockets {
+        match (side.exit, side.ring) {
+            (u64::MAX, _) => Pockets::Sealed,
+            (0, _) => Pockets::Joined,
+            (b, None) => Pockets::Closed(Lift { lo: side.label, span: 1, inside: b, outside: 0 }),
+            (b, Some(_)) => {
+                Pockets::Closed(Lift { lo: side.label, span: 2, inside: 0, outside: b })
+            }
+        }
+    }
+
+    /// Pops one slot of `side` and examines its neighbours: hard slots
+    /// join the side, enterable foreign slots lower its exit cost.
+    fn step(&mut self, side: &mut Side<'_>) -> Flood {
+        let Some(idx) = side.stack.pop() else {
+            return Flood::Dry;
+        };
+        let idx = idx as usize;
+        let (p, layer) = node_point(self.grid, idx);
+        let free_mask = self.view.neighbor_free_mask(p, layer);
+        for (i, dir) in Dir::ALL.iter().enumerate() {
+            let np = p.step(*dir);
+            if self.grid.in_bounds(np) {
+                let nidx = (idx as i64 + self.node_delta[i]) as usize;
+                if self.enter(side, np, layer, nidx, free_mask & (1 << i) != 0) {
+                    return Flood::Met;
+                }
+            }
+        }
+        for up in layer.adjacent() {
+            let nidx = idx - layer.index() + up.index();
+            if self.enter(side, p, up, nidx, self.view.is_free(p, up)) {
+                return Flood::Met;
+            }
+        }
+        if side.stack.is_empty() {
+            Flood::Dry
+        } else {
+            Flood::Open
+        }
+    }
+
+    /// Offers the in-bounds slot `(at, layer)`, node `idx`, to `side`;
+    /// `free` short-cuts the occupancy test. Returns whether it belongs
+    /// to the other side.
+    fn enter(
+        &mut self,
+        side: &mut Side<'_>,
+        at: Point,
+        layer: Layer,
+        idx: usize,
+        free: bool,
+    ) -> bool {
+        if free || self.grid.admits(at, layer, self.net) {
+            if self.zone[idx] == side.other {
+                return true;
+            }
+            if self.zone[idx] != side.label {
+                self.zone[idx] = side.label;
+                side.stack.push(idx as u32);
+            }
+        } else if side.ring != Some(self.zone[idx]) {
+            // A ring slot already labelled has been priced.
+            if let Occupant::Net(owner) = self.grid.occupant(at, layer) {
+                if let Some(c) = (self.soft)(at, layer, owner) {
+                    side.exit = side.exit.min(c);
+                    if let Some(ring) = side.ring {
+                        self.zone[idx] = ring;
+                    }
+                }
+            }
+        }
+        false
+    }
 }
 
 /// Advances the pocket flood by one slot: pops a flooded slot and
@@ -894,6 +1298,167 @@ mod tests {
                 (f, r) => panic!("fresh {:?} vs reused {:?}", f.is_some(), r.is_some()),
             }
         }
+    }
+
+    /// A tiny deterministic generator (SplitMix64) for the bound tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (((z ^ (z >> 31)) as u128 * bound as u128) >> 64) as u64
+        }
+
+        fn slot(&mut self, w: i32, h: i32) -> Step {
+            let p = Point::new(self.below(w as u64) as i32, self.below(h as u64) as i32);
+            Step::new(p, Layer::from_index(self.below(NUM_LAYERS as u64) as usize))
+        }
+    }
+
+    /// Every slot of `grid` with its node index.
+    fn slots(grid: &Grid) -> Vec<(Step, usize)> {
+        let mut out = Vec::new();
+        for p in grid.points() {
+            for layer in Layer::ALL {
+                out.push((Step::new(p, layer), node_index(grid, p, layer)));
+            }
+        }
+        out
+    }
+
+    /// The open-list bound `run_core` keys a search with, at every node,
+    /// and whether a pocket lift is part of it; `None` when the hard
+    /// pockets alone prove the search hopeless.
+    fn bounds(
+        arena: &mut SearchArena,
+        q: &Query<'_>,
+        soft: Option<&dyn Fn(Point, Layer, NetId) -> Option<u64>>,
+    ) -> Option<(Vec<u64>, bool)> {
+        let grid = q.grid;
+        arena.reset(grid.width() as usize * grid.height() as usize * NUM_LAYERS);
+        let usable = q.targets.iter().filter(|s| grid.admits(s.at, s.layer, q.net));
+        gather_goals(&mut arena.goals, usable.copied(), &q.cost);
+        let floods = (arena.stamp, &mut arena.pocket_stack, &mut arena.zone_stack);
+        let view = grid.occupancy_view();
+        let node_delta = node_deltas(grid);
+        let bound = key_bound(q, soft, &view, &node_delta, &arena.goals, &mut arena.zone, floods)?;
+        let at = slots(grid).iter().map(|&(s, idx)| bound.at(s.at, s.layer, idx)).collect();
+        Some((at, bound.lift.is_some()))
+    }
+
+    /// The open-list bound is 0 at every target and never drops by more
+    /// than an edge costs, on every edge a search may take (sources are
+    /// enterable slots, so these cover them too): hard and
+    /// soft, two and three layers, all four cost models of the
+    /// workspace, targets walled into pockets with crossings that are
+    /// free, cheap, dear or impassable.
+    #[test]
+    fn bound_is_zero_at_targets_and_consistent_on_every_edge() {
+        let models = [
+            CostModel::default(),
+            CostModel::uniform(),
+            CostModel { step: 1, via: 2, wrong_way: 4, bend: 0 },
+            CostModel { via: 16, ..CostModel::default() },
+        ];
+        let own = NetId(0);
+        let mut rng = Rng(0xB0_0D);
+        let mut arena = SearchArena::new();
+        let (mut lifted, mut checked) = (0, 0);
+        for case in 0..600 {
+            let (w, h) = (3 + rng.below(6) as i32, 3 + rng.below(6) as i32);
+            let mut grid = Grid::new(w as u32, h as u32);
+            if rng.below(2) == 0 {
+                for p in grid.points().collect::<Vec<_>>() {
+                    grid.set_occupant(p, Layer::M3, Occupant::Blocked);
+                }
+            }
+            for _ in 0..rng.below((w * h) as u64) {
+                let s = rng.slot(w, h);
+                let occ = match rng.below(4) {
+                    0 => Occupant::Blocked,
+                    1 => Occupant::Net(own),
+                    _ => Occupant::Net(NetId(1 + rng.below(3) as u32)),
+                };
+                grid.set_occupant(s.at, s.layer, occ);
+            }
+            let mut sources: Vec<Step> = (0..1 + rng.below(3)).map(|_| rng.slot(w, h)).collect();
+            let mut targets: Vec<Step> = (0..1 + rng.below(3)).map(|_| rng.slot(w, h)).collect();
+            if rng.below(4) == 0 {
+                let t = targets[0];
+                targets.push(Step::new(t.at, Layer::from_index((t.layer.index() + 1) % 3)));
+            }
+            if rng.below(5) == 0 {
+                targets.push(sources[0]);
+            }
+            // Wall one endpoint into a pocket of foreign wiring (and the
+            // odd obstacle) on every layer, most of the time.
+            if rng.below(4) != 0 {
+                let inside = if rng.below(2) == 0 { &mut sources } else { &mut targets };
+                let c = inside[0].at;
+                for y in c.y - 1..=c.y + 1 {
+                    for x in c.x - 1..=c.x + 1 {
+                        let p = Point::new(x, y);
+                        if p == c || !grid.in_bounds(p) {
+                            continue;
+                        }
+                        for layer in Layer::ALL {
+                            let occ = match rng.below(5) {
+                                0 => Occupant::Blocked,
+                                k => Occupant::Net(NetId(1 + (k as u32 - 1) % 3)),
+                            };
+                            grid.set_occupant(p, layer, occ);
+                        }
+                    }
+                }
+                for layer in Layer::ALL {
+                    grid.set_occupant(c, layer, Occupant::Free);
+                }
+                inside.truncate(1);
+            }
+            let cost = models[case % models.len()];
+            let q = Query { grid: &grid, net: own, sources, targets, cost };
+            let penalty = [rng.below(3), 1 + rng.below(40), 1 + rng.below(40)];
+            let barred = NetId(1 + rng.below(3) as u32);
+            let rule = move |_: Point, _: Layer, n: NetId| {
+                (n != barred).then(|| penalty[n.0 as usize - 1])
+            };
+            for soft in [None, Some(&rule as &dyn Fn(Point, Layer, NetId) -> Option<u64>)] {
+                let Some((b, lift)) = bounds(&mut arena, &q, soft) else { continue };
+                lifted += usize::from(lift);
+                for t in q.targets.iter().filter(|t| grid.admits(t.at, t.layer, own)) {
+                    assert_eq!(b[node_index(&grid, t.at, t.layer)], 0, "case {case}: target {t:?}");
+                }
+                // Edges out of the slots a search can stand on.
+                for &(u, ui) in &slots(&grid) {
+                    if enter_cost(&grid, own, u.at, u.layer, soft).is_none() {
+                        continue;
+                    }
+                    let moves = Dir::ALL
+                        .iter()
+                        .map(|d| {
+                            (Step::new(u.at.step(*d), u.layer), cost.step_cost(u.layer, d.axis()))
+                        })
+                        .chain(u.layer.adjacent().map(|l| (Step::new(u.at, l), cost.via)));
+                    for (v, base) in moves {
+                        let Some(extra) = enter_cost(&grid, own, v.at, v.layer, soft) else {
+                            continue;
+                        };
+                        let vi = node_index(&grid, v.at, v.layer);
+                        assert!(
+                            b[ui] <= u64::from(base) + extra + b[vi],
+                            "case {case}: bound {} at {u:?} > {base} + {extra} + {} at {v:?}",
+                            b[ui],
+                            b[vi]
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(lifted > 100 && checked > 100_000, "lifted {lifted}, checked {checked}");
     }
 
     #[test]

@@ -19,7 +19,8 @@ pub struct SequentialOutcome {
     pub db: RouteDb,
     /// Nets with at least one unroutable connection, in failure order.
     pub failed: Vec<NetId>,
-    /// Accumulated search effort.
+    /// Accumulated search effort: settled nodes and relaxations summed,
+    /// the open list's peak the largest of any one search.
     pub stats: SearchStats,
 }
 
@@ -77,8 +78,7 @@ pub fn route_in_order(
             Ok((_, s)) => (true, s),
             Err((_, s)) => (false, s),
         };
-        stats.expanded += s.expanded;
-        stats.relaxed += s.relaxed;
+        stats.absorb(s);
         if ok {
             obs.on_net_committed(net);
         } else {
@@ -135,8 +135,7 @@ pub fn connect_net(
         let query =
             Query { grid: db.grid(), net, sources: connected.clone(), targets: vec![pin], cost };
         let (found, searched) = find_path(arena, &query, obs);
-        stats.expanded += searched.expanded;
-        stats.relaxed += searched.relaxed;
+        stats.absorb(searched);
         match found {
             Some(found) => {
                 let steps = found.trace.steps().to_vec();
@@ -259,6 +258,34 @@ mod tests {
         let p = b.build().unwrap();
         let out = lee(&p);
         assert!(out.stats.expanded > 0);
+    }
+
+    #[test]
+    fn connect_net_reports_the_largest_open_list() {
+        let mut b = ProblemBuilder::switchbox(9, 9);
+        b.net("h").pin_side(PinSide::Left, 4).pin_side(PinSide::Right, 4).pin_side(PinSide::Top, 2);
+        let p = b.build().unwrap();
+        let net = p.nets()[0].id;
+        let mut db = RouteDb::new(&p);
+        let mut arena = SearchArena::new();
+        let mut log = route_model::EventLog::new();
+        let (ids, stats) =
+            connect_net(&mut arena, &mut db, net, CostModel::default(), Vec::new(), &mut log)
+                .expect("an empty box connects");
+        assert_eq!(ids.len(), 2, "two pins attached to the first");
+        let peaks: Vec<u64> = log
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                route_model::RouteEvent::SearchDone { probe, .. } => Some(probe.heap_peak),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(peaks.len(), 2);
+        assert!(stats.heap_peak > 0, "a real search fills its open list");
+        assert_eq!(Some(stats.heap_peak as u64), peaks.iter().copied().max(), "the largest peak");
+        let out = lee(&p);
+        assert_eq!(out.stats.heap_peak, stats.heap_peak);
     }
 
     #[test]

@@ -146,7 +146,7 @@ fn seed_727_stitch_finding_routes_to_completion() {
     let out = route_hierarchical(&problem, &cfg);
     assert!(
         out.is_complete(),
-        "seed 727 must complete through the escalation ladder: failed {:?} ({:?})",
+        "seed 727 must complete through the whole-die seam repair reroute: failed {:?} ({:?})",
         out.failed(),
         out.chip_stats()
     );
