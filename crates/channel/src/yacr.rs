@@ -81,7 +81,7 @@ fn attempt(spec: &ChannelSpec, tracks: usize) -> Option<YacrSolution> {
     // are priced high so vertical wiring stays in its own column: a
     // cheap horizontal jog on M2 tends to wall in a neighbouring
     // column's pins.
-    let strict = CostModel { step: 1, via: 2, wrong_way: 4, bend: 0 };
+    let strict = CostModel { step: 1, via: 2, wrong_way: 4 };
     let relaxed = CostModel::default();
     let mut arena = SearchArena::new();
     let mut connect = |db: &mut RouteDb, nid, cost, seed| {

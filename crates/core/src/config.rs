@@ -80,7 +80,8 @@ pub struct RouterConfig {
     pub max_penalty_doublings: u32,
     /// Attempts allowed per net before it is declared failed.
     pub max_attempts: u32,
-    /// Global cap on queue events; `0` selects `64 x nets` automatically.
+    /// Global cap on queue events; `0` selects `64 x queued nets + 256`,
+    /// sized by the nets the run starts with unconnected.
     pub max_events: usize,
     /// Initial net order.
     pub order: NetOrder,
@@ -256,7 +257,7 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Sets the global queue-event cap (`0` = `64 x nets`).
+    /// Sets the global queue-event cap (`0` = `64 x queued nets + 256`).
     pub fn max_events(mut self, events: usize) -> Self {
         self.cfg.max_events = events;
         self

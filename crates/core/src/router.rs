@@ -28,6 +28,12 @@ pub struct RouteOutcome {
     stats: RouterStats,
 }
 
+// Outcomes are handed back across worker threads.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<RouteOutcome>();
+};
+
 impl RouteOutcome {
     /// Whether every net was fully connected.
     pub fn is_complete(&self) -> bool {
@@ -230,12 +236,6 @@ struct Run<'a> {
     /// Connected nets of the best state reached so far; that state is
     /// `db`'s checkpoint.
     best: Option<usize>,
-    /// Per-net connectivity cache; `conn[i]` is valid iff `!conn_dirty[i]`.
-    /// Every database mutation touches exactly one net, so the cache lets
-    /// [`connected_count`](Run::connected_count) re-walk only the nets
-    /// whose wiring changed instead of sweeping the whole netlist.
-    conn: Vec<bool>,
-    conn_dirty: Vec<bool>,
     /// Scratch buffers shared by every search of the run; borrowed so a
     /// warm worker can amortize them across requests.
     arena: &'a mut SearchArena,
@@ -262,7 +262,6 @@ impl<'a> Run<'a> {
                 pin_plane[bit / 64] |= 1 << (bit % 64);
             }
         }
-        let max_events = if cfg.max_events == 0 { 64 * n + 256 } else { cfg.max_events };
 
         let mut order: Vec<NetId> = problem.nets().iter().map(|net| net.id).collect();
         let bbox = |id: NetId| -> Rect {
@@ -275,9 +274,9 @@ impl<'a> Run<'a> {
             b.width() + b.height()
         };
         match cfg.order {
-            NetOrder::ShortFirst => order.sort_by_key(|&id| (bbox_size(id), id.0)),
+            NetOrder::ShortFirst => order.sort_by_cached_key(|&id| (bbox_size(id), id.0)),
             NetOrder::LongFirst => {
-                order.sort_by_key(|&id| (std::cmp::Reverse(bbox_size(id)), id.0))
+                order.sort_by_cached_key(|&id| (std::cmp::Reverse(bbox_size(id)), id.0))
             }
             NetOrder::PinCountDesc => {
                 order.sort_by_key(|&id| (std::cmp::Reverse(problem.net(id).pins.len()), id.0))
@@ -294,23 +293,19 @@ impl<'a> Run<'a> {
                         .filter(|&(i, b)| i != id.index() && own.intersects(b))
                         .count()
                 };
-                order.sort_by_key(|&id| (std::cmp::Reverse(contention(id)), id.0));
+                order.sort_by_cached_key(|&id| (std::cmp::Reverse(contention(id)), id.0));
             }
             NetOrder::Declared => {}
         }
+        let queue: VecDeque<NetId> =
+            order.into_iter().filter(|&id| !db.is_net_connected(id)).collect();
         let mut queued = vec![false; n];
-        let mut conn = vec![false; n];
-        let queue: VecDeque<NetId> = order
-            .into_iter()
-            .filter(|&id| {
-                let connected = db.is_net_connected(id);
-                conn[id.index()] = connected;
-                if !connected {
-                    queued[id.index()] = true;
-                }
-                !connected
-            })
-            .collect();
+        for &id in &queue {
+            queued[id.index()] = true;
+        }
+        // The automatic budget scales with the work the run starts with:
+        // an incremental run over a mostly routed die queues few nets.
+        let max_events = if cfg.max_events == 0 { 64 * queue.len() + 256 } else { cfg.max_events };
 
         Run {
             cfg,
@@ -324,30 +319,16 @@ impl<'a> Run<'a> {
             max_events,
             exhausted: false,
             best: None,
-            conn,
-            conn_dirty: vec![false; n],
             arena,
             stats: RouterStats::default(),
             obs,
         }
     }
 
-    /// Marks `net`'s cached connectivity stale after a database
-    /// mutation.
-    fn touch_net(&mut self, net: NetId) {
-        self.conn_dirty[net.index()] = true;
-    }
-
-    /// Number of fully connected nets in the run's database, re-walking
-    /// only the nets whose wiring changed since the last call.
-    fn connected_count(&mut self) -> usize {
-        for i in 0..self.conn.len() {
-            if self.conn_dirty[i] {
-                self.conn[i] = self.db.is_net_connected(NetId(i as u32));
-                self.conn_dirty[i] = false;
-            }
-        }
-        self.conn.iter().filter(|&&c| c).count()
+    /// Number of fully connected nets in the run's database; the
+    /// database re-walks only the nets whose wiring changed.
+    fn connected_count(&self) -> usize {
+        (0..self.db.net_count() as u32).filter(|&i| self.db.is_net_connected(NetId(i))).count()
     }
 
     /// Checkpoints the current state if it connects more nets than any
@@ -382,7 +363,6 @@ impl<'a> Run<'a> {
     fn fail(&mut self, net: NetId) {
         self.failed[net.index()] = true;
         self.db.rip_up_net(net);
-        self.touch_net(net);
         self.obs.on_net_failed(net);
     }
 
@@ -437,7 +417,6 @@ impl<'a> Run<'a> {
             if let Some(found) = found {
                 self.stats.hard_routes += 1;
                 self.db.commit(net, found.trace).expect("hard paths commit");
-                self.touch_net(net);
                 continue;
             }
 
@@ -493,7 +472,6 @@ impl<'a> Run<'a> {
                             continue;
                         }
                         if let Some(trace) = self.db.rip_up(id) {
-                            self.conn_dirty[owner.index()] = true;
                             lifted.push((owner, trace));
                         }
                     }
@@ -509,12 +487,10 @@ impl<'a> Run<'a> {
                     // this merge for now.
                     for (owner, trace) in lifted {
                         let _ = self.db.commit(owner, trace);
-                        self.conn_dirty[owner.index()] = true;
                     }
                     return ConnectResult::Stuck;
                 }
             };
-            self.touch_net(net);
 
             // Weak modification: repair each victim in place.
             let mut repairs: Vec<TraceId> = Vec::new();
@@ -558,13 +534,10 @@ impl<'a> Run<'a> {
             self.stats.weak_rollbacks += 1;
             for id in repairs {
                 self.db.rip_up(id);
-                self.conn_dirty[id.net.index()] = true;
             }
             self.db.rip_up(our_id);
-            self.touch_net(net);
             for (owner, trace) in lifted {
                 self.db.commit(owner, trace).expect("rollback restores the previous state");
-                self.conn_dirty[owner.index()] = true;
             }
             return ConnectResult::Stuck;
         }
@@ -590,7 +563,6 @@ impl<'a> Run<'a> {
             match found {
                 Some(found) => {
                     committed.push(self.db.commit(victim, found.trace).expect("hard paths commit"));
-                    self.touch_net(victim);
                 }
                 None => return Err(committed),
             }

@@ -110,6 +110,12 @@ pub struct GlobalOutcome {
     journal_error: Option<String>,
 }
 
+// Outcomes are handed back across worker threads.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<GlobalOutcome>();
+};
+
 impl GlobalOutcome {
     /// Whether every net was fully connected — including nets dropped at
     /// planning time, which never reach a tile job: completion is always

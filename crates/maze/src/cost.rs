@@ -35,15 +35,13 @@ pub struct CostModel {
     pub via: u32,
     /// Extra cost of a step against the layer's preferred axis.
     pub wrong_way: u32,
-    /// Extra cost of a 90-degree bend on the same layer.
-    pub bend: u32,
 }
 
 impl CostModel {
     /// Uniform unit-cost model: pure Lee wavefront behaviour (vias still
-    /// cost one step; no direction or bend preference).
+    /// cost one step; no direction preference).
     pub const fn uniform() -> Self {
-        CostModel { step: 1, via: 1, wrong_way: 0, bend: 0 }
+        CostModel { step: 1, via: 1, wrong_way: 0 }
     }
 
     /// Cost of a single wire step on `layer` travelling along `axis`.
@@ -61,7 +59,7 @@ impl CostModel {
 
 impl Default for CostModel {
     fn default() -> Self {
-        CostModel { step: 1, via: 3, wrong_way: 1, bend: 0 }
+        CostModel { step: 1, via: 3, wrong_way: 1 }
     }
 }
 

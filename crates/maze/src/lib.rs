@@ -6,7 +6,7 @@
 //! * [`search::find_path`] — classic **hard** search: the path may only use
 //!   cells that are free or already owned by the routed net. With unit
 //!   costs this is Lee's wavefront algorithm; with the weighted
-//!   [`CostModel`] it is A* with via, bend and wrong-way penalties.
+//!   [`CostModel`] it is A* with via and wrong-way penalties.
 //! * [`search::find_path_soft`] — **interference** search: cells occupied
 //!   by *other* nets may be crossed at a caller-supplied penalty. The
 //!   result reports exactly which foreign slots the path runs over, which

@@ -1360,7 +1360,7 @@ mod tests {
         let models = [
             CostModel::default(),
             CostModel::uniform(),
-            CostModel { step: 1, via: 2, wrong_way: 4, bend: 0 },
+            CostModel { step: 1, via: 2, wrong_way: 4 },
             CostModel { via: 16, ..CostModel::default() },
         ];
         let own = NetId(0);

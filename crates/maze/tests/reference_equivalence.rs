@@ -55,10 +55,10 @@ const FOREIGN: u32 = 4;
 /// model, YACR's strict patch-up model and the optimizer's via-averse
 /// one.
 const MODELS: [CostModel; 4] = [
-    CostModel { step: 1, via: 3, wrong_way: 1, bend: 0 },
+    CostModel { step: 1, via: 3, wrong_way: 1 },
     CostModel::uniform(),
-    CostModel { step: 1, via: 2, wrong_way: 4, bend: 0 },
-    CostModel { step: 1, via: 16, wrong_way: 1, bend: 0 },
+    CostModel { step: 1, via: 2, wrong_way: 4 },
+    CostModel { step: 1, via: 16, wrong_way: 1 },
 ];
 
 /// How an interference search prices a foreign slot.

@@ -1,6 +1,8 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use route_geom::{Layer, Point, NUM_LAYERS};
 
@@ -168,15 +170,118 @@ pub struct TraceId {
     pub(crate) slot: usize,
 }
 
+/// The refcount maps' hasher: a fixed multiply-rotate mix (the Fx hash)
+/// over the key's words. The keys are in-bounds grid slots that the
+/// routers' own paths cover, not keys taken from input, so std's randomly
+/// keyed SipHash guards against nothing here, and it cost a tenth of the
+/// router's time in paste and commit. Being unkeyed, the maps also
+/// iterate in the same order in every process.
+#[derive(Debug, Default, Clone, Copy)]
+struct SlotHasher(u64);
+
+impl SlotHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for SlotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Refcounts keyed by `(point, layer)`.
+type SlotCounts = HashMap<(Point, Layer), u32, BuildHasherDefault<SlotHasher>>;
+
 #[derive(Debug, Clone, Default)]
 struct NetState {
     pins: Vec<Pin>,
     /// Committed traces; `None` slots are ripped-up traces.
     traces: Vec<Option<Trace>>,
     /// Refcount per occupied (point, layer) slot. Pin slots start at 1.
-    occ: HashMap<(Point, Layer), u32>,
+    occ: SlotCounts,
     /// Refcount per via, keyed by point and the pair's lower layer.
-    vias: HashMap<(Point, Layer), u32>,
+    vias: SlotCounts,
+}
+
+/// What a net's last connectivity walk found. The walk floods from the
+/// net's first pin; its answer holds until the net's occupancy or vias
+/// change, and only [`RouteDb::mark`] and [`RouteDb::unmark`] change
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Walk {
+    /// Not walked since the net's wiring last changed.
+    Unknown = 0,
+    /// Some pin lies outside the first pin's component.
+    Disconnected = 1,
+    /// Every pin lies in the first pin's component, and some wiring
+    /// lies outside it.
+    Connected = 2,
+    /// Every pin lies in the first pin's component, and so does every
+    /// slot the net occupies: the net holds no dead wire.
+    Clean = 3,
+}
+
+/// One [`Walk`] per net. Walks are read and stored behind `&self`, so
+/// each cell is an atomic with relaxed ordering: the stored value is a
+/// pure function of the database, so racing walks store the same value,
+/// and [`RouteDb`] stays `Sync` (a `Cell` would not be).
+#[derive(Debug)]
+struct WalkMemo(Vec<AtomicU8>);
+
+impl Clone for WalkMemo {
+    fn clone(&self) -> Self {
+        WalkMemo(self.0.iter().map(|w| AtomicU8::new(w.load(Ordering::Relaxed))).collect())
+    }
+}
+
+impl WalkMemo {
+    fn new(nets: usize) -> Self {
+        WalkMemo((0..nets).map(|_| AtomicU8::new(Walk::Unknown as u8)).collect())
+    }
+
+    fn get(&self, net: NetId) -> Walk {
+        match self.0[net.index()].load(Ordering::Relaxed) {
+            1 => Walk::Disconnected,
+            2 => Walk::Connected,
+            3 => Walk::Clean,
+            _ => Walk::Unknown,
+        }
+    }
+
+    fn set(&self, net: NetId, walk: Walk) {
+        self.0[net.index()].store(walk as u8, Ordering::Relaxed);
+    }
+
+    fn forget(&mut self, net: NetId) {
+        *self.0[net.index()].get_mut() = Walk::Unknown as u8;
+    }
 }
 
 /// One recorded database edit: what [`RouteDb::rewind`] undoes.
@@ -199,6 +304,10 @@ enum Edit {
 /// A [`checkpoint`](RouteDb::checkpoint) starts an undo log of commits
 /// and rip-ups; [`rewind`](RouteDb::rewind) replays it backwards to
 /// restore the checkpointed state without ever copying the database.
+///
+/// Each net's connectivity walk is memoized until an edit touches the
+/// net, so [`is_net_connected`](RouteDb::is_net_connected) sweeps over
+/// the whole netlist cost a walk per net that changed.
 ///
 /// # Examples
 ///
@@ -228,7 +337,15 @@ pub struct RouteDb {
     /// Edits since the last checkpoint, oldest first; `None` while no
     /// checkpoint is held.
     undo: Option<Vec<Edit>>,
+    /// Each net's last connectivity walk, reset by every edit of it.
+    walks: WalkMemo,
 }
+
+// Routed databases cross threads inside every router's outcome.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<RouteDb>();
+};
 
 impl RouteDb {
     /// Creates a database for `problem` with all pins marked and no wiring.
@@ -243,7 +360,7 @@ impl RouteDb {
             }
             nets.push(state);
         }
-        RouteDb { grid, nets, undo: None }
+        RouteDb { grid, walks: WalkMemo::new(nets.len()), nets, undo: None }
     }
 
     /// The current occupancy grid.
@@ -276,7 +393,7 @@ impl RouteDb {
     }
 
     /// Every `(point, layer)` slot currently occupied by `net` (pins and
-    /// wiring), in unspecified order.
+    /// wiring), in an order that depends only on the net's edit history.
     pub fn net_slots(&self, net: NetId) -> Vec<Step> {
         self.nets[net.index()].occ.keys().map(|&(at, layer)| Step::new(at, layer)).collect()
     }
@@ -293,13 +410,33 @@ impl RouteDb {
     /// This is the routers' completion test; the independent checker in
     /// `route-verify` deliberately re-implements connectivity rather
     /// than trusting this method. It agrees with
-    /// `pin_components(net).len() <= 1` but builds no slot lists.
+    /// `pin_components(net).len() <= 1` but builds no slot lists, and
+    /// it walks the net only when its wiring changed since the last
+    /// walk.
     pub fn is_net_connected(&self, net: NetId) -> bool {
+        self.walk(net) != Walk::Disconnected
+    }
+
+    /// The net's memoized [`Walk`], flooding from its first pin when no
+    /// walk since its last edit is on record.
+    fn walk(&self, net: NetId) -> Walk {
+        let known = self.walks.get(net);
+        if known != Walk::Unknown {
+            return known;
+        }
         let pins = self.pins(net);
-        let Some(first) = pins.first() else { return true };
-        let mut seen = SlotSet::new(&self.grid);
-        self.flood(net, &mut seen, Step::new(first.at, first.layer), |_| {});
-        pins.iter().all(|pin| seen.contains(Step::new(pin.at, pin.layer)))
+        let mut reached = 0;
+        if let Some(first) = pins.first() {
+            let mut seen = SlotSet::new(&self.grid);
+            self.flood(net, &mut seen, Step::new(first.at, first.layer), |_| reached += 1);
+            if !pins.iter().all(|pin| seen.contains(Step::new(pin.at, pin.layer))) {
+                self.walks.set(net, Walk::Disconnected);
+                return Walk::Disconnected;
+            }
+        }
+        let walk = if reached == self.slot_count(net) { Walk::Clean } else { Walk::Connected };
+        self.walks.set(net, walk);
+        walk
     }
 
     /// The connected components of `net`'s occupancy that contain at
@@ -374,9 +511,12 @@ impl RouteDb {
     /// this after stitching: sub-problems abandoned mid-route (a failed
     /// tile, a ripped seam) leave fragments that hold no pin and only
     /// waste capacity.
+    ///
+    /// A net whose walk reached every slot it occupies has no such
+    /// component, so it returns 0 without flooding again.
     pub fn prune_dangling(&mut self, net: NetId) -> usize {
         let pins = self.pins(net);
-        if pins.is_empty() {
+        if pins.is_empty() || self.walk(net) == Walk::Clean {
             return 0;
         }
         let mut seen = SlotSet::new(&self.grid);
@@ -526,7 +666,10 @@ impl RouteDb {
     }
 
     /// Marks the slots and vias of `trace` for `net`, bumping refcounts.
+    /// With [`unmark`](RouteDb::unmark), the only code that changes a
+    /// net's occupancy, so both forget the net's memoized walk.
     fn mark(&mut self, net: NetId, trace: &Trace) {
+        self.walks.forget(net);
         let state = &mut self.nets[net.index()];
         for &step in trace.steps() {
             let count = state.occ.entry((step.at, step.layer)).or_insert(0);
@@ -547,6 +690,7 @@ impl RouteDb {
     /// Reverses [`mark`](RouteDb::mark): drops refcounts and frees the
     /// slots and vias no other trace or pin of `net` still covers.
     fn unmark(&mut self, net: NetId, trace: &Trace) {
+        self.walks.forget(net);
         let state = &mut self.nets[net.index()];
         for &step in trace.steps() {
             let key = (step.at, step.layer);

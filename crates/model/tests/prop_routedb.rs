@@ -1,9 +1,13 @@
 //! Property-style tests of the routing database's core invariant: the
 //! grid occupancy is exactly the union of pins and live traces, no
-//! matter how commits and rip-ups interleave; and of its undo log: a
-//! rewind restores exactly what a clone taken at the checkpoint holds.
+//! matter how commits and rip-ups interleave; of its undo log: a
+//! rewind restores exactly what a clone taken at the checkpoint holds;
+//! and of its memoized connectivity walks: they answer what a fresh
+//! walk would.
 //! Inputs come from a deterministic in-file generator so the crate
 //! builds with zero registry access.
+
+use std::collections::HashSet;
 
 use route_geom::{Layer, Point};
 use route_model::{
@@ -125,7 +129,7 @@ fn occupancy_matches_live_traces() {
             }
         }
         // Expected occupancy: pins plus live traces.
-        let mut expected: std::collections::HashSet<(Point, Layer)> =
+        let mut expected: HashSet<(Point, Layer)> =
             db.pins(net).iter().map(|p| (p.at, p.layer)).collect();
         for (_, t) in db.traces(net) {
             for s in t.steps() {
@@ -250,4 +254,95 @@ fn rewind_equals_clone_at_checkpoint() {
         }
     }
     assert!(rewinds > 300, "the interleavings must exercise rewind ({rewinds})");
+}
+
+/// A database holding `db`'s live traces and nothing of its history:
+/// every net's traces committed afresh, in slot order.
+fn rebuilt(problem: &Problem, db: &RouteDb) -> RouteDb {
+    let mut fresh = RouteDb::new(problem);
+    for net in problem.nets() {
+        for (_, trace) in db.traces(net.id) {
+            fresh.commit(net.id, trace.clone()).expect("live wiring recommits");
+        }
+    }
+    fresh
+}
+
+/// Every answer the walk memo gives must be the answer of a fresh walk:
+/// after each operation of a random interleaving of commits, rip-ups,
+/// whole-net rip-ups, pruning, checkpoints, rewinds and clones, every
+/// net's `is_net_connected` equals `pin_components(net).len() <= 1` and
+/// the answer of a database rebuilt from the live traces, and pruning a
+/// clone rips what pruning the rebuilt database rips: the traces lying
+/// outside every pin's component.
+#[test]
+fn walk_memo_answers_what_a_fresh_walk_answers() {
+    let mut rng = Rng(0xDB05);
+    let (mut answers, mut dead_wire) = ([0usize; 2], 0);
+    for case in 0..300 {
+        let problem = two_net_problem();
+        let nets = [problem.nets()[0].id, problem.nets()[1].id];
+        let mut db = RouteDb::new(&problem);
+        let mut issued: Vec<TraceId> = Vec::new();
+        for op in 0..40 {
+            let net = nets[rng.below(2) as usize];
+            match rng.below(9) {
+                0..=3 => {
+                    // Half the commits lay a run along the net's pin row,
+                    // so nets connect and disconnect often.
+                    let trace = if rng.coin() {
+                        let row = if net == nets[0] { 1 } else { 4 };
+                        let ends = [rng.below(u64::from(W)), rng.below(u64::from(W))];
+                        let xs = ends[0].min(ends[1]) as i32..=ends[0].max(ends[1]) as i32;
+                        let steps = xs.map(|x| Step::new(Point::new(x, row), Layer::M1));
+                        Trace::from_steps(steps.collect()).expect("a row is contiguous")
+                    } else {
+                        random_trace(&mut rng)
+                    };
+                    if let Ok(id) = db.commit(net, trace) {
+                        issued.push(id);
+                    }
+                }
+                4 | 5 if !issued.is_empty() => {
+                    db.rip_up(issued[rng.below(issued.len() as u64) as usize]);
+                }
+                4 | 5 => {
+                    db.rip_up_net(net);
+                }
+                6 => {
+                    db.prune_dangling(net);
+                }
+                7 => {
+                    if rng.coin() {
+                        db.checkpoint();
+                    } else {
+                        db.rewind();
+                    }
+                }
+                _ => db = db.clone(),
+            }
+            let fresh = rebuilt(&problem, &db);
+            for &n in &nets {
+                let connected = db.is_net_connected(n);
+                let at = format!("case {case} op {op} net {}", n.0);
+                assert_eq!(connected, db.pin_components(n).len() <= 1, "{at}: components");
+                assert_eq!(connected, fresh.is_net_connected(n), "{at}: rebuilt database");
+                // Dead wire by the memo-free walk: the traces outside
+                // every pin's component.
+                let live: HashSet<Step> = db.pin_components(n).into_iter().flatten().collect();
+                let dead: usize = db
+                    .traces(n)
+                    .filter(|(_, t)| !live.contains(&t.start()))
+                    .map(|(_, t)| t.steps().len())
+                    .sum();
+                let pruned = db.clone().prune_dangling(n);
+                assert_eq!(pruned, dead, "{at}: pruned steps");
+                assert_eq!(pruned, fresh.clone().prune_dangling(n), "{at}: rebuilt pruned steps");
+                answers[usize::from(connected)] += 1;
+                dead_wire += usize::from(pruned > 0);
+            }
+        }
+    }
+    assert!(answers.iter().all(|&a| a > 1000), "both answers must occur often: {answers:?}");
+    assert!(dead_wire > 1000, "dead wire must occur often ({dead_wire})");
 }

@@ -125,6 +125,9 @@ fn chip_flow_accounts_for_every_net_exactly_once() {
         "golden chip 0 connected {}/{nets}, below the 253 floor",
         nets - out.failed().len()
     );
+    // The routed metal itself is pinned: a change that moves it must
+    // say so and re-pin.
+    assert_eq!(out.db().checksum(), 0x2b0e_1509_67a6_6402, "golden chip 0 checksum moved");
 }
 
 #[test]
