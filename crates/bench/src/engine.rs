@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use mighty::engine::{EngineConfig, RouteEngine};
-use mighty::{MightyRouter, RouterConfig};
+use mighty::{MightyRouter, RetryPolicy, RouterConfig, SupervisedOutcome, Supervisor};
 use route_benchdata::suite::channel_suite;
 use route_model::{Problem, RouteError};
 use route_proto::Json;
@@ -56,23 +56,25 @@ pub struct EnginePoint {
 /// every table built on it.
 pub fn scaling_sweep(problems: &[Problem], thread_counts: &[usize]) -> Vec<EnginePoint> {
     let router = MightyRouter::new(RouterConfig::default());
+    let supervisor = Supervisor::with_primary(&router, RetryPolicy::default());
     let mut points = Vec::new();
     let mut reference: Option<Vec<u64>> = None;
     let mut base_ms = 0u64;
     for &jobs in thread_counts {
         let engine = RouteEngine::new(EngineConfig { jobs, ..EngineConfig::default() });
         let started = Instant::now();
-        let out = engine.route_batch(&router, problems);
+        let out = engine.route_batch(&supervisor, problems, None);
         let batch_ms = started.elapsed().as_millis() as u64;
         let checksums: Vec<u64> = out
-            .results
-            .iter()
-            .map(|r| match r {
-                Ok(routing) => routing.db.checksum(),
-                Err(RouteError::Panicked { message }) => {
+            .outcomes
+            .into_iter()
+            .map(|o| match o.and_then(SupervisedOutcome::into_result) {
+                Some(Ok(routing)) => routing.db.checksum(),
+                Some(Err(RouteError::Panicked { message })) => {
                     panic!("engine instance panicked: {message}")
                 }
-                Err(e) => panic!("engine instance errored: {e}"),
+                Some(Err(e)) => panic!("engine instance errored: {e}"),
+                None => panic!("an unjournaled batch routes every instance"),
             })
             .collect();
         match &reference {

@@ -252,12 +252,12 @@ pub struct BatchArgs {
     /// Skip provably infeasible instances via the engine precheck.
     pub analyze: bool,
     /// Supervised recovery; any of its flags selects the supervised
-    /// engine, and the journal is `journal.ldj`.
+    /// report, and the journal is `journal.ldj`.
     pub recovery: Recovery,
 }
 
 impl BatchArgs {
-    /// Whether any recovery flag selects the supervised engine.
+    /// Whether any recovery flag selects the supervised report.
     pub(crate) fn supervised(&self) -> bool {
         self.recovery.supervised() || self.recovery.journal.dir.is_some()
     }
@@ -618,12 +618,6 @@ fn parse_batch(cur: &mut Cursor) -> Result<Command, ParseArgsError> {
     if a.files.is_empty() && a.list.is_none() {
         return Err(err("`batch` needs instance FILEs or --list"));
     }
-    if a.supervised() && (a.trace.is_some() || a.metrics) {
-        return Err(err(
-            "--trace/--metrics cannot be combined with the supervised recovery flags \
-             (--retries, --fallback, --journal): the supervised engine is unobserved",
-        ));
-    }
     Ok(Command::Batch(a))
 }
 
@@ -976,10 +970,15 @@ mod tests {
         assert!(parse("batch a.sb --retries 17").unwrap_err().to_string().contains("0..=16"));
         assert!(parse("batch a.sb --fallback bogus").unwrap_err().to_string().contains("bogus"));
         assert!(parse("batch a.sb --resume").unwrap_err().to_string().contains("--journal"));
-        let msg = parse("batch a.sb --retries 1 --metrics").unwrap_err().to_string();
-        assert!(msg.contains("supervised"), "{msg}");
-        let msg = parse("batch a.sb --journal j --trace ev.ldj").unwrap_err().to_string();
-        assert!(msg.contains("supervised"), "{msg}");
+        // Supervised batches are observed like plain ones.
+        let Command::Batch(a) = parse("batch a.sb --retries 1 --metrics").unwrap() else {
+            panic!()
+        };
+        assert!(a.supervised() && a.metrics);
+        let Command::Batch(a) = parse("batch a.sb --journal j --trace ev.ldj").unwrap() else {
+            panic!()
+        };
+        assert!(a.supervised() && a.trace.as_deref() == Some("ev.ldj"));
     }
 
     #[test]

@@ -122,11 +122,11 @@ SUPERVISED RECOVERY (batch instances, chip tiles):
                   resumed JSON report is byte-identical to an
                   uninterrupted run's (supervised chip reports omit the
                   wall-clock field for exactly this reason).
-  batch: any of these selects the supervised engine. Terminal failures
+  batch: any of these selects the supervised report. Terminal failures
   salvage the best partial routing (most nets routed) and lint it
-  instead of discarding the work; --deadline-ms becomes a per-attempt
-  budget and timed-out attempts feed the salvage snapshot. Not
-  combinable with --metrics/--trace.
+  instead of discarding the work; --deadline-ms bounds each attempt
+  and timed-out attempts feed the salvage snapshot. --metrics/--trace
+  observe every attempt.
   chip: --retries/--fallback select supervision; --journal works with
   or without them. Seam repair always runs: for each seam whose
   crossing nets are still open, those nets are ripped and the whole
@@ -137,7 +137,7 @@ SUPERVISED RECOVERY (batch instances, chip tiles):
 ENVIRONMENT:
   VROUTE_FUZZ_FAULT  Inject a deliberate router bug into `fuzz` runs for
                      mutation testing: hide-failures | drop-trace
-  VROUTE_FAULT       Inject engine faults into supervised `batch`,
+  VROUTE_FAULT       Inject engine faults into `batch`, supervised
                      `chip` and `serve` runs: KIND[@TARGETS[@ATTEMPTS]]
                      with KIND one of panic | fail | delay-MS, and
                      TARGETS instances (`fail@1,4@1`), tiles

@@ -6,8 +6,8 @@ use std::path::Path;
 
 use mighty::engine::{EngineConfig, ObserveMode, RouteEngine};
 use mighty::{
-    ChipJournal, FallbackChain, FaultPlan, InstanceStatus, MightyRouter, RetryPolicy, RouterConfig,
-    RunJournal, Supervisor,
+    ChipJournal, FallbackChain, FaultPlan, InstanceStatus, JournalEntry, MightyRouter, RetryPolicy,
+    RouterConfig, RunJournal, SupervisedOutcome, Supervisor,
 };
 use route_analyze::{
     analyze_problem, lint_db, render_text, sort_diagnostics, Diagnostic, Severity,
@@ -151,8 +151,8 @@ pub(crate) fn fault_env(name: &str) -> Option<String> {
     std::env::var(name).ok().filter(|spec| !spec.is_empty())
 }
 
-/// The fault plan in `VROUTE_FAULT` (for supervised `batch`, `chip`
-/// and `serve`), announced in `out` when set.
+/// The fault plan in `VROUTE_FAULT` (for `batch`, `chip` and `serve`),
+/// announced in `out` when set.
 pub(crate) fn fault_plan(out: &mut dyn fmt::Write) -> Result<Option<FaultPlan>, ExecutionError> {
     let Some(spec) = fault_env("VROUTE_FAULT") else { return Ok(None) };
     let plan = FaultPlan::parse(&spec)
@@ -175,8 +175,8 @@ impl Journal {
     }
 }
 
-/// The unified trait object for a batch router: the plain batch, the
-/// supervised primary and fallback chain, and serve all build from it.
+/// The unified trait object for a batch router: the batch primary and
+/// fallback chain and serve build from it.
 pub(crate) fn batch_router(kind: BatchRouterKind) -> Box<dyn DetailedRouter + Send + Sync> {
     match kind {
         BatchRouterKind::Ripup => Box::new(MightyRouter::new(RouterConfig::default())),
@@ -512,8 +512,18 @@ fn execute_route(a: &RouteArgs, out: &mut dyn fmt::Write) -> Result<bool, Execut
     Ok(complete)
 }
 
-/// Executes `vroute batch`: loads every instance, then routes them on
-/// the plain engine or, when a recovery flag asks, the supervised one.
+/// Executes `vroute batch`: loads every instance and routes the batch
+/// through one supervisor — a plain batch is a one-attempt supervisor
+/// over the chosen router — then prints the plain report or, when a
+/// recovery flag asks, the supervised one. Fault injection for every
+/// batch is enabled through the `VROUTE_FAULT` environment variable
+/// (`KIND[@INSTANCES[@ATTEMPTS]]`, e.g. `fail@1,4@1`).
+///
+/// The plain report shows each instance as its one attempt ended
+/// ([`SupervisedOutcome::into_result`]) and counts exactly what it
+/// prints. The supervised JSON report deliberately excludes wall-clock
+/// fields and the resumed-skip counter, so a killed-and-resumed run
+/// reproduces the uninterrupted run's report byte for byte.
 fn execute_batch(a: &BatchArgs, out: &mut dyn fmt::Write) -> Result<bool, ExecutionError> {
     let mut paths: Vec<String> = a.files.clone();
     if let Some(listfile) = &a.list {
@@ -525,16 +535,35 @@ fn execute_batch(a: &BatchArgs, out: &mut dyn fmt::Write) -> Result<bool, Execut
         }
     }
     let mut problems = Vec::with_capacity(paths.len());
-    let mut fingerprints = Vec::with_capacity(paths.len());
+    let mut instances: Vec<(String, u64)> = Vec::with_capacity(paths.len());
     for path in &paths {
         let text = read_file(path)?;
-        fingerprints.push(RunJournal::fingerprint(&text));
+        instances.push((path.clone(), RunJournal::fingerprint(&text)));
         problems.push(format::parse_problem(&text)?);
     }
-    if a.supervised() {
-        return execute_batch_supervised(a, &paths, &problems, &fingerprints, out);
+    let recovery = &a.recovery;
+    let retries = recovery.retries.unwrap_or(0);
+    let policy = RetryPolicy::with_retries(retries);
+    let primary;
+    let mut sup = match a.router {
+        BatchRouterKind::Ripup => Supervisor::new(RouterConfig::default(), policy),
+        kind => {
+            primary = batch_router(kind);
+            Supervisor::with_primary(primary.as_ref(), policy)
+        }
+    };
+    let mut chain = FallbackChain::none();
+    for kind in &recovery.fallback {
+        chain.push(batch_router(*kind));
     }
-    let algorithm = batch_router(a.router);
+    sup = sup.with_fallbacks(chain);
+    if let Some(plan) = fault_plan(out)? {
+        sup = sup.with_fault(plan);
+    }
+    let journal = recovery.journal.open(
+        |dir| RunJournal::create(dir, &instances),
+        |dir| RunJournal::resume(dir, &instances),
+    )?;
     let observe = if a.trace.is_some() {
         ObserveMode::Trace
     } else if a.metrics {
@@ -548,29 +577,122 @@ fn execute_batch(a: &BatchArgs, out: &mut dyn fmt::Write) -> Result<bool, Execut
         observe,
         precheck: a.analyze,
     });
-    let batch = engine.route_batch(algorithm.as_ref(), &problems);
-    writeln!(
-        out,
-        "router: {}, jobs: {}, instances: {}",
-        algorithm.name(),
-        batch.stats.jobs,
-        batch.stats.instances
-    )
+    let batch = engine.route_batch(&sup, &problems, journal.as_ref());
+    let s = batch.stats;
+    let supervised = a.supervised();
+    if supervised {
+        writeln!(
+            out,
+            "router: {} (supervised, retries {retries}, fallbacks {}), jobs: {}, instances: {}",
+            sup.primary_name(),
+            recovery.fallback.len(),
+            s.jobs,
+            s.instances
+        )
+    } else {
+        writeln!(
+            out,
+            "router: {}, jobs: {}, instances: {}",
+            sup.primary_name(),
+            s.jobs,
+            s.instances
+        )
+    }
     .expect("writing");
     // An order-sensitive FNV-1a fold of per-instance outcomes: identical
-    // digests mean bit-identical batch results.
+    // digests mean bit-identical batch results. The supervised fold runs
+    // over the deterministic record fields only.
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut all_good = true;
     let mut records = Vec::with_capacity(paths.len());
-    for (i, (path, result)) in paths.iter().zip(&batch.results).enumerate() {
+    // The plain tally: one word per printed instance, and routed totals.
+    let mut printed: Vec<&str> = Vec::with_capacity(paths.len());
+    let (mut failed_nets, mut wirelength, mut vias, mut all_good) = (0, 0, 0, true);
+    for (i, (outcome, record)) in batch.outcomes.into_iter().zip(batch.records).enumerate() {
+        let path = &paths[i];
+        if supervised {
+            let resumed = if outcome.is_none() { " (resumed)" } else { "" };
+            let entry = record.unwrap_or_else(|| {
+                let live = outcome.as_ref().expect("an instance without a record ran live");
+                JournalEntry::from_outcome(i, path, instances[i].1, &problems[i], live)
+            });
+            let status = entry.status.as_str();
+            let route_path = entry.path.encode();
+            let sum = entry.checksum.unwrap_or(0);
+            digest = fnv_str(digest, status);
+            digest = fnv_str(digest, &route_path);
+            digest = fnv_fold(digest, u64::from(entry.attempts));
+            digest = fnv_fold(digest, sum);
+            digest = fnv_fold(digest, entry.wire);
+            digest = fnv_fold(digest, entry.vias);
+            digest = fnv_fold(digest, entry.failed_nets as u64);
+            if let Some(e) = &entry.error {
+                digest = fnv_str(digest, e);
+            }
+            match entry.status {
+                InstanceStatus::Complete => writeln!(
+                    out,
+                    "  {path}: complete via {route_path}, {} attempt(s), wire {}, vias {}, \
+                     checksum {sum:016x}{resumed}",
+                    entry.attempts, entry.wire, entry.vias
+                ),
+                InstanceStatus::Salvaged => writeln!(
+                    out,
+                    "  {path}: salvaged, {} net(s) unrouted, lint {}, checksum {sum:016x}, \
+                     after {} attempt(s): {}{resumed}",
+                    entry.failed_nets,
+                    entry.lint_findings.unwrap_or(0),
+                    entry.attempts,
+                    entry.error.as_deref().unwrap_or("unknown"),
+                ),
+                InstanceStatus::Infeasible => writeln!(
+                    out,
+                    "  {path}: infeasible: {}{resumed}",
+                    entry.error.as_deref().unwrap_or("certified")
+                ),
+                _ => writeln!(
+                    out,
+                    "  {path}: {status} after {} attempt(s): {}{resumed}",
+                    entry.attempts,
+                    entry.error.as_deref().unwrap_or("unknown")
+                ),
+            }
+            .expect("writing");
+            let mut pairs = vec![
+                ("file", Json::str(path.as_str())),
+                ("status", Json::str(status)),
+                ("path", Json::str(route_path)),
+                ("attempts", Json::from(u64::from(entry.attempts))),
+            ];
+            if entry.checksum.is_some() {
+                pairs.push(("wire", Json::from(entry.wire)));
+                pairs.push(("vias", Json::from(entry.vias)));
+                pairs.push(("checksum", Json::str(format!("{sum:016x}"))));
+            }
+            if entry.status == InstanceStatus::Salvaged {
+                pairs.push(("failed_nets", Json::from(entry.failed_nets as u64)));
+                pairs.push(("lint", Json::from(entry.lint_findings.unwrap_or(0))));
+            }
+            if entry.status != InstanceStatus::Complete {
+                if let Some(e) = &entry.error {
+                    pairs.push(("error", Json::str(e.as_str())));
+                }
+            }
+            records.push(Json::obj(pairs));
+            continue;
+        }
         let ms = batch.timings[i].as_millis() as u64;
-        let outcome = match result {
+        let result = outcome.and_then(SupervisedOutcome::into_result);
+        let outcome = match result.expect("a plain batch keeps no journal, so every instance ran") {
             Ok(routing) => {
                 let (report, outcome) = routed(&problems[i], &routing.db, routing.is_complete());
                 let s = routing.db.stats();
                 let sum = routing.db.checksum();
                 all_good &= report.is_clean();
                 digest = fnv_fold(digest, sum);
+                printed.push(if routing.is_complete() { "complete" } else { "incomplete" });
+                failed_nets += routing.failed.len();
+                wirelength += s.wirelength;
+                vias += s.vias;
                 writeln!(
                     out,
                     "  {path}: {}, wire {}, vias {}, {ms} ms, checksum {sum:016x}",
@@ -584,11 +706,17 @@ fn execute_batch(a: &BatchArgs, out: &mut dyn fmt::Write) -> Result<bool, Execut
             Err(route_model::RouteError::Infeasible { reason }) => {
                 // A precheck skip is a proof, not a failure: the
                 // instance was never routable in the first place.
-                digest = fnv_str(digest, reason);
+                printed.push("infeasible");
+                digest = fnv_str(digest, &reason);
                 writeln!(out, "  {path}: infeasible: {reason}").expect("writing");
-                RouteOutcomeReport::Infeasible { reason: reason.clone() }
+                RouteOutcomeReport::Infeasible { reason }
             }
             Err(e) => {
+                printed.push(match e {
+                    route_model::RouteError::Panicked { .. } => "panicked",
+                    route_model::RouteError::DeadlineExceeded { .. } => "timed out",
+                    _ => "errored",
+                });
                 all_good = false;
                 digest = fnv_str(digest, &e.to_string());
                 writeln!(out, "  {path}: error: {e}").expect("writing");
@@ -602,15 +730,68 @@ fn execute_batch(a: &BatchArgs, out: &mut dyn fmt::Write) -> Result<bool, Execut
         pairs.push(("ms".to_string(), Json::from(ms)));
         records.push(Json::Obj(pairs));
     }
-    let s = batch.stats;
-    let throughput = s.instances as f64 / (s.batch_ms.max(1) as f64 / 1000.0);
-    writeln!(
-        out,
-        "batch: {} complete, {} incomplete, {} infeasible, {} errored, {} panicked, \
-         {} timed out; wall {} ms, {throughput:.1} inst/sec",
-        s.complete, s.incomplete, s.infeasible, s.errored, s.panicked, s.timed_out, s.batch_ms
-    )
-    .expect("writing");
+    let (stats, ok) = if supervised {
+        writeln!(
+            out,
+            "batch: {} complete, {} salvaged, {} infeasible, {} errored, {} panicked, \
+             {} timed out; {} retried, {} fell back, {} resumed",
+            s.complete,
+            s.salvaged,
+            s.infeasible,
+            s.errored,
+            s.panicked,
+            s.timed_out,
+            s.retried,
+            s.fell_back,
+            s.resumed_skips
+        )
+        .expect("writing");
+        let stats = Json::obj([
+            ("complete", Json::from(s.complete)),
+            ("salvaged", Json::from(s.salvaged)),
+            ("infeasible", Json::from(s.infeasible)),
+            ("errored", Json::from(s.errored)),
+            ("panicked", Json::from(s.panicked)),
+            ("timed_out", Json::from(s.timed_out)),
+            ("retried", Json::from(s.retried)),
+            ("fell_back", Json::from(s.fell_back)),
+            ("failed_nets", Json::from(s.failed_nets)),
+            ("wirelength", Json::from(s.wirelength)),
+            ("vias", Json::from(s.vias)),
+        ]);
+        (stats, s.complete == s.instances)
+    } else {
+        let count = |word| printed.iter().filter(|w| **w == word).count();
+        let throughput = s.instances as f64 / (s.batch_ms.max(1) as f64 / 1000.0);
+        writeln!(
+            out,
+            "batch: {} complete, {} incomplete, {} infeasible, {} errored, {} panicked, \
+             {} timed out; wall {} ms, {throughput:.1} inst/sec",
+            count("complete"),
+            count("incomplete"),
+            count("infeasible"),
+            count("errored"),
+            count("panicked"),
+            count("timed out"),
+            s.batch_ms
+        )
+        .expect("writing");
+        let stats = Json::obj([
+            ("complete", Json::from(count("complete"))),
+            ("incomplete", Json::from(count("incomplete"))),
+            ("infeasible", Json::from(count("infeasible"))),
+            ("errored", Json::from(count("errored"))),
+            ("panicked", Json::from(count("panicked"))),
+            ("timed_out", Json::from(count("timed out"))),
+            ("failed_nets", Json::from(failed_nets)),
+            ("wirelength", Json::from(wirelength)),
+            ("vias", Json::from(vias)),
+            ("batch_ms", Json::from(s.batch_ms)),
+            ("busy_ms", Json::from(s.busy_ms)),
+            ("throughput_per_sec", Json::from(throughput)),
+        ]);
+        (stats, all_good && count("complete") == s.instances)
+    };
     writeln!(out, "digest: {digest:016x}").expect("writing");
     if let Some(obs) = &batch.observation {
         if a.metrics {
@@ -628,36 +809,29 @@ fn execute_batch(a: &BatchArgs, out: &mut dyn fmt::Write) -> Result<bool, Execut
             writeln!(out, "trace written to {path} ({total} events)").expect("writing");
         }
     }
+    if let Some(j) = &journal {
+        if let Some(e) = j.take_error() {
+            return Err(ExecutionError::Unroutable(format!("journal write failed: {e}")));
+        }
+        writeln!(out, "journal: {}", j.path().display()).expect("writing");
+    }
     if let Some(path) = &a.json {
-        let mut pairs = vec![
-            ("router", Json::str(algorithm.name())),
-            ("jobs", Json::from(s.jobs)),
-            ("digest", Json::str(format!("{digest:016x}"))),
-            ("instances", Json::arr(records)),
-            (
-                "stats",
-                Json::obj([
-                    ("complete", Json::from(s.complete)),
-                    ("incomplete", Json::from(s.incomplete)),
-                    ("infeasible", Json::from(s.infeasible)),
-                    ("errored", Json::from(s.errored)),
-                    ("panicked", Json::from(s.panicked)),
-                    ("timed_out", Json::from(s.timed_out)),
-                    ("failed_nets", Json::from(s.failed_nets)),
-                    ("wirelength", Json::from(s.wirelength)),
-                    ("vias", Json::from(s.vias)),
-                    ("batch_ms", Json::from(s.batch_ms)),
-                    ("busy_ms", Json::from(s.busy_ms)),
-                    ("throughput_per_sec", Json::from(throughput)),
-                ]),
-            ),
-        ];
+        let router = if supervised { a.router.name() } else { sup.primary_name() };
+        let mut pairs = vec![("router", Json::str(router)), ("jobs", Json::from(s.jobs))];
+        if supervised {
+            let fallbacks = recovery.fallback.iter().map(|k| Json::str(k.name()));
+            pairs.push(("retries", Json::from(u64::from(retries))));
+            pairs.push(("fallbacks", Json::arr(fallbacks)));
+        }
+        pairs.push(("digest", Json::str(format!("{digest:016x}"))));
+        pairs.push(("instances", Json::arr(records)));
+        pairs.push(("stats", stats));
         if let Some(obs) = &batch.observation {
             pairs.push(("metrics", metrics_json(&obs.metrics)));
         }
         write_json(path, "batch", pairs, out)?;
     }
-    Ok(all_good && s.complete == s.instances)
+    Ok(ok)
 }
 
 /// Executes `vroute check`: verifies a saved routing against its
@@ -1001,185 +1175,6 @@ fn execute_fuzz(a: &FuzzArgs, out: &mut dyn fmt::Write) -> Result<bool, Executio
     Ok(clean)
 }
 
-/// Executes `vroute batch` through the supervised recovery engine:
-/// retries with budget escalation, an optional fallback router chain,
-/// partial-result salvage, and a crash-safe resumable run journal.
-/// Fault injection for the recovery paths is enabled through the
-/// `VROUTE_FAULT` environment variable (`KIND[@INSTANCES[@ATTEMPTS]]`,
-/// e.g. `fail@1,4@1`).
-///
-/// The JSON report deliberately excludes wall-clock fields and the
-/// resumed-skip counter, so a killed-and-resumed run reproduces the
-/// uninterrupted run's report byte for byte.
-fn execute_batch_supervised(
-    a: &BatchArgs,
-    paths: &[String],
-    problems: &[Problem],
-    fingerprints: &[u64],
-    out: &mut dyn fmt::Write,
-) -> Result<bool, ExecutionError> {
-    let recovery = &a.recovery;
-    let retries = recovery.retries.unwrap_or(0);
-    let policy = RetryPolicy::with_retries(retries);
-    let mut sup = match a.router {
-        BatchRouterKind::Ripup => Supervisor::new(RouterConfig::default(), policy),
-        kind => Supervisor::with_primary(batch_router(kind), policy),
-    };
-    let mut chain = FallbackChain::none();
-    for kind in &recovery.fallback {
-        chain.push(batch_router(*kind));
-    }
-    if !chain.is_empty() {
-        sup = sup.with_fallbacks(chain);
-    }
-    if let Some(plan) = fault_plan(out)? {
-        sup = sup.with_fault(plan);
-    }
-    let instances: Vec<(String, u64)> =
-        paths.iter().cloned().zip(fingerprints.iter().copied()).collect();
-    let journal = recovery.journal.open(
-        |dir| RunJournal::create(dir, &instances),
-        |dir| RunJournal::resume(dir, &instances),
-    )?;
-    let engine = RouteEngine::new(EngineConfig {
-        jobs: a.jobs,
-        deadline: a.deadline_ms.map(std::time::Duration::from_millis),
-        observe: ObserveMode::Off,
-        precheck: a.analyze,
-    });
-    let batch = engine.route_batch_supervised(&sup, problems, journal.as_ref());
-    let s = &batch.stats;
-    writeln!(
-        out,
-        "router: {} (supervised, retries {retries}, fallbacks {}), jobs: {}, instances: {}",
-        sup.primary_name(),
-        recovery.fallback.len(),
-        s.jobs,
-        s.instances
-    )
-    .expect("writing");
-    // The same order-sensitive FNV-1a fold as the plain batch, over the
-    // deterministic per-instance record fields only.
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut records = Vec::with_capacity(paths.len());
-    for (i, (path, entry)) in paths.iter().zip(&batch.entries).enumerate() {
-        let resumed = if batch.outcomes[i].is_none() { " (resumed)" } else { "" };
-        let status = entry.status.as_str();
-        let route_path = entry.path.encode();
-        let sum = entry.checksum.unwrap_or(0);
-        digest = fnv_str(digest, status);
-        digest = fnv_str(digest, &route_path);
-        digest = fnv_fold(digest, u64::from(entry.attempts));
-        digest = fnv_fold(digest, sum);
-        digest = fnv_fold(digest, entry.wire);
-        digest = fnv_fold(digest, entry.vias);
-        digest = fnv_fold(digest, entry.failed_nets as u64);
-        if let Some(e) = &entry.error {
-            digest = fnv_str(digest, e);
-        }
-        match entry.status {
-            InstanceStatus::Complete => writeln!(
-                out,
-                "  {path}: complete via {route_path}, {} attempt(s), wire {}, vias {}, \
-                 checksum {sum:016x}{resumed}",
-                entry.attempts, entry.wire, entry.vias
-            ),
-            InstanceStatus::Salvaged => writeln!(
-                out,
-                "  {path}: salvaged, {} net(s) unrouted, lint {}, checksum {sum:016x}, \
-                 after {} attempt(s): {}{resumed}",
-                entry.failed_nets,
-                entry.lint_findings.unwrap_or(0),
-                entry.attempts,
-                entry.error.as_deref().unwrap_or("unknown"),
-            ),
-            InstanceStatus::Infeasible => writeln!(
-                out,
-                "  {path}: infeasible: {}{resumed}",
-                entry.error.as_deref().unwrap_or("certified")
-            ),
-            _ => writeln!(
-                out,
-                "  {path}: {status} after {} attempt(s): {}{resumed}",
-                entry.attempts,
-                entry.error.as_deref().unwrap_or("unknown")
-            ),
-        }
-        .expect("writing");
-        let mut pairs = vec![
-            ("file", Json::str(path.as_str())),
-            ("status", Json::str(status)),
-            ("path", Json::str(route_path)),
-            ("attempts", Json::from(u64::from(entry.attempts))),
-        ];
-        if entry.checksum.is_some() {
-            pairs.push(("wire", Json::from(entry.wire)));
-            pairs.push(("vias", Json::from(entry.vias)));
-            pairs.push(("checksum", Json::str(format!("{sum:016x}"))));
-        }
-        if entry.status == InstanceStatus::Salvaged {
-            pairs.push(("failed_nets", Json::from(entry.failed_nets as u64)));
-            pairs.push(("lint", Json::from(entry.lint_findings.unwrap_or(0))));
-        }
-        if entry.status != InstanceStatus::Complete {
-            if let Some(e) = &entry.error {
-                pairs.push(("error", Json::str(e.as_str())));
-            }
-        }
-        records.push(Json::obj(pairs));
-    }
-    writeln!(
-        out,
-        "batch: {} complete, {} salvaged, {} infeasible, {} errored, {} panicked, \
-         {} timed out; {} retried, {} fell back, {} resumed",
-        s.complete,
-        s.salvaged,
-        s.infeasible,
-        s.errored,
-        s.panicked,
-        s.timed_out,
-        s.retried,
-        s.fell_back,
-        s.resumed_skips
-    )
-    .expect("writing");
-    writeln!(out, "digest: {digest:016x}").expect("writing");
-    if let Some(j) = &journal {
-        if let Some(e) = j.take_error() {
-            return Err(ExecutionError::Unroutable(format!("journal write failed: {e}")));
-        }
-        writeln!(out, "journal: {}", j.path().display()).expect("writing");
-    }
-    if let Some(path) = &a.json {
-        let pairs = [
-            ("router", Json::str(a.router.name())),
-            ("jobs", Json::from(s.jobs)),
-            ("retries", Json::from(u64::from(retries))),
-            ("fallbacks", Json::arr(recovery.fallback.iter().map(|k| Json::str(k.name())))),
-            ("digest", Json::str(format!("{digest:016x}"))),
-            ("instances", Json::arr(records)),
-            (
-                "stats",
-                Json::obj([
-                    ("complete", Json::from(s.complete)),
-                    ("salvaged", Json::from(s.salvaged)),
-                    ("infeasible", Json::from(s.infeasible)),
-                    ("errored", Json::from(s.errored)),
-                    ("panicked", Json::from(s.panicked)),
-                    ("timed_out", Json::from(s.timed_out)),
-                    ("retried", Json::from(s.retried)),
-                    ("fell_back", Json::from(s.fell_back)),
-                    ("failed_nets", Json::from(s.failed_nets)),
-                    ("wirelength", Json::from(s.wirelength)),
-                    ("vias", Json::from(s.vias)),
-                ]),
-            ),
-        ];
-        write_json(path, "batch", pairs, out)?;
-    }
-    Ok(s.complete == s.instances)
-}
-
 /// Folds one value into an FNV-1a digest.
 fn fnv_fold(mut h: u64, v: u64) -> u64 {
     for byte in v.to_le_bytes() {
@@ -1203,6 +1198,17 @@ mod tests {
     use super::*;
     use crate::parse_args;
 
+    /// Serializes every test whose command reads `VROUTE_FAULT`
+    /// (`batch`, `chip`): the variable is process-global, so a run that
+    /// expects a clean engine must not observe another test's injected
+    /// fault.
+    static FAULT_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Holds [`FAULT_ENV`] for the rest of the test.
+    fn fault_env_lock() -> std::sync::MutexGuard<'static, ()> {
+        FAULT_ENV.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn run(line: &str) -> (String, Result<bool, ExecutionError>) {
         let cmd = parse_args(line.split_whitespace().map(str::to_owned)).expect("parses");
         let mut out = String::new();
@@ -1219,6 +1225,7 @@ mod tests {
 
     #[test]
     fn chip_routes_and_reports_json() {
+        let _guard = fault_env_lock();
         let dir = std::env::temp_dir().join("vroute-test-chip");
         std::fs::create_dir_all(&dir).unwrap();
         let json = dir.join("chip.json");
@@ -1248,6 +1255,7 @@ mod tests {
 
     #[test]
     fn chip_analyze_keeps_every_tile_of_a_feasible_chip() {
+        let _guard = fault_env_lock();
         // The chip analysis certifies nothing here, so `--analyze` must
         // not change the routing: every tile routes and the checksum
         // matches the run without it.
@@ -1371,6 +1379,7 @@ mod tests {
 
     #[test]
     fn batch_is_bit_identical_across_thread_counts() {
+        let _guard = fault_env_lock();
         let dir = std::env::temp_dir().join("vroute-test-batch");
         std::fs::create_dir_all(&dir).unwrap();
         let mut list = String::new();
@@ -1394,6 +1403,7 @@ mod tests {
 
     #[test]
     fn batch_json_report() {
+        let _guard = fault_env_lock();
         let dir = std::env::temp_dir().join("vroute-test-batch-json");
         std::fs::create_dir_all(&dir).unwrap();
         let (instance, _) = run("gen switchbox --width 10 --height 8 --nets 5 --seed 4");
@@ -1415,6 +1425,7 @@ mod tests {
 
     #[test]
     fn batch_of_channel_problems_through_channel_adapters() {
+        let _guard = fault_env_lock();
         // Channel-shaped grid instances route through the unified trait
         // with a channel baseline.
         let dir = std::env::temp_dir().join("vroute-test-batch-ch");
@@ -1512,6 +1523,7 @@ mod tests {
 
     #[test]
     fn batch_metrics_and_trace() {
+        let _guard = fault_env_lock();
         let dir = std::env::temp_dir().join("vroute-test-batch-observe");
         std::fs::create_dir_all(&dir).unwrap();
         let mut files = String::new();
@@ -1545,20 +1557,36 @@ mod tests {
         assert!(text.contains("\"nets_committed\": 20"), "{text}");
         assert!(text.contains("\"weak_modifications\""), "{text}");
         assert!(text.contains("\"strong_ripups\""), "{text}");
+
+        // A supervised batch is observed too: every instance completes
+        // on its first attempt, so it writes the same event stream per
+        // instance as the plain batch.
+        let supervised = dir.join("supervised.ldj");
+        let (out, ok) =
+            run(&format!("batch {files} --retries 1 --metrics --trace {}", supervised.display()));
+        assert!(ok.unwrap(), "{out}");
+        assert!(out.contains("nets scheduled"), "{out}");
+        assert_eq!(std::fs::read_to_string(&supervised).unwrap(), lines);
     }
 
     #[test]
     fn batch_observation_keeps_the_digest() {
+        let _guard = fault_env_lock();
         let dir = std::env::temp_dir().join("vroute-test-batch-observe-eq");
         std::fs::create_dir_all(&dir).unwrap();
         let (instance, _) = run("gen switchbox --width 12 --height 10 --nets 6 --seed 7");
         let sb = dir.join("box.sb");
         std::fs::write(&sb, instance).unwrap();
-        let (plain, ok) = run(&format!("batch {}", sb.display()));
-        assert!(ok.unwrap(), "{plain}");
-        let (observed, ok) = run(&format!("batch {} --metrics", sb.display()));
-        assert!(ok.unwrap(), "{observed}");
-        assert_eq!(digest_of(&plain), digest_of(&observed));
+        let trace = dir.join("box.ldj");
+        for flags in ["", "--retries 1"] {
+            let (plain, ok) = run(&format!("batch {} {flags}", sb.display()));
+            assert!(ok.unwrap(), "{plain}");
+            for observe in ["--metrics".to_string(), format!("--trace {}", trace.display())] {
+                let (observed, ok) = run(&format!("batch {} {flags} {observe}", sb.display()));
+                assert!(ok.unwrap(), "{observed}");
+                assert_eq!(digest_of(&plain), digest_of(&observed), "{flags} {observe}");
+            }
+        }
     }
 
     #[test]
@@ -1654,6 +1682,7 @@ mod tests {
 
     #[test]
     fn batch_analyze_skips_infeasible_instances() {
+        let _guard = fault_env_lock();
         let dir = std::env::temp_dir().join("vroute-test-batch-inf");
         std::fs::create_dir_all(&dir).unwrap();
         let walled = dir.join("walled.sb");
@@ -1766,11 +1795,6 @@ mod tests {
         assert!(out.contains("all oracles passed"), "{out}");
     }
 
-    /// Serializes the supervised-batch tests: `VROUTE_FAULT` is
-    /// process-global, so runs that expect a clean engine must not
-    /// observe another test's injected fault.
-    static SUP_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     /// Writes `count` routable instances into `dir`, returning their
     /// space-joined paths.
     fn supervised_fixture(dir: &std::path::Path, count: usize) -> String {
@@ -1788,7 +1812,7 @@ mod tests {
 
     #[test]
     fn supervised_batch_recovers_injected_failures() {
-        let _guard = SUP_ENV.lock().unwrap();
+        let _guard = fault_env_lock();
         let dir = std::env::temp_dir().join("vroute-test-sup-fault");
         let files = supervised_fixture(&dir, 3);
 
@@ -1822,7 +1846,7 @@ mod tests {
 
     #[test]
     fn an_empty_fault_variable_counts_as_unset() {
-        let _guard = SUP_ENV.lock().unwrap();
+        let _guard = fault_env_lock();
         std::env::set_var("VROUTE_FAULT", "");
         let mut out = String::new();
         let plan = fault_plan(&mut out);
@@ -1833,7 +1857,7 @@ mod tests {
 
     #[test]
     fn supervised_batch_salvages_past_the_deadline() {
-        let _guard = SUP_ENV.lock().unwrap();
+        let _guard = fault_env_lock();
         let dir = std::env::temp_dir().join("vroute-test-sup-salvage");
         let files = supervised_fixture(&dir, 2);
         let report = dir.join("salvage.json");
@@ -1854,7 +1878,7 @@ mod tests {
 
     #[test]
     fn supervised_batch_resume_report_is_byte_identical() {
-        let _guard = SUP_ENV.lock().unwrap();
+        let _guard = fault_env_lock();
         std::env::remove_var("VROUTE_FAULT");
         let dir = std::env::temp_dir().join("vroute-test-sup-resume");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1898,7 +1922,7 @@ mod tests {
 
     #[test]
     fn batch_resume_reruns_a_record_torn_inside_a_multibyte_label() {
-        let _guard = SUP_ENV.lock().unwrap();
+        let _guard = fault_env_lock();
         std::env::remove_var("VROUTE_FAULT");
         let dir = std::env::temp_dir().join("vroute-test-sup-utf8");
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,30 +1,33 @@
 //! Parallel batch routing engine.
 //!
-//! [`RouteEngine`] routes many [`Problem`]s through any
-//! [`DetailedRouter`] concurrently on a scoped [`std::thread`] pool —
-//! no external dependencies. The contract:
+//! [`RouteEngine`] routes many [`Problem`]s through a [`Supervisor`]
+//! concurrently on a scoped [`std::thread`] pool — no external
+//! dependencies. A plain batch is a one-attempt supervisor
+//! ([`RetryPolicy::default`](crate::RetryPolicy::default), no
+//! fallbacks) over the caller's router. The contract:
 //!
-//! * **Deterministic ordering** — `results[i]` always belongs to
+//! * **Deterministic ordering** — `outcomes[i]` always belongs to
 //!   `problems[i]`, no matter how many workers ran or in which order
 //!   instances finished.
 //! * **Panic isolation** — a router panic on one instance is caught and
 //!   reported as [`RouteError::Panicked`] in that instance's slot; the
 //!   rest of the batch routes normally.
-//! * **Per-instance budgets** — an optional wall-clock deadline
-//!   disqualifies instances that finish too late
-//!   ([`RouteError::DeadlineExceeded`]). Attempt/event budgets are the
-//!   router's own business (see
+//! * **Per-attempt budgets** — an optional wall-clock deadline
+//!   disqualifies attempts that finish too late
+//!   ([`RouteError::DeadlineExceeded`]); their routing is kept as a
+//!   salvage. Attempt/event budgets are the router's own business (see
 //!   [`RouterConfig`](crate::RouterConfig) for the rip-up router); the
 //!   engine measures and reports per-instance time either way.
 //! * **Aggregate accounting** — [`EngineStats`] totals completions,
-//!   failures, wirelength, vias and wall-clock/busy time for the batch.
+//!   recoveries, failures, wirelength, vias and wall-clock/busy time for
+//!   the batch.
 //!
 //! # Examples
 //!
 //! ```
 //! use route_model::{PinSide, ProblemBuilder};
 //! use mighty::engine::{EngineConfig, RouteEngine};
-//! use mighty::{MightyRouter, RouterConfig};
+//! use mighty::{MightyRouter, RetryPolicy, RouterConfig, Supervisor};
 //!
 //! let problems: Vec<_> = (0..4)
 //!     .map(|i| {
@@ -35,9 +38,10 @@
 //!     .collect();
 //!
 //! let router = MightyRouter::new(RouterConfig::default());
+//! let supervisor = Supervisor::with_primary(&router, RetryPolicy::default());
 //! let engine = RouteEngine::new(EngineConfig { jobs: 2, ..EngineConfig::default() });
-//! let batch = engine.route_batch(&router, &problems);
-//! assert_eq!(batch.results.len(), 4);
+//! let batch = engine.route_batch(&supervisor, &problems, None);
+//! assert_eq!(batch.outcomes.len(), 4);
 //! assert_eq!(batch.stats.complete, 4);
 //! ```
 
@@ -47,14 +51,14 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use route_model::{
-    DetailedRouter, EventLog, Histogram, MetricsRecorder, Problem, RouteError, RouteEvent,
-    RouteResult, RouterStats,
+    EventLog, Histogram, MetricsRecorder, Problem, RouteEvent, RouteObserver, RouterStats,
 };
 
+#[cfg(doc)]
+use route_model::RouteError;
+
 use crate::journal::{JournalEntry, RunJournal};
-use crate::recover::{
-    guarded, FaultSite, InstanceStatus, RecoveryPath, SupervisedOutcome, Supervisor,
-};
+use crate::recover::{FaultSite, InstanceStatus, RecoveryPath, SupervisedOutcome, Supervisor};
 
 /// How much the engine observes of each instance's routing run.
 ///
@@ -84,11 +88,12 @@ pub enum ObserveMode {
 pub struct EngineConfig {
     /// Worker threads. `0` means one per available hardware thread.
     pub jobs: usize,
-    /// Wall-clock budget per instance. A result delivered after the
-    /// deadline is replaced by [`RouteError::DeadlineExceeded`]; errors
-    /// keep their original diagnosis. `None` disables the check.
+    /// Wall-clock budget per attempt, its clock started with the
+    /// attempt. A routing delivered after the deadline is disqualified
+    /// with [`RouteError::DeadlineExceeded`] and kept as a salvage;
+    /// errors keep their original diagnosis. `None` disables the check.
     pub deadline: Option<Duration>,
-    /// Per-instance observation attached by the workers.
+    /// Observation attached to every attempt of every instance.
     pub observe: ObserveMode,
     /// Run the static feasibility analysis (`route-analyze`) before
     /// routing each instance. Instances with an infeasibility
@@ -102,15 +107,14 @@ pub struct EngineConfig {
 /// the jobs field) before it spawns thousands of threads.
 pub const MAX_JOBS: usize = 1024;
 
-/// Aggregate accounting for one [`RouteEngine::route_batch`] call.
+/// Aggregate accounting for one [`RouteEngine::route_batch`] call, by
+/// each instance's [`InstanceStatus`] and [`RecoveryPath`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Instances in the batch.
     pub instances: usize,
-    /// Instances routed with every net connected.
+    /// Instances routed with every net connected, by any path.
     pub complete: usize,
-    /// Instances routed legally but with at least one failed net.
-    pub incomplete: usize,
     /// Instances that returned a [`RouteError`] other than a panic, a
     /// blown deadline, or an infeasibility proof.
     pub errored: usize,
@@ -119,7 +123,8 @@ pub struct EngineStats {
     pub infeasible: usize,
     /// Instances whose router panicked.
     pub panicked: usize,
-    /// Instances disqualified by the per-instance deadline.
+    /// Instances whose terminal failure was a blown deadline with no
+    /// routing to salvage.
     pub timed_out: usize,
     /// Total unconnected nets across all routed instances.
     pub failed_nets: usize,
@@ -136,20 +141,20 @@ pub struct EngineStats {
     pub max_instance_ms: u64,
     /// Worker threads actually used.
     pub jobs: usize,
-    /// Supervised batches only: instances completed by a retry of the
-    /// primary router (see [`crate::recover::RetryPolicy`]).
+    /// Instances completed by a retry of the primary router (see
+    /// [`crate::recover::RetryPolicy`]).
     pub retried: usize,
-    /// Supervised batches only: instances completed by a fallback
-    /// router (see [`crate::recover::FallbackChain`]).
+    /// Instances completed by a fallback router (see
+    /// [`crate::recover::FallbackChain`]).
     pub fell_back: usize,
-    /// Supervised batches only: instances whose terminal failure was
-    /// softened into a salvaged partial routing. Never counted in
-    /// [`complete`](EngineStats::complete).
+    /// Instances whose attempts all failed or fell short, their best
+    /// routing salvaged: an incomplete routing, or one delivered past the
+    /// deadline. Never counted in [`complete`](EngineStats::complete).
     pub salvaged: usize,
-    /// Supervised batches only: instances skipped because a resumed
-    /// run journal already held their completed record.
+    /// Instances skipped because a resumed run journal already held
+    /// their completed record.
     pub resumed_skips: usize,
-    /// Router work counters summed over all observed instances.
+    /// Router work counters summed over all observed attempts.
     /// Stays at zero when [`EngineConfig::observe`] is
     /// [`ObserveMode::Off`] — observation is what sources it.
     pub router: RouterStats,
@@ -158,27 +163,37 @@ pub struct EngineStats {
 /// Per-batch observation data, present when [`EngineConfig::observe`]
 /// is not [`ObserveMode::Off`].
 ///
-/// Instances that panicked contribute nothing (their observer died with
-/// the worker closure); timed-out instances still contribute — the work
-/// was done, even if the result was disqualified.
+/// Attempts that panicked contribute nothing (their events die with the
+/// attempt); disqualified attempts still contribute — the work was
+/// done, even if the result was not kept. Journal-resumed instances
+/// contribute nothing either.
 #[derive(Debug, Clone)]
 pub struct BatchObservation {
     /// Every instance's recorder merged into one.
     pub metrics: MetricsRecorder,
-    /// Per-instance routing latency, in milliseconds.
+    /// Per-instance routing latency, in milliseconds, over the instances
+    /// routed live.
     pub latency: Histogram,
-    /// Per-instance event sequences, in input order ([`ObserveMode::Trace`]
-    /// only — empty otherwise; a panicked instance leaves an empty slot).
+    /// Per-instance event sequences, every attempt in order, in input
+    /// order ([`ObserveMode::Trace`] only — empty otherwise; an instance
+    /// with no returned attempt leaves an empty slot).
     pub events: Vec<Vec<RouteEvent>>,
 }
 
 /// What [`RouteEngine::route_batch`] returns.
 #[derive(Debug)]
 pub struct BatchOutcome {
-    /// Per-instance results, in input order: `results[i]` routes
-    /// `problems[i]`.
-    pub results: Vec<RouteResult>,
-    /// Per-instance routing time, in input order.
+    /// Per-instance outcomes, in input order: `outcomes[i]` routes
+    /// `problems[i]`. `None` marks an instance skipped by journal
+    /// resume — its result lives only in `records`. An unsupervised
+    /// caller reads each through [`SupervisedOutcome::into_result`].
+    pub outcomes: Vec<Option<SupervisedOutcome>>,
+    /// Per-instance journal records, in input order: the record each
+    /// instance replayed or wrote when the batch ran with a journal,
+    /// `None` without one.
+    pub records: Vec<Option<JournalEntry>>,
+    /// Per-instance routing time, in input order (zero for resumed
+    /// skips).
     pub timings: Vec<Duration>,
     /// Aggregate accounting.
     pub stats: EngineStats,
@@ -187,8 +202,8 @@ pub struct BatchOutcome {
     pub observation: Option<BatchObservation>,
 }
 
-/// Routes batches of problems concurrently through any
-/// [`DetailedRouter`]. See the [module docs](self) for the contract.
+/// Routes batches of problems concurrently through a [`Supervisor`].
+/// See the [module docs](self) for the contract.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RouteEngine {
     config: EngineConfig,
@@ -222,186 +237,59 @@ impl RouteEngine {
         route_analyze::analyze_problem(problem).certificates().first().map(|c| c.summary())
     }
 
-    /// Routes every problem in the batch, fanning instances out over the
-    /// worker pool ([`map_ordered`]): a slow instance never stalls the
-    /// others, and results are delivered in input order regardless.
-    pub fn route_batch<R: DetailedRouter + Sync + ?Sized>(
+    /// Routes every problem through `supervisor`'s retry/fallback/salvage
+    /// chain, fanning instances out over the worker pool
+    /// ([`map_ordered`]): a slow instance never stalls the others, and
+    /// outcomes are delivered in input order regardless.
+    ///
+    /// With a journal, each outcome is streamed through it as a
+    /// crash-safe [`JournalEntry`]; a journal opened via
+    /// [`RunJournal::resume`] skips instances with a valid completed
+    /// record and replays their stored entries verbatim
+    /// ([`EngineStats::resumed_skips`]). Journal write failures never
+    /// abort the batch; they latch inside the journal for the caller to
+    /// check ([`RunJournal::take_error`]).
+    pub fn route_batch(
         &self,
-        router: &R,
+        supervisor: &Supervisor<'_>,
         problems: &[Problem],
+        journal: Option<&RunJournal>,
     ) -> BatchOutcome {
         let started = Instant::now();
         let n = problems.len();
         let deadline = self.config.deadline;
         let observe = self.config.observe;
 
-        let reports = map_ordered(self.config.jobs, n, |i| {
-            let t0 = Instant::now();
-            if let Some(reason) = self.infeasible(&problems[i]) {
-                return (t0.elapsed(), (Err(RouteError::Infeasible { reason }), Observed::None));
-            }
-            // The payload is set only once the router returns, so a
-            // panicked instance contributes no observation.
-            let mut observed = Observed::None;
-            let (result, _) = guarded(None, t0, deadline, || match observe {
-                ObserveMode::Off => router.route(&problems[i]),
-                ObserveMode::Metrics => {
-                    let mut rec = Box::new(MetricsRecorder::new());
-                    let r = router.route_observed(&problems[i], rec.as_mut());
-                    observed = Observed::Metrics(rec);
-                    r
-                }
-                ObserveMode::Trace => {
-                    let mut log = EventLog::new();
-                    let r = router.route_observed(&problems[i], &mut log);
-                    observed = Observed::Events(log.into_events());
-                    r
-                }
-            });
-            (t0.elapsed(), (result, observed))
-        });
-        let (timings, (results, observed_slots)): (Vec<Duration>, (Vec<RouteResult>, Vec<_>)) =
-            reports.into_iter().unzip();
-
-        let mut stats = EngineStats {
-            instances: n,
-            jobs: pool_size(self.config.jobs, n),
-            batch_ms: started.elapsed().as_millis() as u64,
-            ..EngineStats::default()
-        };
-        for (result, took) in results.iter().zip(&timings) {
-            let ms = took.as_millis() as u64;
-            stats.busy_ms += ms;
-            stats.max_instance_ms = stats.max_instance_ms.max(ms);
-            match result {
-                Ok(routing) => {
-                    if routing.is_complete() {
-                        stats.complete += 1;
-                    } else {
-                        stats.incomplete += 1;
-                    }
-                    stats.failed_nets += routing.failed.len();
-                    let db = routing.db.stats();
-                    stats.wirelength += db.wirelength;
-                    stats.vias += db.vias;
-                }
-                Err(RouteError::Panicked { .. }) => stats.panicked += 1,
-                Err(RouteError::DeadlineExceeded { .. }) => stats.timed_out += 1,
-                Err(RouteError::Infeasible { .. }) => stats.infeasible += 1,
-                Err(_) => stats.errored += 1,
-            }
-        }
-
-        // Merge per-instance observation in input order — deterministic
-        // regardless of worker count or completion order.
-        let observation = if observe == ObserveMode::Off {
-            None
-        } else {
-            let mut metrics = MetricsRecorder::new();
-            let mut latency = Histogram::new();
-            let mut events: Vec<Vec<RouteEvent>> = Vec::new();
-            for (observed, took) in observed_slots.into_iter().zip(&timings) {
-                latency.record(took.as_millis() as u64);
-                match observed {
-                    Observed::None => {
-                        if observe == ObserveMode::Trace {
-                            events.push(Vec::new());
-                        }
-                    }
-                    Observed::Metrics(rec) => metrics.merge(&rec),
-                    Observed::Events(instance_events) => {
-                        let mut rec = MetricsRecorder::new();
-                        for e in &instance_events {
-                            e.replay(&mut rec);
-                        }
-                        metrics.merge(&rec);
-                        events.push(instance_events);
-                    }
-                }
-            }
-            stats.router = *metrics.router();
-            Some(BatchObservation { metrics, latency, events })
-        };
-
-        BatchOutcome { results, timings, stats, observation }
-    }
-}
-
-/// What [`RouteEngine::route_batch_supervised`] returns.
-#[derive(Debug)]
-pub struct SupervisedBatch {
-    /// Per-instance outcomes, in input order. `None` marks an instance
-    /// skipped by journal resume — its result lives only in `entries`.
-    pub outcomes: Vec<Option<SupervisedOutcome>>,
-    /// Per-instance journal-shaped summaries, in input order — present
-    /// for every instance (resumed ones replay their stored record),
-    /// so reports never depend on whether a run was resumed.
-    pub entries: Vec<JournalEntry>,
-    /// Per-instance routing time, in input order (zero for resumed
-    /// skips).
-    pub timings: Vec<Duration>,
-    /// Aggregate accounting, including the recovery counters
-    /// ([`EngineStats::retried`], [`EngineStats::fell_back`],
-    /// [`EngineStats::salvaged`], [`EngineStats::resumed_skips`]).
-    pub stats: EngineStats,
-}
-
-impl RouteEngine {
-    /// Routes every problem under supervision: each instance runs
-    /// through `supervisor`'s retry/fallback/salvage chain instead of a
-    /// single attempt, and (optionally) streams its outcome through a
-    /// crash-safe [`RunJournal`].
-    ///
-    /// Differences from [`route_batch`](RouteEngine::route_batch):
-    ///
-    /// * [`EngineConfig::deadline`] bounds each *attempt*, and a
-    ///   deadline-disqualified routing still feeds the salvage
-    ///   snapshot.
-    /// * [`EngineConfig::observe`] is ignored — supervision re-runs
-    ///   instances, so per-attempt observation would not merge into a
-    ///   meaningful batch trace.
-    /// * With a journal opened via [`RunJournal::resume`], instances
-    ///   with a valid completed record are skipped and their stored
-    ///   entries replayed verbatim ([`EngineStats::resumed_skips`]).
-    ///
-    /// Journal write failures never abort the batch; they latch inside
-    /// the journal for the caller to check
-    /// ([`RunJournal::take_error`]).
-    pub fn route_batch_supervised(
-        &self,
-        supervisor: &Supervisor,
-        problems: &[Problem],
-        journal: Option<&RunJournal>,
-    ) -> SupervisedBatch {
-        let started = Instant::now();
-        let n = problems.len();
-        let deadline = self.config.deadline;
-
-        let reports = map_ordered(self.config.jobs, n, |i| {
+        let slots = map_ordered(self.config.jobs, n, |i| {
             if let Some(entry) = journal.and_then(|j| j.replay(i)) {
-                return (Duration::ZERO, (entry.clone(), None));
+                return (Duration::ZERO, None, Some(entry.clone()), Observed::None);
             }
-            let (label, fingerprint) = journal
-                .and_then(|j| j.key(i).cloned())
-                .unwrap_or_else(|| (format!("instance-{i}"), 0));
             let t0 = Instant::now();
+            let mut observed = match observe {
+                ObserveMode::Off => Observed::None,
+                ObserveMode::Metrics => Observed::Metrics(Box::default()),
+                ObserveMode::Trace => Observed::Events(EventLog::new()),
+            };
             let outcome = match self.infeasible(&problems[i]) {
                 Some(reason) => SupervisedOutcome::infeasible(reason),
                 None => {
                     if let Some(j) = journal {
                         j.begin(i);
                     }
-                    supervisor.route_supervised(&problems[i], FaultSite::Instance(i), deadline)
+                    let site = FaultSite::Instance(i);
+                    supervisor.route_supervised(&problems[i], site, deadline, observed.sink())
                 }
             };
-            let entry = JournalEntry::from_outcome(i, &label, fingerprint, &outcome);
-            if let Some(j) = journal {
+            let record = journal.map(|j| {
+                let (label, fingerprint) =
+                    j.key(i).cloned().unwrap_or_else(|| (format!("instance-{i}"), 0));
+                let entry =
+                    JournalEntry::from_outcome(i, &label, fingerprint, &problems[i], &outcome);
                 j.finish(&entry);
-            }
-            (t0.elapsed(), (entry, Some(outcome)))
+                entry
+            });
+            (t0.elapsed(), Some(outcome), record, observed)
         });
-        let (timings, (entries, outcomes)): (Vec<Duration>, (Vec<JournalEntry>, Vec<_>)) =
-            reports.into_iter().unzip();
 
         let mut stats = EngineStats {
             instances: n,
@@ -409,14 +297,29 @@ impl RouteEngine {
             batch_ms: started.elapsed().as_millis() as u64,
             ..EngineStats::default()
         };
-        for ((entry, took), outcome) in entries.iter().zip(&timings).zip(&outcomes) {
+        let mut metrics = MetricsRecorder::new();
+        let mut latency = Histogram::new();
+        let mut events: Vec<Vec<RouteEvent>> = Vec::new();
+        let (mut outcomes, mut records, mut timings) = (Vec::new(), Vec::new(), Vec::new());
+        for (took, outcome, record, observed) in slots {
             let ms = took.as_millis() as u64;
             stats.busy_ms += ms;
             stats.max_instance_ms = stats.max_instance_ms.max(ms);
-            if outcome.is_none() {
-                stats.resumed_skips += 1;
-            }
-            match entry.status {
+            let (status, path, routed) = match (&outcome, &record) {
+                (Some(o), _) => {
+                    let routed = match &o.result {
+                        Some(Ok(routing)) => {
+                            let db = routing.db.stats();
+                            (db.wirelength, db.vias, routing.failed.len())
+                        }
+                        _ => (0, 0, 0),
+                    };
+                    (o.status(), &o.path, routed)
+                }
+                (None, Some(r)) => (r.status, &r.path, (r.wire, r.vias, r.failed_nets)),
+                (None, None) => unreachable!("every slot is live or replayed"),
+            };
+            match status {
                 InstanceStatus::Complete => stats.complete += 1,
                 InstanceStatus::Salvaged => stats.salvaged += 1,
                 InstanceStatus::Infeasible => stats.infeasible += 1,
@@ -424,17 +327,43 @@ impl RouteEngine {
                 InstanceStatus::TimedOut => stats.timed_out += 1,
                 InstanceStatus::Errored => stats.errored += 1,
             }
-            match entry.path {
+            match path {
                 RecoveryPath::Retried { .. } => stats.retried += 1,
                 RecoveryPath::FellBack { .. } => stats.fell_back += 1,
                 _ => {}
             }
-            stats.failed_nets += entry.failed_nets;
-            stats.wirelength += entry.wire;
-            stats.vias += entry.vias;
+            stats.wirelength += routed.0;
+            stats.vias += routed.1;
+            stats.failed_nets += routed.2;
+            if outcome.is_none() {
+                stats.resumed_skips += 1;
+            } else if observe != ObserveMode::Off {
+                latency.record(ms);
+            }
+            // Merge per-instance observation in input order —
+            // deterministic regardless of worker count or completion
+            // order.
+            match observed {
+                Observed::None if observe == ObserveMode::Trace => events.push(Vec::new()),
+                Observed::None => {}
+                Observed::Metrics(rec) => metrics.merge(&rec),
+                Observed::Events(log) => {
+                    let mut rec = MetricsRecorder::new();
+                    log.replay(&mut rec);
+                    metrics.merge(&rec);
+                    events.push(log.into_events());
+                }
+            }
+            outcomes.push(outcome);
+            records.push(record);
+            timings.push(took);
         }
+        let observation = (observe != ObserveMode::Off).then(|| {
+            stats.router = *metrics.router();
+            BatchObservation { metrics, latency, events }
+        });
 
-        SupervisedBatch { outcomes, entries, timings, stats }
+        BatchOutcome { outcomes, records, timings, stats, observation }
     }
 }
 
@@ -444,7 +373,18 @@ impl RouteEngine {
 enum Observed {
     None,
     Metrics(Box<MetricsRecorder>),
-    Events(Vec<RouteEvent>),
+    Events(EventLog),
+}
+
+impl Observed {
+    /// The observer every attempt of the instance reports into.
+    fn sink(&mut self) -> Option<&mut dyn RouteObserver> {
+        match self {
+            Observed::None => None,
+            Observed::Metrics(rec) => Some(rec.as_mut()),
+            Observed::Events(log) => Some(log),
+        }
+    }
 }
 
 /// Worker threads for a `jobs` setting ([`EngineConfig::jobs`]
@@ -517,7 +457,7 @@ mod tests {
     use std::sync::{mpsc, Mutex};
 
     use crate::recover::RetryPolicy;
-    use crate::{MightyRouter, RouterConfig};
+    use crate::RouterConfig;
 
     #[test]
     fn map_ordered_returns_results_in_input_order() {
@@ -547,13 +487,11 @@ mod tests {
     #[test]
     fn map_ordered_runs_nothing_for_no_items() {
         assert!(map_ordered(4, 0, |i| i).is_empty());
-        let engine = RouteEngine::with_jobs(4);
-        let batch = engine.route_batch(&MightyRouter::new(RouterConfig::default()), &[]);
-        assert!(batch.results.is_empty() && batch.timings.is_empty());
-        assert_eq!(batch.stats.instances, 0);
         let supervisor = Supervisor::new(RouterConfig::default(), RetryPolicy::default());
-        let batch = engine.route_batch_supervised(&supervisor, &[], None);
-        assert!(batch.outcomes.is_empty() && batch.entries.is_empty());
+        let batch = RouteEngine::with_jobs(4).route_batch(&supervisor, &[], None);
+        assert!(batch.outcomes.is_empty() && batch.records.is_empty());
+        assert!(batch.timings.is_empty());
+        assert_eq!(batch.stats.instances, 0);
     }
 
     #[test]

@@ -54,6 +54,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use route_model::Problem;
 use route_proto::Json;
 
 use crate::recover::{InstanceStatus, RecoveryPath, SupervisedOutcome};
@@ -210,11 +211,15 @@ pub struct JournalEntry {
 }
 
 impl JournalEntry {
-    /// Builds the journal record for a live supervised outcome.
+    /// Builds the journal record for a live supervised outcome of
+    /// `problem`. A salvage is linted here
+    /// ([`route_analyze::lint_salvage`]: disconnections of declared-failed
+    /// nets are excused), since the record is where its count is shown.
     pub fn from_outcome(
         index: usize,
         label: &str,
         fingerprint: u64,
+        problem: &Problem,
         outcome: &SupervisedOutcome,
     ) -> JournalEntry {
         let mut entry = JournalEntry {
@@ -229,22 +234,18 @@ impl JournalEntry {
             vias: 0,
             failed_nets: 0,
             lint_findings: None,
-            error: None,
+            error: outcome.error_text(),
         };
-        match &outcome.result {
-            Some(Ok(routing)) => {
-                let stats = routing.db.stats();
-                entry.checksum = Some(routing.db.checksum());
-                entry.wire = stats.wirelength;
-                entry.vias = stats.vias;
-                entry.failed_nets = routing.failed.len();
+        if let Some(Ok(routing)) = &outcome.result {
+            let stats = routing.db.stats();
+            entry.checksum = Some(routing.db.checksum());
+            entry.wire = stats.wirelength;
+            entry.vias = stats.vias;
+            entry.failed_nets = routing.failed.len();
+            if outcome.salvage.is_some() {
+                let lint = route_analyze::lint_salvage(problem, &routing.db, &routing.failed);
+                entry.lint_findings = Some(lint.findings().len() as u64);
             }
-            Some(Err(e)) => entry.error = Some(e.to_string()),
-            None => {}
-        }
-        if let Some(salvage) = &outcome.salvage {
-            entry.lint_findings = Some(salvage.lint.findings().len() as u64);
-            entry.error = Some(salvage.terminal.clone());
         }
         entry
     }

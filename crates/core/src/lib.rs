@@ -56,7 +56,7 @@ pub mod serve;
 pub use config::{ConfigError, NetOrder, PenaltyGrowth, RouterConfig, RouterConfigBuilder};
 pub use engine::{
     map_ordered, BatchObservation, BatchOutcome, EngineConfig, EngineStats, ObserveMode,
-    RouteEngine, SupervisedBatch, MAX_JOBS,
+    RouteEngine, MAX_JOBS,
 };
 pub use journal::{
     ChipJournal, ChipTileRecord, JournalEntry, PendingRequest, RunJournal, ServeJournal,

@@ -15,8 +15,9 @@
 //! * **Salvage**: when every attempt fails, the [`Supervisor`] returns
 //!   the best snapshot it saw — the routing with the most connected
 //!   nets — as a [`RecoveryPath::Salvaged`] outcome carrying its
-//!   completed-net count and a legality lint report from
-//!   `route-analyze`, instead of discarding real metal.
+//!   completed-net count and the terminal error that forced it, instead
+//!   of discarding real metal. The batch journal and report lint it
+//!   ([`JournalEntry::from_outcome`](crate::JournalEntry::from_outcome)).
 //! * [`FaultPlan`] injects panics, delays and spurious failures into
 //!   chosen instances, tiles, seam repairs and attempts, so tests (and
 //!   the `VROUTE_FAULT` environment hook in the CLI) can prove every
@@ -37,7 +38,7 @@
 //! fallback chain, in order ──complete──▶ FellBack
 //!   │ exhausted
 //!   ▼
-//! best snapshot seen? ──yes──▶ Salvaged (+ lint report)
+//! best snapshot seen? ──yes──▶ Salvaged
 //!   │ no                         (never counted complete)
 //!   ▼
 //! Failed (terminal error; Infeasible proofs land here directly)
@@ -47,8 +48,9 @@ use std::fmt;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use route_analyze::LintReport;
-use route_model::{DetailedRouter, Problem, RouteError, RouteResult, Routing};
+use route_model::{
+    DetailedRouter, EventLog, Problem, RouteError, RouteObserver, RouteResult, Routing,
+};
 
 use crate::{MightyRouter, NetOrder, RouterConfig};
 
@@ -351,8 +353,8 @@ impl FaultPlan {
 /// `budget` after `since` with [`RouteError::DeadlineExceeded`], handing
 /// the late routing back beside it (its metal is real). Errors keep
 /// their own diagnosis and hand back no routing. Callers choose the
-/// clock: the engine starts it with the instance, the supervisor with
-/// the attempt, the service at admission.
+/// clock: the supervisor starts it with each attempt, the service at
+/// admission.
 pub fn guarded(
     fault: Option<EngineFault>,
     since: Instant,
@@ -477,13 +479,9 @@ impl InstanceStatus {
 pub struct SalvageInfo {
     /// Nets fully connected in the salvaged snapshot.
     pub connected: usize,
-    /// Human-readable description of the terminal failure that forced
-    /// the salvage.
-    pub terminal: String,
-    /// Legality lint of the snapshot ([`route_analyze::lint_salvage`]):
-    /// disconnections of declared-failed nets are excused, everything
-    /// else must be clean for the salvage to be trustworthy.
-    pub lint: LintReport,
+    /// The error the last failing attempt ended with; `None` when every
+    /// attempt delivered an incomplete routing.
+    pub terminal: Option<RouteError>,
 }
 
 /// The result of routing one instance under supervision.
@@ -512,6 +510,35 @@ impl SupervisedOutcome {
         }
     }
 
+    /// The text a journal record or report gives this outcome: the
+    /// terminal error that forced a salvage (or, when every attempt was
+    /// merely incomplete, the attempt and unrouted-net counts), the
+    /// terminal error of a failure, or `None`.
+    pub fn error_text(&self) -> Option<String> {
+        match (&self.salvage, &self.result) {
+            (Some(SalvageInfo { terminal: Some(e), .. }), _) | (None, Some(Err(e))) => {
+                Some(e.to_string())
+            }
+            (Some(_), Some(Ok(routing))) => Some(format!(
+                "incomplete after {} attempt(s): {} net(s) unrouted",
+                self.attempts,
+                routing.failed.len()
+            )),
+            _ => None,
+        }
+    }
+
+    /// The result as one unsupervised attempt reports it: a salvage
+    /// forced by a terminal error is that error, its routing dropped;
+    /// any other salvage is the incomplete routing itself. `None` only
+    /// when the outcome carries no result.
+    pub fn into_result(self) -> Option<RouteResult> {
+        match self.salvage {
+            Some(SalvageInfo { terminal: Some(e), .. }) => Some(Err(e)),
+            _ => self.result,
+        }
+    }
+
     /// The terminal classification of this outcome.
     pub fn status(&self) -> InstanceStatus {
         match &self.path {
@@ -530,24 +557,26 @@ impl SupervisedOutcome {
 }
 
 /// The primary router an instance is first attempted with.
-enum Primary {
+enum Primary<'r> {
     /// The rip-up router; retries escalate its budget knobs.
     Mighty(RouterConfig),
-    /// Any other router; retries re-run it unchanged (still meaningful
+    /// A caller's router; retries re-run it unchanged (still meaningful
     /// under injected or environmental transients).
-    Fixed(Box<dyn DetailedRouter + Sync>),
+    Fixed(&'r (dyn DetailedRouter + Sync)),
 }
 
 /// Drives one instance through retry, fallback and salvage. See the
-/// [module docs](self) for the decision sequence.
-pub struct Supervisor {
-    primary: Primary,
+/// [module docs](self) for the decision sequence. A supervisor with
+/// [`RetryPolicy::default`] and no fallbacks routes each instance
+/// exactly once: that is the plain batch.
+pub struct Supervisor<'r> {
+    primary: Primary<'r>,
     retry: RetryPolicy,
     fallbacks: FallbackChain,
     fault: Option<FaultPlan>,
 }
 
-impl fmt::Debug for Supervisor {
+impl fmt::Debug for Supervisor<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Supervisor")
             .field("primary", &self.primary_name())
@@ -558,7 +587,7 @@ impl fmt::Debug for Supervisor {
     }
 }
 
-impl Supervisor {
+impl<'r> Supervisor<'r> {
     /// A supervisor over the rip-up router with the given base
     /// configuration; retries escalate it per `retry`.
     pub fn new(base: RouterConfig, retry: RetryPolicy) -> Self {
@@ -570,9 +599,9 @@ impl Supervisor {
         }
     }
 
-    /// A supervisor over an arbitrary primary router; retries re-run it
+    /// A supervisor over a borrowed primary router; retries re-run it
     /// with the same configuration.
-    pub fn with_primary(router: Box<dyn DetailedRouter + Sync>, retry: RetryPolicy) -> Self {
+    pub fn with_primary(router: &'r (dyn DetailedRouter + Sync), retry: RetryPolicy) -> Self {
         Supervisor {
             primary: Primary::Fixed(router),
             retry,
@@ -605,35 +634,49 @@ impl Supervisor {
     /// through the full recovery chain. `deadline` is the per-*attempt*
     /// wall-clock budget: an attempt delivering after it is
     /// disqualified ([`RouteError::DeadlineExceeded`]) but its routing
-    /// still feeds the salvage snapshot.
+    /// still feeds the salvage snapshot. With an observer, each attempt
+    /// that returns reports its events into `obs`, in attempt order; an
+    /// attempt that panics reports nothing.
     pub fn route_supervised(
         &self,
         problem: &Problem,
         site: FaultSite,
         deadline: Option<Duration>,
+        mut obs: Option<&mut dyn RouteObserver>,
     ) -> SupervisedOutcome {
         let mut best: Option<Routing> = None;
         let mut last_error: Option<RouteError> = None;
         let mut attempts = 0u32;
         let mut panics = 0u32;
         let mut proof = false;
+        // One attempt through [`guarded`], its clock started with the
+        // attempt: a routing disqualified by `deadline` still feeds the
+        // salvage snapshot, and an observed attempt hands its logged
+        // events to `obs` only once the router returns.
+        let mut attempt = |router: &dyn DetailedRouter, no: u32, best: &mut Option<Routing>| {
+            let fault = self.fault.as_ref().and_then(|f| f.at(site, no));
+            let (result, late) = guarded(fault, Instant::now(), deadline, || match &mut obs {
+                None => router.route(problem),
+                Some(obs) => {
+                    let mut log = EventLog::new();
+                    let result = router.route_observed(problem, &mut log);
+                    log.replay(&mut **obs);
+                    result
+                }
+            });
+            if let Some(routing) = late {
+                remember_best(best, routing);
+            }
+            result
+        };
 
         for k in 0..self.retry.attempts.max(1) {
             let result = match &self.primary {
                 Primary::Mighty(base) => {
                     let cfg = if k == 0 { *base } else { self.retry.escalated(base, k) };
-                    self.attempt(
-                        &MightyRouter::new(cfg),
-                        problem,
-                        site,
-                        attempts,
-                        deadline,
-                        &mut best,
-                    )
+                    attempt(&MightyRouter::new(cfg), attempts, &mut best)
                 }
-                Primary::Fixed(r) => {
-                    self.attempt(r.as_ref(), problem, site, attempts, deadline, &mut best)
-                }
+                Primary::Fixed(r) => attempt(*r, attempts, &mut best),
             };
             attempts += 1;
             match result {
@@ -683,8 +726,7 @@ impl Supervisor {
         // salvage (nothing was routed).
         if !proof {
             for fb in &self.fallbacks.routers {
-                let result =
-                    self.attempt(fb.as_ref(), problem, site, attempts, deadline, &mut best);
+                let result = attempt(fb.as_ref(), attempts, &mut best);
                 attempts += 1;
                 match result {
                     Ok(routing) if routing.is_complete() => {
@@ -700,20 +742,12 @@ impl Supervisor {
                 }
             }
             if let Some(routing) = best {
-                let lint = route_analyze::lint_salvage(problem, &routing.db, &routing.failed);
                 let connected = problem.nets().len().saturating_sub(routing.failed.len());
-                let terminal = match &last_error {
-                    Some(e) => e.to_string(),
-                    None => format!(
-                        "incomplete after {attempts} attempt(s): {} net(s) unrouted",
-                        routing.failed.len()
-                    ),
-                };
                 return SupervisedOutcome {
                     path: RecoveryPath::Salvaged,
                     attempts,
                     result: Some(Ok(routing)),
-                    salvage: Some(SalvageInfo { connected, terminal, lint }),
+                    salvage: Some(SalvageInfo { connected, terminal: last_error }),
                 };
             }
         }
@@ -727,26 +761,6 @@ impl Supervisor {
             result: Some(Err(error)),
             salvage: None,
         }
-    }
-
-    /// Runs one attempt through [`guarded`], its clock started with the
-    /// attempt; a routing disqualified by `deadline` still feeds the
-    /// salvage snapshot.
-    fn attempt(
-        &self,
-        router: &dyn DetailedRouter,
-        problem: &Problem,
-        site: FaultSite,
-        attempt_no: u32,
-        deadline: Option<Duration>,
-        best: &mut Option<Routing>,
-    ) -> RouteResult {
-        let fault = self.fault.as_ref().and_then(|f| f.at(site, attempt_no));
-        let (result, late) = guarded(fault, Instant::now(), deadline, || router.route(problem));
-        if let Some(routing) = late {
-            remember_best(best, routing);
-        }
-        result
     }
 }
 
@@ -864,9 +878,9 @@ mod tests {
         // the retry recovers; other tiles are untouched.
         let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(2))
             .with_fault(FaultPlan::parse("panic@tile:0").unwrap());
-        let out = sup.route_supervised(&tiny(), Tile(0), None);
+        let out = sup.route_supervised(&tiny(), Tile(0), None, None);
         assert_eq!(out.path, RecoveryPath::Retried { attempt: 1 });
-        let out = sup.route_supervised(&tiny(), Tile(1), None);
+        let out = sup.route_supervised(&tiny(), Tile(1), None, None);
         assert_eq!(out.path, RecoveryPath::Direct, "tile 1 is untargeted");
     }
 
@@ -959,7 +973,7 @@ mod tests {
     #[test]
     fn direct_success_spends_one_attempt() {
         let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(3));
-        let out = sup.route_supervised(&tiny(), Instance(0), None);
+        let out = sup.route_supervised(&tiny(), Instance(0), None, None);
         assert_eq!(out.path, RecoveryPath::Direct);
         assert_eq!(out.attempts, 1);
         assert_eq!(out.status(), InstanceStatus::Complete);
@@ -969,7 +983,7 @@ mod tests {
     fn injected_panic_is_recovered_by_retry() {
         let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(2))
             .with_fault(FaultPlan::parse("panic@0@1").unwrap());
-        let out = sup.route_supervised(&tiny(), Instance(0), None);
+        let out = sup.route_supervised(&tiny(), Instance(0), None, None);
         assert_eq!(out.path, RecoveryPath::Retried { attempt: 1 });
         assert_eq!(out.attempts, 2);
         assert_eq!(out.status(), InstanceStatus::Complete);
@@ -981,7 +995,7 @@ mod tests {
         // chain even though the budget would allow five attempts.
         let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(4))
             .with_fault(FaultPlan::parse("panic@*@99").unwrap());
-        let out = sup.route_supervised(&tiny(), Instance(0), None);
+        let out = sup.route_supervised(&tiny(), Instance(0), None, None);
         assert_eq!(out.attempts, 2, "one panic, one capped retry");
         assert_eq!(out.status(), InstanceStatus::Panicked);
     }
@@ -992,7 +1006,7 @@ mod tests {
         let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(1))
             .with_fault(FaultPlan::new(EngineFault::SpuriousFail, None, 2))
             .with_fallbacks(FallbackChain::lee());
-        let out = sup.route_supervised(&tiny(), Instance(0), None);
+        let out = sup.route_supervised(&tiny(), Instance(0), None, None);
         assert_eq!(out.path, RecoveryPath::FellBack { router: "lee".to_string() });
         assert_eq!(out.attempts, 3);
         assert_eq!(out.status(), InstanceStatus::Complete);
@@ -1009,9 +1023,9 @@ mod tests {
                 Err(RouteError::Infeasible { reason: "saturated cut".to_string() })
             }
         }
-        let sup = Supervisor::with_primary(Box::new(Prover), RetryPolicy::with_retries(5))
+        let sup = Supervisor::with_primary(&Prover, RetryPolicy::with_retries(5))
             .with_fallbacks(FallbackChain::lee());
-        let out = sup.route_supervised(&tiny(), Instance(0), None);
+        let out = sup.route_supervised(&tiny(), Instance(0), None, None);
         assert_eq!(out.attempts, 1, "a proof must not be retried or handed to fallbacks");
         assert_eq!(out.status(), InstanceStatus::Infeasible);
         assert_eq!(out.path, RecoveryPath::Failed);
@@ -1031,14 +1045,16 @@ mod tests {
             }
         }
         let p = tiny();
-        let sup = Supervisor::with_primary(Box::new(GiveUp), RetryPolicy::with_retries(1));
-        let out = sup.route_supervised(&p, Instance(0), None);
+        let sup = Supervisor::with_primary(&GiveUp, RetryPolicy::with_retries(1));
+        let out = sup.route_supervised(&p, Instance(0), None, None);
         assert_eq!(out.path, RecoveryPath::Salvaged);
         assert_eq!(out.status(), InstanceStatus::Salvaged);
+        let entry = crate::JournalEntry::from_outcome(0, "tiny", 0, &p, &out);
+        assert_eq!(entry.lint_findings, Some(0), "declared-failed nets are excused");
+        assert!(out.error_text().is_some_and(|t| t.contains("unrouted")));
         let salvage = out.salvage.expect("salvage info");
         assert_eq!(salvage.connected, 0);
-        assert!(salvage.lint.is_legal(), "declared-failed nets are excused");
-        assert!(salvage.terminal.contains("unrouted"));
+        assert!(salvage.terminal.is_none(), "every attempt was merely incomplete");
         let routing =
             out.result.expect("salvage is a live outcome").expect("salvage carries a routing");
         assert_eq!(routing.failed.len(), p.nets().len());

@@ -1,10 +1,11 @@
 //! Batch engine contract tests: deterministic ordering across thread
-//! counts, panic isolation, deadline disqualification and stats.
+//! counts, panic isolation, deadline disqualification and stats, for
+//! the plain batch (a one-attempt supervisor over the caller's router).
 
 use std::time::Duration;
 
-use mighty::engine::{EngineConfig, RouteEngine};
-use mighty::{MightyRouter, RouterConfig};
+use mighty::engine::{BatchObservation, EngineConfig, EngineStats, ObserveMode, RouteEngine};
+use mighty::{MightyRouter, RetryPolicy, RouterConfig, SupervisedOutcome, Supervisor};
 use route_benchdata::gen::routable_switchbox;
 use route_model::{DetailedRouter, Problem, RouteDb, RouteError, RouteResult, Routing};
 
@@ -12,12 +13,33 @@ fn batch(count: u64) -> Vec<Problem> {
     (0..count).map(|i| routable_switchbox(12, 12, 5, 0x5eed ^ i)).collect()
 }
 
+/// A plain batch's results: each instance as its one attempt ended.
+struct Plain {
+    results: Vec<RouteResult>,
+    timings: Vec<Duration>,
+    stats: EngineStats,
+    observation: Option<BatchObservation>,
+}
+
+/// Routes `problems` through `engine` as a plain batch over `router`.
+fn plain(engine: RouteEngine, router: &(dyn DetailedRouter + Sync), problems: &[Problem]) -> Plain {
+    let supervisor = Supervisor::with_primary(router, RetryPolicy::default());
+    let out = engine.route_batch(&supervisor, problems, None);
+    let results = out.outcomes.into_iter().map(|o| o.and_then(SupervisedOutcome::into_result));
+    Plain {
+        results: results.map(|r| r.expect("every instance ran live")).collect(),
+        timings: out.timings,
+        stats: out.stats,
+        observation: out.observation,
+    }
+}
+
 #[test]
 fn results_are_identical_across_thread_counts() {
     let problems = batch(24);
     let router = MightyRouter::new(RouterConfig::default());
-    let serial = RouteEngine::with_jobs(1).route_batch(&router, &problems);
-    let parallel = RouteEngine::with_jobs(4).route_batch(&router, &problems);
+    let serial = plain(RouteEngine::with_jobs(1), &router, &problems);
+    let parallel = plain(RouteEngine::with_jobs(4), &router, &problems);
     assert_eq!(serial.results.len(), problems.len());
     for (i, (a, b)) in serial.results.iter().zip(&parallel.results).enumerate() {
         let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
@@ -40,7 +62,7 @@ fn results_keep_input_order() {
         })
         .collect();
     let router = MightyRouter::new(RouterConfig::default());
-    let out = RouteEngine::with_jobs(4).route_batch(&router, &problems);
+    let out = plain(RouteEngine::with_jobs(4), &router, &problems);
     let reference = MightyRouter::new(RouterConfig::default());
     for (i, (problem, result)) in problems.iter().zip(&out.results).enumerate() {
         let direct = reference.route(problem);
@@ -74,7 +96,7 @@ fn poisoned(name: &str) -> Problem {
 #[test]
 fn a_panicking_instance_does_not_kill_the_batch() {
     let problems = vec![poisoned("fine"), poisoned("poison"), poisoned("fine"), poisoned("poison")];
-    let out = RouteEngine::with_jobs(2).route_batch(&Trapped, &problems);
+    let out = plain(RouteEngine::with_jobs(2), &Trapped, &problems);
     assert_eq!(out.results.len(), 4);
     assert!(out.results[0].is_ok());
     assert!(out.results[2].is_ok());
@@ -112,27 +134,29 @@ fn deadline_disqualifies_slow_instances() {
         deadline: Some(Duration::from_millis(1)),
         ..EngineConfig::default()
     });
-    let out = engine.route_batch(&Sleepy, &problems);
+    let out = plain(engine, &Sleepy, &problems);
     match &out.results[0] {
         Err(RouteError::DeadlineExceeded { elapsed_ms, budget_ms }) => {
             assert!(*elapsed_ms >= *budget_ms);
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-    assert_eq!(out.stats.timed_out, 1);
+    // The engine keeps the late routing as a salvage; the plain result
+    // above reports the attempt as it ended.
+    assert_eq!(out.stats.salvaged, 1);
     // A generous deadline leaves the result alone.
     let lenient = RouteEngine::new(EngineConfig {
         jobs: 1,
         deadline: Some(Duration::from_secs(60)),
         ..EngineConfig::default()
     });
-    assert!(lenient.route_batch(&Sleepy, &problems).results[0].is_ok());
+    assert!(plain(lenient, &Sleepy, &problems).results[0].is_ok());
 }
 
 #[test]
 fn empty_batch_is_a_noop() {
     let router = MightyRouter::new(RouterConfig::default());
-    let out = RouteEngine::with_jobs(8).route_batch(&router, &[]);
+    let out = plain(RouteEngine::with_jobs(8), &router, &[]);
     assert!(out.results.is_empty());
     assert!(out.timings.is_empty());
     assert_eq!(out.stats.instances, 0);
@@ -142,12 +166,12 @@ fn empty_batch_is_a_noop() {
 fn stats_add_up() {
     let problems = batch(8);
     let router = MightyRouter::new(RouterConfig::default());
-    let out = RouteEngine::with_jobs(3).route_batch(&router, &problems);
+    let out = plain(RouteEngine::with_jobs(3), &router, &problems);
     let s = out.stats;
     assert_eq!(s.instances, 8);
     assert_eq!(s.jobs, 3);
     assert_eq!(
-        s.complete + s.incomplete + s.errored + s.panicked + s.timed_out + s.infeasible,
+        s.complete + s.salvaged + s.errored + s.panicked + s.timed_out + s.infeasible,
         s.instances
     );
     assert!(s.wirelength > 0);
@@ -174,7 +198,7 @@ fn precheck_skips_provably_infeasible_instances() {
     let router = MightyRouter::new(RouterConfig::default());
     let engine =
         RouteEngine::new(EngineConfig { jobs: 1, precheck: true, ..EngineConfig::default() });
-    let out = engine.route_batch(&router, &problems);
+    let out = plain(engine, &router, &problems);
     assert!(out.results[0].is_ok(), "feasible instance routes normally");
     match &out.results[1] {
         Err(RouteError::Infeasible { reason }) => {
@@ -187,9 +211,9 @@ fn precheck_skips_provably_infeasible_instances() {
 
     // Without the precheck the router runs — and never reports the
     // instance as infeasible, only as failed-after-search.
-    let plain = RouteEngine::with_jobs(1).route_batch(&router, &problems);
-    assert_eq!(plain.stats.infeasible, 0);
-    if let Ok(routing) = &plain.results[1] {
+    let unchecked = plain(RouteEngine::with_jobs(1), &router, &problems);
+    assert_eq!(unchecked.stats.infeasible, 0);
+    if let Ok(routing) = &unchecked.results[1] {
         assert!(!routing.is_complete());
     }
 }
@@ -200,10 +224,35 @@ fn precheck_leaves_feasible_batches_untouched() {
     let router = MightyRouter::new(RouterConfig::default());
     let checked =
         RouteEngine::new(EngineConfig { jobs: 2, precheck: true, ..EngineConfig::default() });
-    let plain = RouteEngine::with_jobs(2).route_batch(&router, &problems);
-    let gated = checked.route_batch(&router, &problems);
-    for (a, b) in plain.results.iter().zip(&gated.results) {
+    let unchecked = plain(RouteEngine::with_jobs(2), &router, &problems);
+    let gated = plain(checked, &router, &problems);
+    for (a, b) in unchecked.results.iter().zip(&gated.results) {
         assert_eq!(a.as_ref().unwrap().db.checksum(), b.as_ref().unwrap().db.checksum());
     }
     assert_eq!(gated.stats.infeasible, 0);
+}
+
+#[test]
+fn observation_is_identical_across_thread_counts() {
+    let problems = batch(8);
+    let router = MightyRouter::new(RouterConfig::default());
+    let traced = |jobs| {
+        let cfg = EngineConfig { jobs, observe: ObserveMode::Trace, ..EngineConfig::default() };
+        plain(RouteEngine::new(cfg), &router, &problems)
+    };
+    let (serial, parallel) = (traced(1), traced(4));
+    assert_eq!(serial.stats.router, parallel.stats.router);
+    assert!(serial.stats.router.expanded > 0, "observation sources the router counters");
+    let events = |out: Plain| out.observation.expect("a traced batch is observed").events;
+    let serial_events = events(serial);
+    assert_eq!(serial_events.len(), problems.len(), "one event stream per instance");
+    assert_eq!(serial_events, events(parallel));
+    // Unobserved batches count nothing and route the same databases.
+    let off = plain(RouteEngine::with_jobs(1), &router, &problems);
+    assert_eq!(off.stats.router, Default::default());
+    assert!(off.observation.is_none());
+    let again = traced(2);
+    for (a, b) in off.results.iter().zip(&again.results) {
+        assert_eq!(a.as_ref().unwrap().db.checksum(), b.as_ref().unwrap().db.checksum());
+    }
 }

@@ -7,13 +7,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use mighty::engine::{EngineConfig, RouteEngine, SupervisedBatch};
+use mighty::engine::{BatchOutcome, EngineConfig, RouteEngine};
 use mighty::{
-    EngineFault, FallbackChain, FaultPlan, InstanceStatus, RecoveryPath, RetryPolicy, RouterConfig,
-    RunJournal, Supervisor,
+    EngineFault, FallbackChain, FaultPlan, InstanceStatus, JournalEntry, RecoveryPath, RetryPolicy,
+    RouterConfig, RunJournal, Supervisor,
 };
 use route_benchdata::gen::routable_switchbox;
-use route_model::Problem;
+use route_model::{Problem, RouteError};
 
 fn batch(count: u64) -> Vec<Problem> {
     (0..count).map(|i| routable_switchbox(12, 12, 5, 0xfa11 ^ i)).collect()
@@ -42,6 +42,22 @@ fn counters(s: &mighty::EngineStats) -> [u64; 12] {
     ]
 }
 
+/// Every instance's journal entry: the record the batch replayed or
+/// wrote, or one built (and, for a salvage, linted) from its live
+/// outcome under the [`keys`] label.
+fn entries(out: &BatchOutcome, problems: &[Problem]) -> Vec<JournalEntry> {
+    let keys = keys(problems);
+    let slots = out.outcomes.iter().zip(&out.records).enumerate();
+    slots
+        .map(|(i, (outcome, record))| {
+            record.clone().unwrap_or_else(|| {
+                let outcome = outcome.as_ref().expect("an unrecorded instance ran live");
+                JournalEntry::from_outcome(i, &keys[i].0, keys[i].1, &problems[i], outcome)
+            })
+        })
+        .collect()
+}
+
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vroute-recovery-{name}"));
     let _ = fs::remove_dir_all(&dir);
@@ -54,25 +70,26 @@ fn every_recovery_path_fires_with_deterministic_stats() {
     // Spurious failures on the first attempt of instances 1 and 4: the
     // retry completes them. Everything else routes directly.
     let fault = FaultPlan::new(EngineFault::SpuriousFail, Some(vec![1, 4]), 1);
-    let run = |jobs: usize| -> SupervisedBatch {
+    let run = |jobs: usize| -> BatchOutcome {
         let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(2))
             .with_fallbacks(FallbackChain::lee())
             .with_fault(fault.clone());
-        RouteEngine::with_jobs(jobs).route_batch_supervised(&sup, &problems, None)
+        RouteEngine::with_jobs(jobs).route_batch(&sup, &problems, None)
     };
 
     let serial = run(1);
     assert_eq!(serial.stats.complete, 6);
     assert_eq!(serial.stats.retried, 2);
-    assert_eq!(serial.entries[1].path, RecoveryPath::Retried { attempt: 1 });
-    assert_eq!(serial.entries[4].path, RecoveryPath::Retried { attempt: 1 });
-    assert_eq!(serial.entries[0].path, RecoveryPath::Direct);
+    let serial_entries = entries(&serial, &problems);
+    assert_eq!(serial_entries[1].path, RecoveryPath::Retried { attempt: 1 });
+    assert_eq!(serial_entries[4].path, RecoveryPath::Retried { attempt: 1 });
+    assert_eq!(serial_entries[0].path, RecoveryPath::Direct);
 
     // The same batch across thread counts: identical counters, paths
-    // and checksums (satellite requirement: --jobs 1 vs --jobs N).
+    // and checksums (--jobs 1 vs --jobs N).
     let parallel = run(4);
     assert_eq!(counters(&serial.stats), counters(&parallel.stats));
-    for (a, b) in serial.entries.iter().zip(&parallel.entries) {
+    for (a, b) in serial_entries.iter().zip(&entries(&parallel, &problems)) {
         assert_eq!(a.path, b.path, "instance {}", a.index);
         assert_eq!(a.checksum, b.checksum, "instance {}", a.index);
         assert_eq!(a.attempts, b.attempts, "instance {}", a.index);
@@ -87,9 +104,10 @@ fn exhausted_retries_fall_back_to_lee() {
     let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(1))
         .with_fallbacks(FallbackChain::lee())
         .with_fault(FaultPlan::new(EngineFault::SpuriousFail, Some(vec![2]), 2));
-    let out = RouteEngine::with_jobs(2).route_batch_supervised(&sup, &problems, None);
-    assert_eq!(out.entries[2].path, RecoveryPath::FellBack { router: "lee".to_string() });
-    assert_eq!(out.entries[2].status, InstanceStatus::Complete);
+    let out = RouteEngine::with_jobs(2).route_batch(&sup, &problems, None);
+    let entries = entries(&out, &problems);
+    assert_eq!(entries[2].path, RecoveryPath::FellBack { router: "lee".to_string() });
+    assert_eq!(entries[2].status, InstanceStatus::Complete);
     assert_eq!(out.stats.fell_back, 1);
     assert_eq!(out.stats.complete, 3);
 }
@@ -105,17 +123,16 @@ fn zero_deadline_salvages_every_instance() {
         deadline: Some(Duration::ZERO),
         ..EngineConfig::default()
     });
-    let out = engine.route_batch_supervised(&sup, &problems, None);
+    let out = engine.route_batch(&sup, &problems, None);
     assert_eq!(out.stats.complete, 0, "nothing may beat a zero deadline");
     assert_eq!(out.stats.salvaged, 3);
     assert_eq!(out.stats.timed_out, 0, "salvage absorbs the deadline failures");
-    for (entry, outcome) in out.entries.iter().zip(&out.outcomes) {
+    for (entry, outcome) in entries(&out, &problems).iter().zip(&out.outcomes) {
         assert_eq!(entry.status, InstanceStatus::Salvaged);
         assert_eq!(entry.lint_findings, Some(0), "salvaged db must lint clean");
         assert!(entry.error.as_deref().is_some_and(|e| e.contains("deadline")));
         let outcome = outcome.as_ref().expect("live outcome");
-        let salvage = outcome.salvage.as_ref().expect("salvage info");
-        assert!(salvage.lint.is_legal());
+        assert!(outcome.salvage.is_some(), "salvage info");
     }
 }
 
@@ -132,14 +149,19 @@ fn deadline_on_the_final_retry_still_salvages() {
         deadline: Some(Duration::from_millis(5)),
         ..EngineConfig::default()
     });
-    let out = engine.route_batch_supervised(&sup, &problems, None);
-    assert_eq!(out.entries[0].status, InstanceStatus::Salvaged);
-    assert_eq!(out.entries[0].attempts, 3, "the whole retry chain ran");
+    let out = engine.route_batch(&sup, &problems, None);
+    let entries = entries(&out, &problems);
+    assert_eq!(entries[0].status, InstanceStatus::Salvaged);
+    assert_eq!(entries[0].attempts, 3, "the whole retry chain ran");
+    assert_eq!(entries[0].lint_findings, Some(0), "salvaged snapshot must be legal");
     let outcome = out.outcomes[0].as_ref().expect("live outcome");
     assert_eq!(outcome.path, RecoveryPath::Salvaged);
     let salvage = outcome.salvage.as_ref().expect("salvage info");
-    assert!(salvage.lint.is_legal(), "salvaged snapshot must be legal");
-    assert!(salvage.terminal.contains("deadline exceeded"), "{}", salvage.terminal);
+    assert!(
+        matches!(salvage.terminal, Some(RouteError::DeadlineExceeded { .. })),
+        "{:?}",
+        salvage.terminal
+    );
 }
 
 #[test]
@@ -149,16 +171,17 @@ fn panicked_instances_without_snapshots_fail_terminally() {
     // there is nothing to salvage and the panic surfaces.
     let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(3))
         .with_fault(FaultPlan::new(EngineFault::Panic, Some(vec![0]), 99));
-    let out = RouteEngine::with_jobs(1).route_batch_supervised(&sup, &problems, None);
-    assert_eq!(out.entries[0].status, InstanceStatus::Panicked);
-    assert_eq!(out.entries[0].attempts, 2, "panics retry at most once");
-    assert_eq!(out.entries[1].status, InstanceStatus::Complete);
+    let out = RouteEngine::with_jobs(1).route_batch(&sup, &problems, None);
+    let entries = entries(&out, &problems);
+    assert_eq!(entries[0].status, InstanceStatus::Panicked);
+    assert_eq!(entries[0].attempts, 2, "panics retry at most once");
+    assert_eq!(entries[1].status, InstanceStatus::Complete);
     assert_eq!(out.stats.panicked, 1);
     assert_eq!(out.stats.complete, 1);
 }
 
-/// Routes a journaled batch, returning its entries.
-fn journaled_run(problems: &[Problem], dir: &Path, resume: bool) -> (SupervisedBatch, RunJournal) {
+/// Routes a journaled batch, returning it with its journal.
+fn journaled_run(problems: &[Problem], dir: &Path, resume: bool) -> (BatchOutcome, RunJournal) {
     let instances = keys(problems);
     let journal = if resume {
         RunJournal::resume(dir, &instances).expect("journal opens")
@@ -166,7 +189,8 @@ fn journaled_run(problems: &[Problem], dir: &Path, resume: bool) -> (SupervisedB
         RunJournal::create(dir, &instances).expect("journal opens")
     };
     let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(1));
-    let out = RouteEngine::with_jobs(2).route_batch_supervised(&sup, problems, Some(&journal));
+    let out = RouteEngine::with_jobs(2).route_batch(&sup, problems, Some(&journal));
+    assert!(out.records.iter().all(Option::is_some), "a journaled batch records every instance");
     assert_eq!(journal.take_error(), None);
     (out, journal)
 }
@@ -200,7 +224,7 @@ fn a_killed_run_resumes_to_the_identical_outcome() {
 
     // The final per-instance records are identical to the
     // uninterrupted run, field for field.
-    assert_eq!(resumed.entries, reference.entries);
+    assert_eq!(resumed.records, reference.records);
     // Resumed slots have no live routing; re-run slots do.
     let live = resumed.outcomes.iter().filter(|o| o.is_some()).count();
     assert_eq!(live, 5);
@@ -208,7 +232,7 @@ fn a_killed_run_resumes_to_the_identical_outcome() {
     // A second resume skips everything and still reports identically.
     let (replayed, _) = journaled_run(&problems, &dir, true);
     assert_eq!(replayed.stats.resumed_skips, 8);
-    assert_eq!(replayed.entries, reference.entries);
+    assert_eq!(replayed.records, reference.records);
     assert!(replayed.outcomes.iter().all(Option::is_none));
 }
 
@@ -229,14 +253,46 @@ fn precheck_infeasibility_is_journaled_and_resumed() {
     let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::default());
     let engine =
         RouteEngine::new(EngineConfig { jobs: 1, precheck: true, ..EngineConfig::default() });
-    let out = engine.route_batch_supervised(&sup, &problems, Some(&journal));
-    assert_eq!(out.entries[1].status, InstanceStatus::Infeasible);
-    assert_eq!(out.entries[1].attempts, 0, "the proof spares the router entirely");
+    let out = engine.route_batch(&sup, &problems, Some(&journal));
+    let entries = entries(&out, &problems);
+    assert_eq!(entries[1].status, InstanceStatus::Infeasible);
+    assert_eq!(entries[1].attempts, 0, "the proof spares the router entirely");
     assert_eq!(out.stats.infeasible, 1);
     drop(journal);
 
     let journal = RunJournal::resume(&dir, &instances).expect("journal reopens");
-    let resumed = engine.route_batch_supervised(&sup, &problems, Some(&journal));
+    let resumed = engine.route_batch(&sup, &problems, Some(&journal));
     assert_eq!(resumed.stats.resumed_skips, 2, "proofs are cached in the journal too");
-    assert_eq!(resumed.entries, out.entries);
+    assert_eq!(resumed.records, out.records);
+}
+
+#[test]
+fn supervised_observation_reports_every_returned_attempt_in_order() {
+    use mighty::engine::ObserveMode;
+    let problems = batch(3);
+    let traced = |retries: u32, fault: EngineFault, jobs: usize| {
+        let sup = Supervisor::new(RouterConfig::default(), RetryPolicy::with_retries(retries))
+            .with_fault(FaultPlan::new(fault, Some(vec![1]), 1));
+        let engine = RouteEngine::new(EngineConfig {
+            jobs,
+            deadline: Some(Duration::ZERO),
+            observe: ObserveMode::Trace,
+            ..EngineConfig::default()
+        });
+        let out = engine.route_batch(&sup, &problems, None);
+        (out.stats.router, out.observation.expect("traced").events)
+    };
+    // Under a zero deadline every attempt routes and is disqualified, so
+    // each one reports: the retry's events follow the first attempt's.
+    let (_, one) = traced(0, EngineFault::Delay(0), 1);
+    let (_, two) = traced(1, EngineFault::Delay(0), 1);
+    assert_eq!(two.len(), problems.len(), "one event stream per instance");
+    assert!(two[0].len() > one[0].len() && two[0].starts_with(&one[0]));
+    // A panicking or spuriously failing first attempt reports nothing.
+    let (panicked_stats, panicked) = traced(1, EngineFault::Panic, 1);
+    let (failed_stats, failed) = traced(1, EngineFault::SpuriousFail, 2);
+    assert_eq!(panicked, failed);
+    assert_eq!(panicked_stats, failed_stats);
+    assert!(panicked[1].len() < two[1].len(), "instance 1 lost its first attempt's events");
+    assert_eq!(panicked[0], two[0], "untargeted instances are untouched");
 }

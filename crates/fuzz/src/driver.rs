@@ -8,8 +8,8 @@
 
 use std::fmt;
 
-use mighty::engine::{EngineConfig, ObserveMode, RouteEngine};
-use mighty::{MightyRouter, RouterConfig};
+use mighty::engine::{BatchOutcome, EngineConfig, ObserveMode, RouteEngine};
+use mighty::{MightyRouter, RetryPolicy, RouterConfig, SupervisedOutcome, Supervisor};
 use route_benchdata::rng::SplitMix64;
 use route_maze::{FrontierKind, LeeRouter, SearchArena};
 use route_model::{DetailedRouter, Problem, RouteResult, Routing};
@@ -197,14 +197,22 @@ pub fn run_batch(problems: &[Problem], routers: &RouterSet, jobs: usize) -> Vec<
         ..EngineConfig::default()
     });
 
+    // Each router runs as a one-attempt supervisor: the plain batch.
+    let batch = |engine: &RouteEngine, router: &(dyn DetailedRouter + Sync)| {
+        engine.route_batch(
+            &Supervisor::with_primary(router, RetryPolicy::default()),
+            problems,
+            None,
+        )
+    };
     let mut core_runs: Vec<std::vec::IntoIter<RouterRun>> = Vec::new();
     for router in [routers.ripup.as_ref(), routers.lee.as_ref()] {
-        let plain = off.route_batch(router, problems).results;
-        let observed = traced.route_batch(router, problems);
-        let events = observed.observation.map(|o| o.events).unwrap_or_default();
+        let plain = results(batch(&off, router));
+        let mut observed = batch(&traced, router);
+        let events = observed.observation.take().map(|o| o.events).unwrap_or_default();
         let runs: Vec<RouterRun> = plain
             .into_iter()
-            .zip(observed.results)
+            .zip(results(observed))
             .zip(events)
             .map(|((plain, observed), events)| RouterRun {
                 name: router.name().to_string(),
@@ -221,13 +229,11 @@ pub fn run_batch(problems: &[Problem], routers: &RouterSet, jobs: usize) -> Vec<
     let mut extra_runs: Vec<(String, std::vec::IntoIter<RouteResult>)> = routers
         .extras
         .iter()
-        .map(|r| (r.name().to_string(), off.route_batch(r.as_ref(), problems).results.into_iter()))
+        .map(|r| (r.name().to_string(), results(batch(&off, r.as_ref())).into_iter()))
         .collect();
 
-    let mut heap_runs: Option<std::vec::IntoIter<RouteResult>> = routers
-        .ripup_heap
-        .as_ref()
-        .map(|r| off.route_batch(r.as_ref(), problems).results.into_iter());
+    let mut heap_runs: Option<std::vec::IntoIter<RouteResult>> =
+        routers.ripup_heap.as_ref().map(|r| results(batch(&off, r.as_ref())).into_iter());
 
     (0..problems.len())
         .map(|_| InstanceRuns {
@@ -244,6 +250,12 @@ pub fn run_batch(problems: &[Problem], routers: &RouterSet, jobs: usize) -> Vec<
                 .map(|runs| runs.next().expect("one heap run per instance")),
         })
         .collect()
+}
+
+/// Each instance's result as its one attempt ended, in input order.
+fn results(batch: BatchOutcome) -> Vec<RouteResult> {
+    let live = batch.outcomes.into_iter().map(|o| o.and_then(SupervisedOutcome::into_result));
+    live.map(|r| r.expect("a batch without a journal routes every instance")).collect()
 }
 
 /// Routes a single instance through the roster (serial engine) — the

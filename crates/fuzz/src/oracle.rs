@@ -491,12 +491,12 @@ fn check_salvage(problem: &Problem, out: &mut Vec<OracleViolation>) {
         return;
     };
     let sup = Supervisor::new(starved, RetryPolicy::with_retries(1));
-    let outcome = sup.route_supervised(problem, FaultSite::Instance(0), None);
+    let outcome = sup.route_supervised(problem, FaultSite::Instance(0), None, None);
     check_salvage_outcome(problem, &outcome, out);
 
     // Determinism: the whole recovery chain (escalation, order
     // perturbation, snapshot choice) must replay identically.
-    let again = sup.route_supervised(problem, FaultSite::Instance(0), None);
+    let again = sup.route_supervised(problem, FaultSite::Instance(0), None, None);
     let key = |o: &SupervisedOutcome| {
         let checksum = match &o.result {
             Some(Ok(routing)) => routing.db.checksum(),
@@ -572,9 +572,6 @@ pub(crate) fn check_salvage_outcome(
                 routing.failed.len(),
                 problem.nets().len()
             ));
-        }
-        if !info.lint.is_legal() {
-            salvage_violation("salvage shipped with an illegal lint report attached".to_string());
         }
     } else {
         salvage_violation("salvaged outcome is missing its salvage info".to_string());
@@ -941,11 +938,7 @@ mod tests {
             path: mighty::RecoveryPath::Salvaged,
             attempts: 2,
             result: Some(Ok(Routing { db: RouteDb::new(&problem), failed: Vec::new() })),
-            salvage: Some(SalvageInfo {
-                connected: problem.nets().len(),
-                terminal: "doctored".to_string(),
-                lint: route_analyze::LintReport::default(),
-            }),
+            salvage: Some(SalvageInfo { connected: problem.nets().len(), terminal: None }),
         };
         let mut violations = Vec::new();
         super::check_salvage_outcome(&problem, &lying, &mut violations);
@@ -961,11 +954,7 @@ mod tests {
             path: mighty::RecoveryPath::Salvaged,
             attempts: 2,
             result: Some(Ok(Routing { db: RouteDb::new(&problem), failed: nets[1..].to_vec() })),
-            salvage: Some(SalvageInfo {
-                connected: 1,
-                terminal: "doctored".to_string(),
-                lint: route_analyze::LintReport::default(),
-            }),
+            salvage: Some(SalvageInfo { connected: 1, terminal: None }),
         };
         let mut violations = Vec::new();
         super::check_salvage_outcome(&problem, &partial_claim, &mut violations);

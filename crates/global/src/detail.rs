@@ -642,28 +642,21 @@ fn tile_record(
         attempts: outcome.attempts,
         routes: Vec::new(),
         failed: Vec::new(),
-        error: None,
+        error: outcome.error_text(),
     };
-    match &outcome.result {
-        Some(Ok(routing)) => {
-            // One flat `[net, x, y, layer, ...]` array per trace, in
-            // paste order, so a replay pastes exactly like live.
-            for net in sub.nets() {
-                for (_, trace) in routing.db.traces(net.id) {
-                    let mut flat = vec![i64::from(net.id.0)];
-                    for s in trace.steps() {
-                        flat.extend([i64::from(s.at.x), i64::from(s.at.y), s.layer.index() as i64]);
-                    }
-                    record.routes.push(flat);
+    if let Some(Ok(routing)) = &outcome.result {
+        // One flat `[net, x, y, layer, ...]` array per trace, in
+        // paste order, so a replay pastes exactly like live.
+        for net in sub.nets() {
+            for (_, trace) in routing.db.traces(net.id) {
+                let mut flat = vec![i64::from(net.id.0)];
+                for s in trace.steps() {
+                    flat.extend([i64::from(s.at.x), i64::from(s.at.y), s.layer.index() as i64]);
                 }
+                record.routes.push(flat);
             }
-            record.failed = routing.failed.iter().map(|id| id.0).collect();
         }
-        Some(Err(e)) => record.error = Some(e.to_string()),
-        None => {}
-    }
-    if let Some(salvage) = &outcome.salvage {
-        record.error = Some(salvage.terminal.clone());
+        record.failed = routing.failed.iter().map(|id| id.0).collect();
     }
     record
 }
@@ -722,7 +715,7 @@ fn supervise_tile(
     if let Some(fault) = &sup.fault {
         supervisor = supervisor.with_fault(fault.clone());
     }
-    supervisor.route_supervised(sub, FaultSite::Tile(tile), None)
+    supervisor.route_supervised(sub, FaultSite::Tile(tile), None, None)
 }
 
 /// The tile stage: on the ordered worker pool, each tile either replays

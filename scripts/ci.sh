@@ -261,6 +261,27 @@ grep -q '"legal": true' "$SMOKE/chip1.json" || {
 grep -q '"complete": true' "$SMOKE/chip1.json" || {
   echo "ci: the chip gate instance did not route completely" >&2; exit 1; }
 
+# Batch determinism gate: every batch runs through the supervisor, so
+# the smoke switchboxes must report identically at --jobs 1 and 4, wall-
+# clock fields aside, both plain and supervised; and a supervised run
+# must be observable (a non-empty --trace).
+WALL='"ms"\|"jobs"\|"batch_ms"\|"busy_ms"\|"throughput_per_sec"'
+for mode in plain supervised; do
+  FLAGS=()
+  [[ "$mode" == supervised ]] && FLAGS=(--retries 1 --fallback lee)
+  for jobs in 1 4; do
+    echo "==> $VROUTE batch determinism gate ($mode, jobs $jobs)"
+    "$VROUTE" batch "${FILES[@]}" ${FLAGS[@]+"${FLAGS[@]}"} --jobs "$jobs" \
+      --json "$SMOKE/batch-$mode$jobs.json" > /dev/null
+  done
+  run diff <(grep -v "$WALL" "$SMOKE/batch-${mode}1.json") \
+           <(grep -v "$WALL" "$SMOKE/batch-${mode}4.json")
+done
+echo "==> $VROUTE batch --retries 1 --trace (supervised observation)"
+"$VROUTE" batch "${FILES[@]}" --retries 1 --jobs 2 --trace "$SMOKE/batch.ldj" > /dev/null
+[[ -s "$SMOKE/batch.ldj" ]] || {
+  echo "ci: a supervised --trace batch wrote no events" >&2; exit 1; }
+
 # Seam-fault smoke: fail, then panic, every seam repair of the gate
 # instance. Each faulted seam is skipped before it touches the
 # database, so the flat fallback must still finish the chip legally,

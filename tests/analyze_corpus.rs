@@ -10,7 +10,7 @@
 
 use vlsi_route::analyze::{analyze_problem, lint_db, render_text, Severity};
 use vlsi_route::fuzz::FuzzCase;
-use vlsi_route::mighty::{MightyRouter, RouterConfig};
+use vlsi_route::mighty::{MightyRouter, RetryPolicy, RouterConfig, Supervisor};
 use vlsi_route::model::RouteError;
 use vlsi_route::{EngineConfig, RouteEngine};
 
@@ -107,11 +107,13 @@ fn engine_precheck_skips_the_certified_corpus_case() {
     let instances: Vec<_> = problems.into_iter().map(|(_, p)| p).collect();
 
     let engine = RouteEngine::new(EngineConfig { jobs: 1, precheck: true, ..Default::default() });
-    let batch = engine.route_batch(&MightyRouter::new(RouterConfig::default()), &instances);
+    let router = MightyRouter::new(RouterConfig::default());
+    let supervisor = Supervisor::with_primary(&router, RetryPolicy::default());
+    let batch = engine.route_batch(&supervisor, &instances, None);
     assert_eq!(batch.stats.infeasible, 1, "exactly the certified case is skipped");
     assert_eq!(batch.stats.complete, 1, "the feasible case still routes");
-    match &batch.results[infeasible_at] {
-        Err(RouteError::Infeasible { reason }) => {
+    match &batch.outcomes[infeasible_at].as_ref().and_then(|o| o.result.as_ref()) {
+        Some(Err(RouteError::Infeasible { reason })) => {
             assert!(reason.contains("density overflow"), "{reason}");
         }
         other => panic!("expected an infeasible outcome, got {other:?}"),
